@@ -154,20 +154,6 @@ def write_algebra_text(
     return "\n".join(out) + "\n"
 
 
-def write_algebra_file(path: Path, entry) -> None:
-    path.write_text(
-        write_algebra_text(
-            entry.name,
-            entry.algebra.size,
-            entry.algebra.names,
-            entry.algebra.odot,
-            entry.algebra.arrow,
-            entry.forall,
-        ),
-        encoding="utf-8",
-    )
-
-
 def document_for_algebra(name: str, alg: FiniteMTLAlgebra, forall=None) -> str:
     return write_algebra_text(name, alg.size, alg.names, alg.odot, alg.arrow, forall)
 

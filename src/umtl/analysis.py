@@ -149,23 +149,42 @@ class SimplicityReport:
         return len(set(self.conditions())) == 1
 
 
+def _filter_within(alg: FiniteMTLAlgebra, members, seed) -> set[int]:
+    """Smallest subset of `members` containing top and `seed` that is closed
+    under modus ponens inside `members` (x, x->y in F, y in members imply
+    y in F)."""
+    arrow = alg.arrow
+    f = {alg.top, *seed}
+    pending = list(f)
+    while pending:
+        x = pending.pop()
+        # x enters modus ponens as the premise or as the implication
+        for y in members:
+            if y not in f and (
+                arrow[x][y] in f or any(arrow[z][y] == x for z in f)
+            ):
+                f.add(y)
+                pending.append(y)
+    return f
+
+
 def _subalgebra_filters_trivial(alg: FiniteMTLAlgebra, carrier: frozenset[int]) -> bool:
     """Whether the subalgebra on `carrier` has only {top} and itself as
-    filters (filters computed inside the subalgebra)."""
+    filters (filters computed inside the subalgebra).
+
+    {top} and the carrier are always filters, and any other filter contains
+    some x != top whose principal filter is then proper; so the family is
+    exactly those two iff the carrier has two or more elements and every
+    x != top generates all of it.
+    """
+    if alg.top not in carrier or len(carrier) < 2:
+        return False
     members = sorted(carrier)
-    count = 0
-    for mask in range(1 << len(members)):
-        s = {members[i] for i in range(len(members)) if mask >> i & 1}
-        if alg.top not in s:
-            continue
-        if any(
-            alg.arrow[x][y] in s and y not in s
-            for x in s
-            for y in members
-        ):
-            continue
-        count += 1
-    return count == 2
+    return all(
+        len(_filter_within(alg, members, {x})) == len(members)
+        for x in members
+        if x != alg.top
+    )
 
 
 def is_simple(q: UMTLAlgebra) -> SimplicityReport:

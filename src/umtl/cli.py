@@ -86,7 +86,11 @@ class Run:
                 code,
                 timings,
             )
-            report.write_report(self.args.json, doc)
+            try:
+                report.write_report(self.args.json, doc)
+            except OSError as exc:
+                print(f"error: cannot write report: {exc}", file=sys.stderr)
+                return INPUT_ERROR
         return code
 
 
@@ -150,6 +154,13 @@ def _parse_members(alg, spec: str) -> frozenset[int]:
     if bad is not None:
         raise CommandError(f"element index {bad} out of range")
     return frozenset(members)
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc}") from exc
 
 
 # -- commands ----------------------------------------------------------------
@@ -419,7 +430,7 @@ def cmd_prove(run: Run, args) -> int:
         f"output {len(result.proof.steps)} steps, re-checks: {recheck.ok}"
     )
     if args.out:
-        Path(args.out).write_text(print_proof(result.proof), encoding="utf-8")
+        _write_text(args.out, print_proof(result.proof))
         run.say(f"wrote transformed proof to {args.out}")
     return OK if recheck.ok else PROPERTY_FAILS
 
@@ -560,7 +571,7 @@ def cmd_export(run: Run, args) -> int:
     else:
         raise CommandError(f"unknown export target {args.what!r}")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
         run.say(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -669,7 +680,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     run = Run(args)
+    counts = (("--jobs", args.jobs), ("--max-vars", getattr(args, "max_vars", 0)))
     try:
+        for flag, value in counts:
+            if value < 0:
+                raise CommandError(f"{flag} must be non-negative, got {value}")
         code = args.func(run, args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)

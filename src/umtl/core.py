@@ -9,7 +9,6 @@ admit inconsistent inputs, so we never do.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 Table = tuple[tuple[int, ...], ...]
@@ -356,8 +355,3 @@ def derive_odot_from_arrow(size: int, arrow, top: int) -> Table | None:
             row.append(least[0])
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def all_unary_maps(n: int):
-    """All n^n unary tables in lexicographic order (brute-force oracle aid)."""
-    return itertools.product(range(n), repeat=n)

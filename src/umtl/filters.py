@@ -79,9 +79,6 @@ class FilterSet:
         pair = _pair_key(self.algebra, self.forall)
         return self.members in {f.members for f in _maximal_ufilters_cached(pair)}
 
-    def with_forall(self, forall) -> FilterSet:
-        return FilterSet(self.algebra, self.members, tuple(forall))
-
 
 def is_filter_by_implication(alg: FiniteMTLAlgebra, members) -> bool:
     """top in F and closure under modus ponens (x, x->y in F imply y in F)."""

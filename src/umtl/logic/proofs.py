@@ -194,12 +194,19 @@ def _parse_justification(text: str, lineno: int) -> Justification:
         binding = _parse_binding(m.group(2), lineno) if m.group(2) else None
         return AxiomStep(m.group(1), binding)
     parts = text.split()
+    if not parts:
+        raise ProofFileError("empty justification", lineno)
     if parts[0] == "hyp" and len(parts) == 2:
         return HypStep(parts[1])
-    if parts[0] == "mp" and len(parts) == 3:
-        return MPStep(int(parts[1]), int(parts[2]))
-    if parts[0] == "nec" and len(parts) == 2:
-        return NecStep(int(parts[1]))
+    try:
+        if parts[0] == "mp" and len(parts) == 3:
+            return MPStep(int(parts[1]), int(parts[2]))
+        if parts[0] == "nec" and len(parts) == 2:
+            return NecStep(int(parts[1]))
+    except ValueError as exc:
+        raise ProofFileError(
+            f"step indices must be integers in {text!r}", lineno
+        ) from exc
     raise ProofFileError(f"bad justification {text!r}", lineno)
 
 

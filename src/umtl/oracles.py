@@ -1,0 +1,76 @@
+"""Exhaustive scans kept as test oracles for the closure-based fast paths.
+
+Nothing in the package calls these.  They are exponential in the carrier
+size and meant for small algebras.  Apart from `relativization_table` and
+`quantifier_violations`, which define what a candidate table is, they
+share no code with the paths they check:
+
+- `subalgebras_subset_oracle` and `fixpoint_subset_tables` scan the
+  2^(n-2) subsets containing bottom and top, the former for
+  `quantifier.subalgebra_masks`, the latter for
+  `enumerate_quantifiers(method="fixpoint")`;
+- `subalgebra_filters_trivial_subset_oracle` scans the 2^|S| subsets of a
+  carrier, for the image-simplicity condition of `analysis.is_simple`.
+"""
+
+from __future__ import annotations
+
+from .core import FiniteMTLAlgebra
+from .quantifier import quantifier_violations, relativization_table
+
+
+def _subsets_with_bounds(alg: FiniteMTLAlgebra):
+    others = [x for x in alg.elements if x not in (alg.bottom, alg.top)]
+    for bits in range(1 << len(others)):
+        subset = {alg.bottom, alg.top}
+        subset.update(others[i] for i in range(len(others)) if bits >> i & 1)
+        yield subset
+
+
+def subalgebras_subset_oracle(alg: FiniteMTLAlgebra) -> list[frozenset[int]]:
+    """Every subset containing bottom and top that is closed under odot,
+    arrow, meet and join, in scan order."""
+    ops = (alg.odot, alg.arrow, alg.meet, alg.join)
+    return [
+        frozenset(s)
+        for s in _subsets_with_bounds(alg)
+        if all(op[x][y] in s for op in ops for x in s for y in s)
+    ]
+
+
+def fixpoint_subset_tables(
+    alg: FiniteMTLAlgebra, u2_parse: str = "standard"
+) -> list[tuple[int, ...]]:
+    """Sorted quantifier tables found by relativizing to every subset that
+    contains bottom and top (any quantifier is the floor map onto its
+    fixpoint set)."""
+    tables = set()
+    for subset in _subsets_with_bounds(alg):
+        try:
+            table = relativization_table(alg, subset)
+        except ValueError:
+            continue
+        if not quantifier_violations(alg, table, u2_parse):
+            tables.add(table)
+    return sorted(tables)
+
+
+def subalgebra_filters_trivial_subset_oracle(
+    alg: FiniteMTLAlgebra, carrier
+) -> bool:
+    """Whether exactly two subsets of `carrier` contain top and are closed
+    under modus ponens inside it, by scanning all 2^|carrier| subsets."""
+    members = sorted(carrier)
+    count = 0
+    for mask in range(1 << len(members)):
+        s = {members[i] for i in range(len(members)) if mask >> i & 1}
+        if alg.top not in s:
+            continue
+        if any(
+            alg.arrow[x][y] in s and y not in s
+            for x in s
+            for y in members
+        ):
+            continue
+        count += 1
+    return count == 2

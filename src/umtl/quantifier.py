@@ -174,41 +174,73 @@ def relativization_table(alg: FiniteMTLAlgebra, subset) -> tuple[int, ...]:
     """Map each x to the largest member of `subset` below x.
 
     Requires bottom and top in the subset and, for every x, a maximum among
-    the subset elements below x; callers still validate U1-U3.
+    the subset elements below x; callers still validate U1-U3.  The join of
+    the subset elements below x is at most x, so it is that maximum exactly
+    when it lies in the subset: one O(n * |subset|) fold.
     """
-    s = sorted(set(subset))
+    s = set(subset)
     if alg.bottom not in s or alg.top not in s:
         raise ValueError("subset must contain bottom and top")
+    leq, join = alg.leq, alg.join
     table = []
     for x in alg.elements:
-        below = [v for v in s if alg.leq[v][x]]
-        maxima = [v for v in below if all(alg.leq[w][v] for w in below)]
-        if len(maxima) != 1:
+        acc = alg.bottom
+        for v in s:
+            if leq[v][x]:
+                acc = join[acc][v]
+        if acc not in s:
             raise ValueError(
                 f"no maximum fixpoint below element {alg.name_of(x)} (index {x})"
             )
-        table.append(maxima[0])
+        table.append(acc)
     return tuple(table)
 
 
-def _fixpoint_candidates(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
-    """Candidate tables from fixpoint subsets containing {bottom, top}.
+def subalgebra_masks(alg: FiniteMTLAlgebra) -> list[int]:
+    """Bitmasks of every subalgebra containing bottom and top.
 
-    Any valid quantifier is an interior operator (below identity,
-    idempotent, monotone), hence equals x -> max{s in S : s <= x} for its
-    fixpoint set S; iterating subsets is therefore exhaustive.
+    Close-by-one depth-first search (Kuznetsov; the canonicity test of
+    Ganter's NextClosure): a child adds one element i to a closed set and
+    closes incrementally under odot, arrow, meet and join, pairing only
+    the new elements with the members.  The child is kept only if its
+    closure adds no element below i, so every closed set is reached from
+    exactly one parent, with delay polynomial in n.
     """
     n = alg.size
-    others = [x for x in alg.elements if x not in (alg.bottom, alg.top)]
-    candidates = []
-    for bits in range(1 << len(others)):
-        subset = {alg.bottom, alg.top}
-        subset.update(others[i] for i in range(len(others)) if bits >> i & 1)
-        try:
-            candidates.append(relativization_table(alg, subset))
-        except ValueError:
-            continue
-    return candidates
+    odot, arrow, meet, join = alg.odot, alg.arrow, alg.meet, alg.join
+
+    def close(mask: int, members: list[int], new: int, floor: int):
+        """Closure of mask + {new}, or None once an element below `floor`
+        outside mask would enter.  `mask` must already be closed."""
+        members = members + [new]
+        mask |= 1 << new
+        pending = [new]
+        while pending:
+            a = pending.pop()
+            for b in members:
+                for c in (
+                    odot[a][b], arrow[a][b], arrow[b][a], meet[a][b], join[a][b]
+                ):
+                    if not mask >> c & 1:
+                        if c < floor:
+                            return None
+                        mask |= 1 << c
+                        members.append(c)
+                        pending.append(c)
+        return mask, members
+
+    out = []
+    stack = [(*close(1 << alg.bottom, [alg.bottom], alg.top, 0), 0)]
+    while stack:
+        mask, members, start = stack.pop()
+        out.append(mask)
+        for i in range(start, n):
+            if mask >> i & 1:
+                continue
+            child = close(mask, members, i, i)
+            if child is not None:
+                stack.append((*child, i + 1))
+    return out
 
 
 def enumerate_quantifiers(
@@ -219,11 +251,20 @@ def enumerate_quantifiers(
 ) -> list[UniversalQuantifier]:
     """All quantifiers on the algebra, sorted by table lexicographically.
 
-    method="fixpoint" scans the 2^n fixpoint subsets; method="brute" scans
-    all n^n unary maps and is intended as an oracle for small n.
+    method="fixpoint" relativizes to each subalgebra containing bottom and
+    top: a quantifier is an interior operator, hence the floor map onto
+    its fixpoint set, and that set is a subalgebra (it is the image, closed
+    under odot, arrow, meet and join by the basic properties checked in
+    `properties_suite`).  method="brute" scans all n^n unary maps and is
+    intended as an oracle for small n.
     """
     if method == "fixpoint":
-        candidates = _fixpoint_candidates(alg)
+        # masks, not sets, keep the 2^(n-2) subalgebras of a Goedel chain small
+        n = alg.size
+        candidates = [
+            relativization_table(alg, [i for i in range(n) if mask >> i & 1])
+            for mask in subalgebra_masks(alg)
+        ]
     elif method == "brute":
         candidates = list(itertools.product(range(alg.size), repeat=alg.size))
     else:

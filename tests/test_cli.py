@@ -131,6 +131,21 @@ def test_prove_rejects_bad_step(tmp_path, capsys):
     assert "REJECTED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "step,message",
+    [
+        ("step 1: p0 -> p0 ;\n", "empty justification"),
+        ("step 1: p0 -> p0 ; mp a b\n", "step indices must be integers"),
+    ],
+)
+def test_prove_malformed_justification_is_input_error(tmp_path, capsys, step, message):
+    src = tmp_path / "bad.prf"
+    src.write_text(step)
+    assert run_cli("prove", "check", str(src)) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
 def test_logic_valid(capsys):
     assert run_cli("logic", "valid", "box p0 -> p0", "--pool", str(CORPUS)) == 0
     assert run_cli("logic", "valid", "p0 -> box p0", "--pool", str(CORPUS)) == 1
@@ -183,6 +198,33 @@ def test_alt_parse_threads_through(capsys):
 
 def test_unknown_element_in_filter_spec(capsys):
     assert run_cli("quotient", SIX_BLOCK, "--filter", "z,1") == 2
+
+
+def test_unwritable_output_paths_are_input_errors(tmp_path, capsys):
+    missing = tmp_path / "missing" / "out"
+    assert run_cli("--json", str(missing), "classify", NM3) == 2
+    src = tmp_path / "use.prf"
+    src.write_text("theory:\nalpha: p0\nstep 1: p0 ; hyp alpha\n")
+    assert (
+        run_cli("prove", "deduce", str(src), "--discharge", "alpha", "--out", str(missing))
+        == 2
+    )
+    assert run_cli("export", "dot", SIX, "-o", str(missing)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 3 and all(line.startswith("error: cannot write") for line in err)
+    assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--jobs", "-3", "classify", NM3),
+        ("logic", "valid", "box p0 -> p0", "--max-vars", "-1", "--pool", NM3),
+    ],
+)
+def test_negative_counts_are_input_errors(capsys, argv):
+    assert run_cli(*argv) == 2
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_console_entry_point():
