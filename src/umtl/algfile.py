@@ -81,6 +81,9 @@ def parse_algebra_text(text: str) -> AlgebraDocument:
         if len(tokens) != size + 1:
             raise AlgebraFileError(f"expected {size} names", lineno)
         names = tuple(tokens[1:])
+        dup = next((x for i, x in enumerate(names) if x in names[:i]), None)
+        if dup is not None:
+            raise AlgebraFileError(f"duplicate element name {dup!r}", lineno)
 
     def table(tag: str) -> tuple[tuple[int, ...], ...]:
         lineno, tokens = take(tag)

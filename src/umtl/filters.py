@@ -469,40 +469,85 @@ def radical(q: UMTLAlgebra) -> RadicalResult:
     return RadicalResult(FilterSet(q.algebra, frozenset(acc), q.forall))
 
 
-def _partitions(items: list[int]):
-    """All set partitions, blocks ordered by least element (deterministic)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
 def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
     """All equivalence relations compatible with every operation and the
-    quantifier, as block tuples ordered by least element."""
+    quantifier, as block tuples ordered by least element, the list sorted
+    by its blocks' sorted members.
+
+    Every congruence is the join of the principal congruences Cg(a, b) of
+    its pairs, and joins in the congruence lattice are joins of equivalence
+    relations (Freese, "Computing congruences efficiently", Algebra
+    Universalis 59, 2008).  So each Cg(a, b) is closed with a union-find
+    under odot, arrow, meet, join and the quantifier, and the identity plus
+    the principal congruences are closed under join.  A congruence is held
+    as a canonical tuple giving each element's least class member.
+
+    Reads only the operation tables and `q.forall`, never the filter code,
+    so the U-filter/congruence correspondence audit compares two
+    independent computations.
+    """
     alg, f = q.algebra, q.forall
+    n = alg.size
     ops = (alg.odot, alg.arrow, alg.meet, alg.join)
+
+    def find(parent: list[int], x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # every union hangs the larger root below the smaller, so each root is
+    # its class's least member and the canonical tuple is the roots
+    def union(parent: list[int], x: int, y: int) -> bool:
+        rx, ry = find(parent, x), find(parent, y)
+        if rx == ry:
+            return False
+        parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    def canonical(parent: list[int]) -> tuple[int, ...]:
+        return tuple(find(parent, x) for x in range(n))
+
+    def principal(a: int, b: int) -> tuple[int, ...]:
+        parent = list(range(n))
+        union(parent, a, b)
+        pending = [(a, b)]
+        while pending:
+            x, y = pending.pop()
+            images = [(f[x], f[y])]
+            for op in ops:
+                images += zip(op[x], op[y])  # op(x, z) ~ op(y, z)
+                images += ((row[x], row[y]) for row in op)  # op(z, x) ~ op(z, y)
+            for u, v in images:
+                if u != v and union(parent, u, v):
+                    pending.append((u, v))
+        return canonical(parent)
+
+    def join(c1: tuple[int, ...], c2: tuple[int, ...]) -> tuple[int, ...]:
+        parent = list(c1)
+        for x in range(n):
+            union(parent, x, c2[x])
+        return canonical(parent)
+
+    principals = {principal(a, b) for a in range(n) for b in range(a + 1, n)}
+    found = {tuple(range(n))} | principals
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for c in frontier:
+            for p in principals:
+                joined = join(c, p)
+                if joined not in found:
+                    found.add(joined)
+                    fresh.append(joined)
+        frontier = fresh
+
     out = []
-    for part in _partitions(list(alg.elements)):
-        cls = {}
-        for idx, block in enumerate(part):
-            for x in block:
-                cls[x] = idx
-        ok = all(
-            len({cls[f[x]] for x in block}) == 1 for block in part
-        ) and all(
-            len({cls[op[x][y]] for x in b1 for y in b2}) == 1
-            for op in ops
-            for b1 in part
-            for b2 in part
-        )
-        if ok:
-            blocks = sorted((frozenset(b) for b in part), key=min)
-            out.append(tuple(blocks))
+    for c in found:
+        blocks: dict[int, set[int]] = {}
+        for x in range(n):
+            blocks.setdefault(c[x], set()).add(x)
+        out.append(tuple(frozenset(blocks[r]) for r in sorted(blocks)))
     out.sort(key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks))
     return out
 

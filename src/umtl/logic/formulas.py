@@ -7,6 +7,11 @@ parse(print(f)) == f on the primitive trees.
 
 Precedence, tightest first: box/neg, &, then ^ and | (left-associative),
 then -> and <-> (right-associative).
+
+Parsing rejects a formula whose tree is more than MAX_DEPTH nodes deep, or
+whose text nests parentheses, prefixes and implications more than
+MAX_DEPTH levels deep, so the recursive evaluator, printer and proof
+checker stay within Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -116,6 +121,8 @@ class FormulaSyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"\s*(->|<->|[&^|()]|[A-Za-z][A-Za-z0-9]*)")
 
 
@@ -134,11 +141,24 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (Impl, And, Min)):
+        return (f.left, f.right)
+    if isinstance(f, Box):
+        return (f.arg,)
+    return ()
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, int]], length: int):
         self.tokens = tokens
         self.pos = 0
         self.length = length
+        self.nesting = 0
+        # tree depths keyed by id(): every node stays referenced by the tree
+        # under construction, and the sugar shares subtrees, so this also
+        # keeps the depth computation linear
+        self.depths: dict[int, int] = {}
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -155,15 +175,39 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def too_deep(self) -> FormulaSyntaxError:
+        return FormulaSyntaxError(
+            f"formula nested more than {MAX_DEPTH} levels deep", self.here()
+        )
+
+    def descend(self) -> None:
+        """Enter one level of parser recursion."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.too_deep()
+
+    def depth(self, f: Formula) -> int:
+        d = self.depths.get(id(f))
+        if d is None:
+            d = 1 + max((self.depth(c) for c in _children(f)), default=0)
+            self.depths[id(f)] = d
+        return d
+
+    def built(self, f: Formula) -> Formula:
+        """`f`, once its tree is known to be at most MAX_DEPTH deep."""
+        if self.depth(f) > MAX_DEPTH:
+            raise self.too_deep()
+        return f
+
     def formula(self) -> Formula:
+        self.descend()
         left = self.lattice_tier()
         tok = self.peek()
-        if tok == "->":
+        if tok in ("->", "<->"):
             self.take()
-            return Impl(left, self.formula())
-        if tok == "<->":
-            self.take()
-            return iff(left, self.formula())
+            right = self.formula()
+            left = self.built(Impl(left, right) if tok == "->" else iff(left, right))
+        self.nesting -= 1
         return left
 
     def lattice_tier(self) -> Formula:
@@ -171,25 +215,25 @@ class _Parser:
         while self.peek() in ("^", "|"):
             op = self.take()
             rhs = self.conj_tier()
-            acc = Min(acc, rhs) if op == "^" else lor(acc, rhs)
+            acc = self.built(Min(acc, rhs) if op == "^" else lor(acc, rhs))
         return acc
 
     def conj_tier(self) -> Formula:
         acc = self.unary_tier()
         while self.peek() == "&":
             self.take()
-            acc = And(acc, self.unary_tier())
+            acc = self.built(And(acc, self.unary_tier()))
         return acc
 
     def unary_tier(self) -> Formula:
         tok = self.peek()
-        if tok == "box":
-            self.take()
-            return Box(self.unary_tier())
-        if tok == "neg":
-            self.take()
-            return neg(self.unary_tier())
-        return self.atom()
+        if tok not in ("box", "neg"):
+            return self.atom()
+        self.take()
+        self.descend()
+        arg = self.unary_tier()
+        self.nesting -= 1
+        return self.built(Box(arg) if tok == "box" else neg(arg))
 
     def atom(self) -> Formula:
         where = self.here()

@@ -10,13 +10,15 @@ share no code with the paths they check:
   `quantifier.subalgebra_masks`, the latter for
   `enumerate_quantifiers(method="fixpoint")`;
 - `subalgebra_filters_trivial_subset_oracle` scans the 2^|S| subsets of a
-  carrier, for the image-simplicity condition of `analysis.is_simple`.
+  carrier, for the image-simplicity condition of `analysis.is_simple`;
+- `ucongruences_partition_oracle` scans all Bell(n) set partitions of the
+  carrier, for `filters.enumerate_ucongruences`.
 """
 
 from __future__ import annotations
 
 from .core import FiniteMTLAlgebra
-from .quantifier import quantifier_violations, relativization_table
+from .quantifier import UMTLAlgebra, quantifier_violations, relativization_table
 
 
 def _subsets_with_bounds(alg: FiniteMTLAlgebra):
@@ -74,3 +76,44 @@ def subalgebra_filters_trivial_subset_oracle(
             continue
         count += 1
     return count == 2
+
+
+def _partitions(items: list[int]):
+    """All set partitions, blocks ordered by least element (deterministic)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def ucongruences_partition_oracle(
+    q: UMTLAlgebra,
+) -> list[tuple[frozenset[int], ...]]:
+    """Every set partition compatible with odot, arrow, meet, join and the
+    quantifier, as block tuples ordered by least element, in the order of
+    `filters.enumerate_ucongruences`."""
+    alg, f = q.algebra, q.forall
+    ops = (alg.odot, alg.arrow, alg.meet, alg.join)
+    out = []
+    for part in _partitions(list(alg.elements)):
+        cls = {}
+        for idx, block in enumerate(part):
+            for x in block:
+                cls[x] = idx
+        ok = all(
+            len({cls[f[x]] for x in block}) == 1 for block in part
+        ) and all(
+            len({cls[op[x][y]] for x in b1 for y in b2}) == 1
+            for op in ops
+            for b1 in part
+            for b2 in part
+        )
+        if ok:
+            blocks = sorted((frozenset(b) for b in part), key=min)
+            out.append(tuple(blocks))
+    out.sort(key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks))
+    return out

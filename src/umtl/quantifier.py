@@ -67,60 +67,64 @@ def quantifier_violations(
     consequences of U1-U3 and are scanned defensively; they can only fire
     on tables that already fail an axiom.
     """
+    return list(_violations(alg, table, u2_parse))
+
+
+def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
+    """The failures of `quantifier_violations`, one axiom at a time, so a
+    caller that needs only a yes/no answer stops at the first."""
     if u2_parse not in U2_PARSES:
         raise ValueError(f"unknown u2 parse: {u2_parse!r}")
     n, top = alg.size, alg.top
-    out: list[Violation] = []
     if len(table) != n:
-        return [Violation("forall-wrong-length", (len(table),))]
+        yield Violation("forall-wrong-length", (len(table),))
+        return
     bad = next((x for x in range(n) if not (0 <= table[x] < n)), None)
     if bad is not None:
-        return [Violation("forall-entry-out-of-range", (bad,))]
+        yield Violation("forall-entry-out-of-range", (bad,))
+        return
     arrow = alg.arrow
     q = tuple(table)
-
-    def first(axiom: str, gen) -> None:
-        w = next(gen, None)
-        if w is not None:
-            out.append(Violation(axiom, w))
-
-    first("U1", ((x,) for x in range(n) if not alg.leq[q[x]][x]))
     if u2_parse == "standard":
-        first(
-            "U2",
-            (
-                (x, y)
-                for x in range(n)
-                for y in range(n)
-                if q[arrow[arrow[x][q[y]]][q[y]]] != arrow[arrow[q[x]][q[y]]][q[y]]
-            ),
-        )
-    else:
-        first(
-            "U2",
-            (
-                (x, y)
-                for x in range(n)
-                for y in range(n)
-                if q[arrow[x][arrow[q[y]][q[y]]]] != arrow[arrow[q[x]][q[y]]][q[y]]
-            ),
-        )
-    first(
-        "U3",
-        (
+        u2 = (
             (x, y)
             for x in range(n)
             for y in range(n)
-            if q[arrow[q[x]][y]] != arrow[q[x]][q[y]]
+            if q[arrow[arrow[x][q[y]]][q[y]]] != arrow[arrow[q[x]][q[y]]][q[y]]
+        )
+    else:
+        u2 = (
+            (x, y)
+            for x in range(n)
+            for y in range(n)
+            if q[arrow[x][arrow[q[y]][q[y]]]] != arrow[arrow[q[x]][q[y]]][q[y]]
+        )
+    axioms = (
+        ("U1", ((x,) for x in range(n) if not alg.leq[q[x]][x])),
+        ("U2", u2),
+        (
+            "U3",
+            (
+                (x, y)
+                for x in range(n)
+                for y in range(n)
+                if q[arrow[q[x]][y]] != arrow[q[x]][q[y]]
+            ),
         ),
     )
-    if not out:
-        if q[0] != 0:
-            out.append(Violation("derived-bottom-fixed", (0,)))
-        if q[top] != top:
-            out.append(Violation("derived-top-fixed", (top,)))
-        first("derived-idempotent", ((x,) for x in range(n) if q[q[x]] != q[x]))
-        first(
+    failed = False
+    for v in _first_witnesses(axioms):
+        failed = True
+        yield v
+    if failed:
+        return
+    if q[0] != 0:
+        yield Violation("derived-bottom-fixed", (0,))
+    if q[top] != top:
+        yield Violation("derived-top-fixed", (top,))
+    derived = (
+        ("derived-idempotent", ((x,) for x in range(n) if q[q[x]] != q[x])),
+        (
             "derived-monotone",
             (
                 (x, y)
@@ -128,8 +132,18 @@ def quantifier_violations(
                 for y in range(n)
                 if alg.leq[x][y] and not alg.leq[q[x]][q[y]]
             ),
-        )
-    return out
+        ),
+    )
+    yield from _first_witnesses(derived)
+
+
+def _first_witnesses(checks):
+    """A violation with the first witness of each (name, witnesses) pair
+    that has one."""
+    for name, witnesses in checks:
+        w = next(witnesses, None)
+        if w is not None:
+            yield Violation(name, w)
 
 
 def validate_quantifier(
@@ -276,13 +290,13 @@ def enumerate_quantifiers(
             _table_is_quantifier, (alg, u2_parse), candidates, jobs
         )
     else:
-        valid = [t for t in candidates if not quantifier_violations(alg, t, u2_parse)]
+        valid = [t for t in candidates if _table_is_quantifier(alg, u2_parse, t)]
     tables = sorted(set(valid))
     return [validate_quantifier(alg, t, u2_parse) for t in tables]
 
 
 def _table_is_quantifier(alg, u2_parse, table) -> bool:
-    return not quantifier_violations(alg, table, u2_parse)
+    return next(_violations(alg, table, u2_parse), None) is None
 
 
 @dataclass(frozen=True)

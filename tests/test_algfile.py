@@ -56,6 +56,9 @@ def test_parse_errors_carry_line_numbers():
         parse_algebra_text(
             "algebra x\nsize 2\nodot\n0 0\n0 1\narrow\n1 1\n0 1\nextra\n"
         )
+    duplicate = "algebra x\nsize 2\nnames a a\nodot\n0 0\n0 1\narrow\n1 1\n0 1\n"
+    with pytest.raises(AlgebraFileError, match=r"duplicate .* 'a' \(line 3\)"):
+        parse_algebra_text(duplicate)
 
 
 def test_default_names():

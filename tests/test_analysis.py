@@ -4,7 +4,7 @@ from umtl import analysis as ana
 from umtl import chain_algebra, classify, enumerate_quantifiers, make_umtl
 from umtl import filters as flt
 from umtl.core import boolean_2
-from umtl.quantifier import delta_table, identity_table
+from umtl.quantifier import delta_table, identity_table, unchecked_pair
 
 
 def _pairs(corpus_entries):
@@ -186,3 +186,11 @@ def test_theorem_audit_is_deterministic(corpus_entries):
     assert [(e.check, e.subject, e.agrees) for e in first] == [
         (e.check, e.subject, e.agrees) for e in second
     ]
+
+
+def test_congruence_correspondence_can_fail_on_a_non_quantifier():
+    # the constant bottom map fails U3; its congruences are computed
+    # without the filter code, so the audit sees the mismatch
+    g3 = chain_algebra("goedel", 3)
+    entry = ana.audit_congruence_correspondence(unchecked_pair(g3, (0, 0, 0)))
+    assert not entry.agrees

@@ -8,6 +8,7 @@ import pytest
 
 from umtl.cli import main
 from umtl.corpus import corpus_dir, proofs_dir
+from umtl.logic.formulas import MAX_DEPTH
 
 CORPUS = corpus_dir()
 SIX = str(CORPUS / "example-3-2.alg")
@@ -225,6 +226,44 @@ def test_unwritable_output_paths_are_input_errors(tmp_path, capsys):
 def test_negative_counts_are_input_errors(capsys, argv):
     assert run_cli(*argv) == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_duplicate_element_names_are_input_errors(tmp_path, capsys):
+    dup = tmp_path / "dup.alg"
+    text = (CORPUS / "goedel-3.alg").read_text()
+    dup.write_text(text.replace("size 3\n", "size 3\nnames a a b\n"))
+    assert run_cli("validate", str(dup)) == 2
+    assert run_cli("quotient", str(dup), "--forall", "identity", "--filter", "a") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2
+    assert all("duplicate element name 'a' (line 3)" in line for line in err)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["(" * 3000 + "p0" + ")" * 3000, "box " * 5000 + "p0", "p0 & " * 3000 + "p0"],
+    ids=["parentheses", "box-prefixes", "flat-conjunction"],
+)
+def test_deeply_nested_formulas_are_input_errors(capsys, formula):
+    assert run_cli("logic", "valid", formula, "--pool", NM3) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"more than {MAX_DEPTH} levels deep" in err[0]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda k: "(" * k + "p0" + ")" * k,
+        lambda k: "box " * k + "p0",
+        lambda k: "p0 & " * k + "p0",
+    ],
+    ids=["parentheses", "box-prefixes", "flat-conjunction"],
+)
+def test_formula_just_inside_depth_bound_evaluates(capsys, shape):
+    # each shape is refuted by p0 = bottom
+    assert run_cli("logic", "valid", shape(MAX_DEPTH - 1), "--pool", NM3) == 1
+    assert "NOT valid on" in capsys.readouterr().out
+    assert run_cli("logic", "valid", shape(MAX_DEPTH), "--pool", NM3) == 2
 
 
 def test_console_entry_point():

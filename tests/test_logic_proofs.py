@@ -6,7 +6,7 @@ import pytest
 
 from umtl.logic.builder import ProofBuilder, power
 from umtl.logic.derivations import BUNDLED, bundled_proofs
-from umtl.logic.formulas import And, Bot, Box, Impl, Min, Var
+from umtl.logic.formulas import MAX_DEPTH, And, Bot, Box, Impl, Min, Var
 from umtl.logic.proofs import (
     AxiomStep,
     HypStep,
@@ -125,6 +125,19 @@ def test_proof_file_round_trip():
             s.formula for s in proof.steps
         ]
         assert check_proof(CATALOG, reparsed).ok
+
+
+def test_proof_at_depth_bound_checks_and_round_trips():
+    # M1 instance box^(k+1) p0 -> box^k p0: a tree exactly MAX_DEPTH deep
+    k = MAX_DEPTH - 3
+    inner = "box " * k + "p0"
+    text = f"step 1: box {inner} -> {inner} ; axiom M1 [alpha:={inner}]\n"
+    proof = parse_proof_text(text)
+    assert check_proof(CATALOG, proof).ok
+    reparsed = parse_proof_text(print_proof(proof))
+    assert reparsed.steps[0].formula == proof.steps[0].formula
+    with pytest.raises(ProofFileError, match="levels deep"):
+        parse_proof_text(text.replace("p0", "box p0"))
 
 
 def test_proof_file_errors():

@@ -7,10 +7,15 @@ Quantifier enumeration only relativizes to subalgebras, so "the image is
 a subalgebra" (item 14 of `properties_suite`) holds by construction for
 every enumerated pair.  Agreement with the all-subsets scan and with the
 n^n scan is what checks that no quantifier is lost by that restriction.
+
+U-congruences are joins of principal congruences; the Bell(n) partition
+scan checks them, also on unary maps that are not quantifiers, since the
+closure does not rely on U1-U3.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -18,8 +23,15 @@ import pytest
 
 from umtl import analysis as ana
 from umtl import oracles
+from umtl.audit import corpus_pairs
 from umtl.core import FiniteMTLAlgebra, chain_algebra, classify, validate
-from umtl.quantifier import UMTLAlgebra, enumerate_quantifiers, subalgebra_masks
+from umtl.filters import enumerate_ucongruences
+from umtl.quantifier import (
+    UMTLAlgebra,
+    enumerate_quantifiers,
+    subalgebra_masks,
+    unchecked_pair,
+)
 
 KINDS = {"L": "lukasiewicz", "G": "goedel", "N": "nilpotent-minimum"}
 
@@ -206,3 +218,34 @@ def test_enumeration_matches_brute_force_on_corpus(corpus_entries, u2_parse):
 def test_image_simple_matches_subset_oracle_on_corpus(corpus_entries):
     for entry in corpus_entries:
         assert_image_simple_matches_oracle(entry.algebra)
+
+
+def assert_ucongruences_match_oracle(q):
+    assert enumerate_ucongruences(q) == oracles.ucongruences_partition_oracle(q)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_ucongruences_match_partition_oracle(seed):
+    alg = random_algebra(seed, 7)
+    for uq in enumerate_quantifiers(alg):
+        assert_ucongruences_match_oracle(UMTLAlgebra(alg, uq))
+
+
+def test_ucongruences_match_partition_oracle_on_corpus(corpus_entries):
+    for q in corpus_pairs(corpus_entries):
+        assert_ucongruences_match_oracle(q)
+
+
+@pytest.mark.parametrize("name", ["L3xL3", "G3xL3"])
+def test_ucongruences_match_partition_oracle_on_ladder(name):
+    alg = relabel(LADDER[name](), random.Random(name))
+    assert alg.size == 9
+    for uq in enumerate_quantifiers(alg):
+        assert_ucongruences_match_oracle(UMTLAlgebra(alg, uq))
+
+
+@pytest.mark.parametrize("tag", ["G3", "G4", "L3", "L4"])
+def test_ucongruences_match_partition_oracle_on_every_unary_map(tag):
+    alg = chain(tag)
+    for table in itertools.product(alg.elements, repeat=alg.size):
+        assert_ucongruences_match_oracle(unchecked_pair(alg, table))
