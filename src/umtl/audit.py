@@ -37,17 +37,17 @@ def pair_name(base: str, table) -> str:
 
 
 def corpus_pairs(
-    entries: list[CorpusEntry], u2_parse: str = "standard", jobs: int = 1
+    entries: list[CorpusEntry], u2_parse: str = "standard"
 ) -> list[UMTLAlgebra]:
     """One pair per file-supplied quantifier, plus every enumerated
     quantifier on files without one; duplicates (same tables) dropped,
     first occurrence in name order wins."""
-    pairs, _ = corpus_pairs_with_rejects(entries, u2_parse, jobs)
+    pairs, _ = corpus_pairs_with_rejects(entries, u2_parse)
     return pairs
 
 
 def corpus_pairs_with_rejects(
-    entries: list[CorpusEntry], u2_parse: str = "standard", jobs: int = 1
+    entries: list[CorpusEntry], u2_parse: str = "standard"
 ) -> tuple[list[UMTLAlgebra], list[tuple[str, list]]]:
     """Like corpus_pairs, also returning file-supplied tables that fail
     the quantifier scan under the selected parse (relevant for the
@@ -70,7 +70,7 @@ def corpus_pairs_with_rejects(
                 continue
             pairs.append(make_umtl(entry.algebra, entry.forall, u2_parse, name))
             continue
-        for q in enumerate_quantifiers(entry.algebra, u2_parse, jobs=jobs):
+        for q in enumerate_quantifiers(entry.algebra, u2_parse):
             key = (entry.algebra.table_key(), q.table)
             if key in seen:
                 continue
@@ -97,7 +97,6 @@ def fixture_audits(
     entries: list[CorpusEntry],
     pairs: list[UMTLAlgebra],
     u2_parse: str,
-    jobs: int = 1,
 ) -> list[AuditEntry]:
     from .quantifier import quantifier_violations
 
@@ -150,7 +149,7 @@ def fixture_audits(
             )
         )
     rule = RuleInstance((parse_formula("p0 | p1"),), parse_formula("p0 | box p1"))
-    hit = countermodel_search(rule, pairs, jobs=jobs)
+    hit = countermodel_search(rule, pairs)
     details: dict = {"pool_size": len(pairs)}
     if isinstance(hit, Countermodel):
         alg = pairs[hit.pool_index].algebra
@@ -253,12 +252,11 @@ class AuditBundle:
 def run_corpus_audit(
     entries: list[CorpusEntry],
     u2_parse: str = "standard",
-    jobs: int = 1,
     extensions: tuple[str, ...] = ("INV", "WNM", "MV", "EM"),
 ) -> AuditBundle:
-    pairs, rejected = corpus_pairs_with_rejects(entries, u2_parse, jobs)
+    pairs, rejected = corpus_pairs_with_rejects(entries, u2_parse)
     audit_entries = ana.theorem_audit(pairs, u2_parse)
-    audit_entries.extend(fixture_audits(entries, pairs, u2_parse, jobs))
+    audit_entries.extend(fixture_audits(entries, pairs, u2_parse))
     for name, violations in rejected:
         audit_entries.append(
             AuditEntry(

@@ -246,7 +246,7 @@ def cmd_quantifiers(run: Run, args) -> int:
             failures=[{"item": c.item, "witness": list(c.witness or ())} for c in failures],
         )
         return OK
-    quantifiers = enumerate_quantifiers(alg, args.u2_parse, jobs=args.jobs)
+    quantifiers = enumerate_quantifiers(alg, args.u2_parse)
     run.check(
         "quantifier-enumeration",
         doc.name,
@@ -369,7 +369,7 @@ def cmd_audit(run: Run, args) -> int:
     for p in paths:
         alg, doc = _validated_algebra(run, str(p))
         entries.append(CorpusEntry(doc.name, alg, doc.forall))
-    bundle = run_corpus_audit(entries, args.u2_parse, args.jobs)
+    bundle = run_corpus_audit(entries, args.u2_parse)
     for chk in bundle.as_checks():
         run.checks.append(chk)
     disagreements = bundle.disagreements()
@@ -435,7 +435,7 @@ def cmd_prove(run: Run, args) -> int:
     return OK if recheck.ok else PROPERTY_FAILS
 
 
-def _load_pool(run: Run, pool_arg: str, u2_parse: str, jobs: int):
+def _load_pool(run: Run, pool_arg: str, u2_parse: str):
     path = Path(pool_arg) if pool_arg else corpus_dir()
     if path.is_dir():
         paths = sorted(path.glob("*.alg"))
@@ -447,7 +447,7 @@ def _load_pool(run: Run, pool_arg: str, u2_parse: str, jobs: int):
     for p in paths:
         alg, doc = _validated_algebra(run, str(p))
         entries.append(CorpusEntry(doc.name, alg, doc.forall))
-    return corpus_pairs(entries, u2_parse, jobs)
+    return corpus_pairs(entries, u2_parse)
 
 
 def cmd_logic(run: Run, args) -> int:
@@ -471,7 +471,7 @@ def cmd_logic(run: Run, args) -> int:
         )
     if goal is None:
         raise CommandError("no formula or rule given")
-    pool = _load_pool(run, args.pool, args.u2_parse, args.jobs)
+    pool = _load_pool(run, args.pool, args.u2_parse)
     if args.mode == "valid":
         if isinstance(goal, RuleInstance):
             raise CommandError("validity mode expects a formula, not a rule")
@@ -513,7 +513,7 @@ def cmd_logic(run: Run, args) -> int:
         return OK
     # countermodel mode
     try:
-        hit = countermodel_search(goal, pool, max_vars=args.max_vars, jobs=args.jobs)
+        hit = countermodel_search(goal, pool, max_vars=args.max_vars)
     except VariableBudgetError as exc:
         raise CommandError(str(exc)) from exc
     subject = (
@@ -586,7 +586,12 @@ def build_parser() -> argparse.ArgumentParser:
         "validation, enumeration, structure, audits, and modal proof checking.",
     )
     parser.add_argument("--json", metavar="PATH", help="write a JSON report")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; has no effect (every command is serial)",
+    )
     parser.add_argument(
         "--u2-parse",
         choices=("standard", "alt"),

@@ -73,6 +73,9 @@ class FiniteMTLAlgebra:
     join: Table = field(compare=False)
 
     bottom: int = 0
+    # derived families (filters, U-filters, ...) keyed by family name and,
+    # for U-filter families, by the quantifier table
+    cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def elements(self) -> range:
@@ -120,6 +123,69 @@ class FiniteMTLAlgebra:
 
 def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
+
+
+def first_violations(checks):
+    """A violation with the first witness of each (axiom, witnesses) pair
+    that has one, in order; each witness generator runs only until its
+    first item."""
+    for axiom, witnesses in checks:
+        w = next(witnesses, None)
+        if w is not None:
+            yield Violation(axiom, w)
+
+
+def closed_masks(n: int, base, forced) -> list[int]:
+    """Bitmasks of every closed subset of {0, .., n-1} that contains `base`.
+
+    The closure system is given by the table `forced`: `forced[a][b]`
+    lists the elements that a new member `a` forces in together with a
+    member `b`, `b == a` included.  Members added earlier are not visited
+    again, so the entry must cover both orders of a non-commutative
+    operation.
+
+    Close-by-one depth-first search (Kuznetsov; the canonicity test of
+    Ganter's NextClosure): a child adds one element i to a closed set and
+    closes incrementally, pairing only the new elements with the members.
+    The child is kept only if its closure adds no element below i, so
+    every closed set is reached from exactly one parent, with delay
+    polynomial in n and no pairwise join of closed sets.
+    """
+
+    def close(mask: int, members: list[int], new: int, floor: int):
+        """Closure of mask + {new}, or None once an element below `floor`
+        outside mask would enter.  `mask` must already be closed."""
+        members = members + [new]
+        mask |= 1 << new
+        pending = [new]
+        while pending:
+            row = forced[pending.pop()]
+            for b in members:
+                for c in row[b]:
+                    if not mask >> c & 1:
+                        if c < floor:
+                            return None
+                        mask |= 1 << c
+                        members.append(c)
+                        pending.append(c)
+        return mask, members
+
+    mask, members = 0, []
+    for b in base:
+        if not mask >> b & 1:
+            mask, members = close(mask, members, b, 0)
+    out = []
+    stack = [(mask, members, 0)]
+    while stack:
+        mask, members, start = stack.pop()
+        out.append(mask)
+        for i in range(start, n):
+            if mask >> i & 1:
+                continue
+            child = close(mask, members, i, i)
+            if child is not None:
+                stack.append((*child, i + 1))
+    return out
 
 
 def _shape_violations(size: int, odot, arrow, top: int) -> list[Violation]:
@@ -171,28 +237,26 @@ def check_mtl_tables(size: int, odot, arrow, top: int) -> list[Violation]:
     rng = range(size)
     leq = tuple(tuple(int(arrow[x][y] == top) for y in rng) for x in rng)
 
-    def first(axiom: str, gen) -> None:
-        w = next(gen, None)
-        if w is not None:
-            out.append(Violation(axiom, w))
-
-    first("order-reflexive", ((x,) for x in rng if not leq[x][x]))
-    first(
-        "order-antisymmetric",
-        ((x, y) for x in rng for y in rng if x != y and leq[x][y] and leq[y][x]),
-    )
-    first(
-        "order-transitive",
+    order_checks = (
+        ("order-reflexive", ((x,) for x in rng if not leq[x][x])),
         (
-            (x, y, z)
-            for x in rng
-            for y in rng
-            for z in rng
-            if leq[x][y] and leq[y][z] and not leq[x][z]
+            "order-antisymmetric",
+            ((x, y) for x in rng for y in rng if x != y and leq[x][y] and leq[y][x]),
         ),
+        (
+            "order-transitive",
+            (
+                (x, y, z)
+                for x in rng
+                for y in rng
+                for z in rng
+                if leq[x][y] and leq[y][z] and not leq[x][z]
+            ),
+        ),
+        ("bottom-least", ((x,) for x in rng if not leq[0][x])),
+        ("top-greatest", ((x,) for x in rng if not leq[x][top])),
     )
-    first("bottom-least", ((x,) for x in rng if not leq[0][x]))
-    first("top-greatest", ((x,) for x in rng if not leq[x][top]))
+    out.extend(first_violations(order_checks))
     if out:
         return out
 
@@ -214,41 +278,49 @@ def check_mtl_tables(size: int, odot, arrow, top: int) -> list[Violation]:
         meet_rows.append(mrow)
         join_rows.append(jrow)
 
-    first("monoid-unit", ((x,) for x in rng if odot[x][top] != x or odot[top][x] != x))
-    first(
-        "monoid-commutative",
-        ((x, y) for x in rng for y in rng if odot[x][y] != odot[y][x]),
-    )
-    first(
-        "monoid-associative",
+    checks = [
         (
-            (x, y, z)
-            for x in rng
-            for y in rng
-            for z in rng
-            if odot[odot[x][y]][z] != odot[x][odot[y][z]]
+            "monoid-unit",
+            ((x,) for x in rng if odot[x][top] != x or odot[top][x] != x),
         ),
-    )
-    first(
-        "residuation",
         (
-            (x, y, z)
-            for x in rng
-            for y in rng
-            for z in rng
-            if leq[odot[x][y]][z] != leq[x][arrow[y][z]]
+            "monoid-commutative",
+            ((x, y) for x in rng for y in rng if odot[x][y] != odot[y][x]),
         ),
-    )
-    if lattice_ok:
-        first(
-            "prelinearity",
+        (
+            "monoid-associative",
             (
-                (x, y)
+                (x, y, z)
                 for x in rng
                 for y in rng
-                if join_rows[arrow[x][y]][arrow[y][x]] != top
+                for z in rng
+                if odot[odot[x][y]][z] != odot[x][odot[y][z]]
             ),
+        ),
+        (
+            "residuation",
+            (
+                (x, y, z)
+                for x in rng
+                for y in rng
+                for z in rng
+                if leq[odot[x][y]][z] != leq[x][arrow[y][z]]
+            ),
+        ),
+    ]
+    if lattice_ok:
+        checks.append(
+            (
+                "prelinearity",
+                (
+                    (x, y)
+                    for x in rng
+                    for y in rng
+                    if join_rows[arrow[x][y]][arrow[y][x]] != top
+                ),
+            )
         )
+    out.extend(first_violations(checks))
     return out
 
 
@@ -334,24 +406,3 @@ def chain_algebra(kind: str, n: int) -> FiniteMTLAlgebra:
 def boolean_2() -> FiniteMTLAlgebra:
     """The 2-element Boolean algebra (odot = meet, arrow = neg-or)."""
     return chain_algebra("lukasiewicz", 2)
-
-
-def derive_odot_from_arrow(size: int, arrow, top: int) -> Table | None:
-    """Recover the monoid table from a residuum table, when it exists.
-
-    x odot y is the least z with x <= arrow(y, z); returns None when some
-    pair lacks a least solution.
-    """
-    rng = range(size)
-    leq = [[int(arrow[x][y] == top) for y in rng] for x in rng]
-    rows = []
-    for x in rng:
-        row = []
-        for y in rng:
-            sols = [z for z in rng if leq[x][arrow[y][z]]]
-            least = [z for z in sols if all(leq[z][w] for w in sols)]
-            if len(least) != 1:
-                return None
-            row.append(least[0])
-        rows.append(tuple(row))
-    return tuple(rows)

@@ -2,16 +2,17 @@
 
 Element subsets use dense bitmask semantics keyed by element index; every
 listing is sorted by bitmask value so output order is reproducible.
-Enumerations run two ways (principal-seed closure and, as an oracle, the
-2^n subset scan) so tests can pin their agreement.
+Enumerations run two ways (close-by-one search over the closure system,
+and, as an oracle, the 2^n subset scan) so tests can pin their agreement.
+Families that one call path asks for repeatedly are kept in the
+algebra's `cache`.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .core import FiniteMTLAlgebra, validate
+from .core import FiniteMTLAlgebra, closed_masks, validate
 from .quantifier import UMTLAlgebra, UniversalQuantifier, validate_quantifier
 
 
@@ -76,8 +77,8 @@ class FilterSet:
     def is_maximal_ufilter(self) -> bool:
         if self.forall is None:
             raise ValueError("no quantifier attached to this FilterSet")
-        pair = _pair_key(self.algebra, self.forall)
-        return self.members in {f.members for f in _maximal_ufilters_cached(pair)}
+        maxes = _maximal_ufilters(self.algebra, self.forall)
+        return self.members in {f.members for f in maxes}
 
 
 def is_filter_by_implication(alg: FiniteMTLAlgebra, members) -> bool:
@@ -91,16 +92,6 @@ def is_filter_by_implication(alg: FiniteMTLAlgebra, members) -> bool:
         for y in alg.elements
         if alg.arrow[x][y] in s
     )
-
-
-def is_filter_by_closure(alg: FiniteMTLAlgebra, members) -> bool:
-    """top in F, upward closed, and closed under the monoid operation."""
-    s = set(members)
-    if alg.top not in s:
-        return False
-    if any(alg.leq[x][y] and y not in s for x in s for y in alg.elements):
-        return False
-    return all(alg.odot[x][y] in s for x in s for y in s)
 
 
 def is_prime_filter(alg: FiniteMTLAlgebra, members) -> bool:
@@ -139,20 +130,6 @@ def generated_filter(alg: FiniteMTLAlgebra, seed) -> FilterSet:
         s = nxt
 
 
-def generated_filter_formula(alg: FiniteMTLAlgebra, seed) -> frozenset[int]:
-    """The explicit description: everything above some product of seeds."""
-    s = set(seed)
-    if not s:
-        raise ValueError("seed must be nonempty")
-    products = set(s)
-    while True:
-        more = {alg.odot[x][y] for x in products for y in products} - products
-        if not more:
-            break
-        products |= more
-    return frozenset(upward_closure(alg, products))
-
-
 def generated_ufilter(q: UMTLAlgebra, seed) -> FilterSet:
     """Smallest quantifier-closed filter containing the seed."""
     alg, f = q.algebra, q.forall
@@ -170,44 +147,38 @@ def generated_ufilter(q: UMTLAlgebra, seed) -> FilterSet:
         s = nxt
 
 
-def generated_ufilter_formula(q: UMTLAlgebra, seed) -> frozenset[int]:
-    """Everything above some product of quantifier images of seeds."""
-    alg, f = q.algebra, q.forall
-    s = {f[x] for x in seed}
-    if not s:
-        raise ValueError("seed must be nonempty")
-    products = set(s)
-    while True:
-        more = {alg.odot[x][y] for x in products for y in products} - products
-        if not more:
-            break
-        products |= more
-    return frozenset(upward_closure(alg, products))
+def _cached(alg: FiniteMTLAlgebra, key, compute):
+    """`alg.cache[key]`, computed on first use."""
+    if key not in alg.cache:
+        alg.cache[key] = compute()
+    return alg.cache[key]
 
 
-@functools.lru_cache(maxsize=None)
+def _closed_filters(alg: FiniteMTLAlgebra, forall) -> tuple[FilterSet, ...]:
+    """All filters, closed under the table `forall` unless it is None,
+    sorted by bitmask.
+
+    They are the closed sets of `core.closed_masks` that contain top: a
+    new member forces in its product with each member and, paired with
+    itself, its up-set and its quantifier image.
+    """
+    rng = alg.elements
+    forced = [[(alg.odot[a][b],) for b in rng] for a in rng]
+    for a in rng:
+        forced[a][a] += tuple(y for y in rng if alg.leq[a][y])
+        if forall is not None:
+            forced[a][a] += (forall[a],)
+    masks = sorted(closed_masks(alg.size, (alg.top,), forced))
+    return tuple(FilterSet(alg, members_of(m, alg.size), forall) for m in masks)
+
+
 def enumerate_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
     """All filters (the improper one included), sorted by bitmask.
 
-    Built by closing the principal filters under pairwise join; every
-    filter is the join of the principals of its members, so this reaches
-    them all without a 2^n scan.
+    Found by close-by-one search over the closure system of filters, with
+    no 2^n scan and no pairwise join of filters.
     """
-    seeds = {generated_filter(alg, {x}).members for x in alg.elements}
-    found = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in found:
-                joined = generated_filter(alg, a | b).members
-                if joined not in found and joined not in fresh:
-                    fresh.append(joined)
-        found.update(fresh)
-        frontier = fresh
-    return tuple(
-        FilterSet(alg, m) for m in sorted(found, key=mask_of)
-    )
+    return _cached(alg, "filters", lambda: _closed_filters(alg, None))
 
 
 def enumerate_filters_subset_oracle(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
@@ -220,34 +191,14 @@ def enumerate_filters_subset_oracle(alg: FiniteMTLAlgebra) -> tuple[FilterSet, .
     return tuple(out)
 
 
-def _pair_key(alg: FiniteMTLAlgebra, forall) -> tuple:
-    return (alg, tuple(forall))
-
-
-@functools.lru_cache(maxsize=None)
-def _ufilters_cached(pair: tuple) -> tuple[FilterSet, ...]:
-    alg, forall = pair
-    q = UMTLAlgebra(alg, UniversalQuantifier(alg, forall, frozenset()))
-    seeds = {generated_ufilter(q, {x}).members for x in alg.elements}
-    found = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in found:
-                joined = generated_ufilter(q, a | b).members
-                if joined not in found and joined not in fresh:
-                    fresh.append(joined)
-        found.update(fresh)
-        frontier = fresh
-    return tuple(
-        FilterSet(alg, m, forall) for m in sorted(found, key=mask_of)
-    )
+def _ufilters(alg: FiniteMTLAlgebra, forall) -> tuple[FilterSet, ...]:
+    forall = tuple(forall)
+    return _cached(alg, ("ufilters", forall), lambda: _closed_filters(alg, forall))
 
 
 def enumerate_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
     """All quantifier-closed filters, improper one included, by bitmask."""
-    return _ufilters_cached(_pair_key(q.algebra, q.forall))
+    return _ufilters(q.algebra, q.forall)
 
 
 def enumerate_ufilters_subset_oracle(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
@@ -277,17 +228,19 @@ class MinimalPrimesResult:
         ]
 
 
-@functools.lru_cache(maxsize=None)
 def prime_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
     return tuple(
         f for f in enumerate_filters(alg) if is_prime_filter(alg, f.members)
     )
 
 
-@functools.lru_cache(maxsize=None)
 def minimal_primes(alg: FiniteMTLAlgebra) -> MinimalPrimesResult:
     """Minimal primes two ways: inclusion-minimality vs the co-annihilator
     union characterization (their agreement is a theorem audit)."""
+    return _cached(alg, "minimal_primes", lambda: _minimal_primes(alg))
+
+
+def _minimal_primes(alg: FiniteMTLAlgebra) -> MinimalPrimesResult:
     primes = prime_filters(alg)
     by_inclusion = tuple(
         p
@@ -307,7 +260,6 @@ def minimal_primes(alg: FiniteMTLAlgebra) -> MinimalPrimesResult:
     return MinimalPrimesResult(by_inclusion, tuple(by_perp))
 
 
-@functools.lru_cache(maxsize=None)
 def maximal_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
     proper = [f for f in enumerate_filters(alg) if f.is_proper()]
     return tuple(
@@ -317,18 +269,18 @@ def maximal_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _maximal_ufilters_cached(pair: tuple) -> tuple[FilterSet, ...]:
-    proper = [f for f in _ufilters_cached(pair) if f.is_proper()]
-    return tuple(
-        f
-        for f in proper
-        if not any(f.members < o.members for o in proper)
-    )
+def _maximal_ufilters(alg: FiniteMTLAlgebra, forall) -> tuple[FilterSet, ...]:
+    def compute():
+        proper = [f for f in _ufilters(alg, forall) if f.is_proper()]
+        return tuple(
+            f for f in proper if not any(f.members < o.members for o in proper)
+        )
+
+    return _cached(alg, ("maximal_ufilters", tuple(forall)), compute)
 
 
 def maximal_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
-    return _maximal_ufilters_cached(_pair_key(q.algebra, q.forall))
+    return _maximal_ufilters(q.algebra, q.forall)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Valuation sweeps run in mixed-radix order over the formula's variables
 (itertools.product with the last variable fastest), so results and first
-witnesses are deterministic; parallel runs select the hit with the least
-(pool index, valuation rank), which matches the serial order.
+witnesses are deterministic: a countermodel search returns the hit with
+the least (pool index, valuation rank).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..quantifier import UMTLAlgebra
 from ..core import classify
-from .formulas import And, Bot, Box, Formula, Impl, Min, Var, variables_of
+from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var, variables_of
 from .schemas import SchemaCatalog, metavars_of
 
 
@@ -22,6 +22,8 @@ class VariableBudgetError(ValueError):
 
 
 def eval_formula(q: UMTLAlgebra, valuation, f: Formula) -> int:
+    """The value of `f`, with each variable's value looked up in
+    `valuation` by index and each metavariable's by label."""
     alg = q.algebra
     forall = q.forall
 
@@ -41,6 +43,12 @@ def eval_formula(q: UMTLAlgebra, valuation, f: Formula) -> int:
             return alg.meet[ev(g.left)][ev(g.right)]
         if isinstance(g, Box):
             return forall[ev(g.arg)]
+        # after the connectives: formulas without metavariables pay nothing
+        if isinstance(g, MetaVar):
+            try:
+                return valuation[g.label]
+            except KeyError as exc:
+                raise ValueError(f"valuation misses {g.label}") from exc
         raise TypeError(f"cannot evaluate {g!r}")
 
     return ev(f)
@@ -138,46 +146,29 @@ def _goal_variables(goal) -> tuple[int, ...]:
     return variables_of(goal)
 
 
-def _search_one(goal, indexed_pair) -> tuple | None:
-    index, q = indexed_pair
-    variables = _goal_variables(goal)
-    for valuation in _sweep(variables, q.algebra.size):
-        value = _refutes(q, goal, valuation)
-        if value is not None:
-            return (index, q.label(), tuple(sorted(valuation.items())), value)
-    return None
-
-
 def countermodel_search(
     goal: Formula | RuleInstance,
     pool: list[UMTLAlgebra],
     max_vars: int = 6,
     jobs: int = 1,
 ) -> Countermodel | SearchExhausted:
-    """First refuting (algebra, valuation) in canonical pool order."""
+    """First refuting (algebra, valuation) in canonical pool order.
+
+    `jobs` is accepted for compatibility and ignored: the search is serial.
+    """
     variables = _goal_variables(goal)
     if len(variables) > max_vars:
         raise VariableBudgetError(
             f"{len(variables)} variables exceed the budget of {max_vars}"
         )
-    indexed = list(enumerate(pool))
-    if jobs > 1:
-        from ..jobs import chunked_first
-
-        hit = chunked_first(
-            _search_one, (goal,), [(i, (i, q)) for i, q in indexed], jobs
-        )
-    else:
-        hit = None
-        for pair in indexed:
-            hit = _search_one(goal, pair)
-            if hit is not None:
-                break
-    if hit is None:
-        checked = sum(q.algebra.size ** len(variables) for q in pool)
-        return SearchExhausted(len(pool), checked)
-    index, label, valuation, value = hit
-    return Countermodel(index, label, valuation, value)
+    for index, q in enumerate(pool):
+        for valuation in _sweep(variables, q.algebra.size):
+            value = _refutes(q, goal, valuation)
+            if value is not None:
+                valuation = tuple(sorted(valuation.items()))
+                return Countermodel(index, q.label(), valuation, value)
+    checked = sum(q.algebra.size ** len(variables) for q in pool)
+    return SearchExhausted(len(pool), checked)
 
 
 def check_semilinearity_condition(q: UMTLAlgebra):
@@ -236,28 +227,9 @@ def _schema_instance_valid(q: UMTLAlgebra, pattern: Formula) -> tuple[bool, tupl
     """
     labels = metavars_of(pattern)
     alg = q.algebra
-    forall = q.forall
-
-    def ev(g: Formula, env: dict[str, int]) -> int:
-        from .formulas import MetaVar
-
-        if isinstance(g, MetaVar):
-            return env[g.label]
-        if isinstance(g, Bot):
-            return alg.bottom
-        if isinstance(g, Impl):
-            return alg.arrow[ev(g.left, env)][ev(g.right, env)]
-        if isinstance(g, And):
-            return alg.odot[ev(g.left, env)][ev(g.right, env)]
-        if isinstance(g, Min):
-            return alg.meet[ev(g.left, env)][ev(g.right, env)]
-        if isinstance(g, Box):
-            return forall[ev(g.arg, env)]
-        raise TypeError(f"unexpected node in schema: {g!r}")
-
     for combo in itertools.product(range(alg.size), repeat=len(labels)):
         env = dict(zip(labels, combo))
-        if ev(pattern, env) != alg.top:
+        if eval_formula(q, env, pattern) != alg.top:
             return False, tuple(sorted(env.items()))
     return True, None
 

@@ -1,9 +1,9 @@
-"""Exhaustive scans kept as test oracles for the closure-based fast paths.
+"""Exhaustive scans and explicit descriptions kept as test oracles.
 
-Nothing in the package calls these.  They are exponential in the carrier
-size and meant for small algebras.  Apart from `relativization_table` and
-`quantifier_violations`, which define what a candidate table is, they
-share no code with the paths they check:
+Nothing in the package calls these.  The scans are exponential in the
+carrier size and meant for small algebras.  Apart from
+`relativization_table` and `quantifier_violations`, which define what a
+candidate table is, they share no code with the paths they check:
 
 - `subalgebras_subset_oracle` and `fixpoint_subset_tables` scan the
   2^(n-2) subsets containing bottom and top, the former for
@@ -12,7 +12,14 @@ share no code with the paths they check:
 - `subalgebra_filters_trivial_subset_oracle` scans the 2^|S| subsets of a
   carrier, for the image-simplicity condition of `analysis.is_simple`;
 - `ucongruences_partition_oracle` scans all Bell(n) set partitions of the
-  carrier, for `filters.enumerate_ucongruences`.
+  carrier, for `filters.enumerate_ucongruences`;
+- `generated_filter_formula` and `generated_ufilter_formula` give the
+  explicit description of a generated filter (everything above a product
+  of seeds), for `filters.generated_filter` and `filters.generated_ufilter`;
+- `is_filter_by_closure` is the up-set and monoid form of the filter
+  test, for `filters.is_filter_by_implication`;
+- `derive_odot_from_arrow` recovers the monoid table from the residuum,
+  for the tables `core.validate` accepts.
 """
 
 from __future__ import annotations
@@ -117,3 +124,59 @@ def ucongruences_partition_oracle(
             out.append(tuple(blocks))
     out.sort(key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks))
     return out
+
+
+def _above_products(alg: FiniteMTLAlgebra, seeds: set[int]) -> frozenset[int]:
+    """Everything above some product of the (nonempty) seeds."""
+    if not seeds:
+        raise ValueError("seed must be nonempty")
+    products = set(seeds)
+    while True:
+        more = {alg.odot[x][y] for x in products for y in products} - products
+        if not more:
+            break
+        products |= more
+    return frozenset(
+        y for y in alg.elements if any(alg.leq[x][y] for x in products)
+    )
+
+
+def generated_filter_formula(alg: FiniteMTLAlgebra, seed) -> frozenset[int]:
+    """The explicit description: everything above some product of seeds."""
+    return _above_products(alg, set(seed))
+
+
+def generated_ufilter_formula(q: UMTLAlgebra, seed) -> frozenset[int]:
+    """Everything above some product of quantifier images of seeds."""
+    return _above_products(q.algebra, {q.forall[x] for x in seed})
+
+
+def is_filter_by_closure(alg: FiniteMTLAlgebra, members) -> bool:
+    """top in F, upward closed, and closed under the monoid operation."""
+    s = set(members)
+    if alg.top not in s:
+        return False
+    if any(alg.leq[x][y] and y not in s for x in s for y in alg.elements):
+        return False
+    return all(alg.odot[x][y] in s for x in s for y in s)
+
+
+def derive_odot_from_arrow(size: int, arrow, top: int):
+    """Recover the monoid table from a residuum table, when it exists.
+
+    x odot y is the least z with x <= arrow(y, z); returns None when some
+    pair lacks a least solution.
+    """
+    rng = range(size)
+    leq = [[int(arrow[x][y] == top) for y in rng] for x in rng]
+    rows = []
+    for x in rng:
+        row = []
+        for y in rng:
+            sols = [z for z in rng if leq[x][arrow[y][z]]]
+            least = [z for z in sols if all(leq[z][w] for w in sols)]
+            if len(least) != 1:
+                return None
+            row.append(least[0])
+        rows.append(tuple(row))
+    return tuple(rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FiniteMTLAlgebra, Violation, classify
+from .core import FiniteMTLAlgebra, Violation, classify, closed_masks, first_violations
 
 U2_PARSES = ("standard", "alt")
 
@@ -113,7 +113,7 @@ def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
         ),
     )
     failed = False
-    for v in _first_witnesses(axioms):
+    for v in first_violations(axioms):
         failed = True
         yield v
     if failed:
@@ -134,16 +134,7 @@ def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
             ),
         ),
     )
-    yield from _first_witnesses(derived)
-
-
-def _first_witnesses(checks):
-    """A violation with the first witness of each (name, witnesses) pair
-    that has one."""
-    for name, witnesses in checks:
-        w = next(witnesses, None)
-        if w is not None:
-            yield Violation(name, w)
+    yield from first_violations(derived)
 
 
 def validate_quantifier(
@@ -211,50 +202,17 @@ def relativization_table(alg: FiniteMTLAlgebra, subset) -> tuple[int, ...]:
 
 
 def subalgebra_masks(alg: FiniteMTLAlgebra) -> list[int]:
-    """Bitmasks of every subalgebra containing bottom and top.
-
-    Close-by-one depth-first search (Kuznetsov; the canonicity test of
-    Ganter's NextClosure): a child adds one element i to a closed set and
-    closes incrementally under odot, arrow, meet and join, pairing only
-    the new elements with the members.  The child is kept only if its
-    closure adds no element below i, so every closed set is reached from
-    exactly one parent, with delay polynomial in n.
-    """
-    n = alg.size
+    """Bitmasks of every subalgebra containing bottom and top: the closed
+    sets of `core.closed_masks` under odot, arrow, meet and join."""
     odot, arrow, meet, join = alg.odot, alg.arrow, alg.meet, alg.join
-
-    def close(mask: int, members: list[int], new: int, floor: int):
-        """Closure of mask + {new}, or None once an element below `floor`
-        outside mask would enter.  `mask` must already be closed."""
-        members = members + [new]
-        mask |= 1 << new
-        pending = [new]
-        while pending:
-            a = pending.pop()
-            for b in members:
-                for c in (
-                    odot[a][b], arrow[a][b], arrow[b][a], meet[a][b], join[a][b]
-                ):
-                    if not mask >> c & 1:
-                        if c < floor:
-                            return None
-                        mask |= 1 << c
-                        members.append(c)
-                        pending.append(c)
-        return mask, members
-
-    out = []
-    stack = [(*close(1 << alg.bottom, [alg.bottom], alg.top, 0), 0)]
-    while stack:
-        mask, members, start = stack.pop()
-        out.append(mask)
-        for i in range(start, n):
-            if mask >> i & 1:
-                continue
-            child = close(mask, members, i, i)
-            if child is not None:
-                stack.append((*child, i + 1))
-    return out
+    forced = [
+        [
+            (odot[a][b], arrow[a][b], arrow[b][a], meet[a][b], join[a][b])
+            for b in alg.elements
+        ]
+        for a in alg.elements
+    ]
+    return closed_masks(alg.size, (alg.bottom, alg.top), forced)
 
 
 def enumerate_quantifiers(
@@ -264,6 +222,8 @@ def enumerate_quantifiers(
     jobs: int = 1,
 ) -> list[UniversalQuantifier]:
     """All quantifiers on the algebra, sorted by table lexicographically.
+
+    `jobs` is accepted for compatibility and ignored: the scan is serial.
 
     method="fixpoint" relativizes to each subalgebra containing bottom and
     top: a quantifier is an interior operator, hence the floor map onto
@@ -283,20 +243,9 @@ def enumerate_quantifiers(
         candidates = list(itertools.product(range(alg.size), repeat=alg.size))
     else:
         raise ValueError(f"unknown enumeration method: {method!r}")
-    if jobs > 1:
-        from .jobs import chunked_filter
-
-        valid = chunked_filter(
-            _table_is_quantifier, (alg, u2_parse), candidates, jobs
-        )
-    else:
-        valid = [t for t in candidates if _table_is_quantifier(alg, u2_parse, t)]
-    tables = sorted(set(valid))
-    return [validate_quantifier(alg, t, u2_parse) for t in tables]
-
-
-def _table_is_quantifier(alg, u2_parse, table) -> bool:
-    return next(_violations(alg, table, u2_parse), None) is None
+    # a candidate is dropped at its first failing axiom
+    valid = {t for t in candidates if next(_violations(alg, t, u2_parse), None) is None}
+    return [validate_quantifier(alg, t, u2_parse) for t in sorted(valid)]
 
 
 @dataclass(frozen=True)
@@ -450,6 +399,12 @@ class AxiomVerdict:
     witness: tuple[int, ...] | None = None
 
 
+def _axiom_verdict(axiom: str, witnesses) -> AxiomVerdict:
+    """The verdict on an axiom from its first failing witness, if any."""
+    w = next(witnesses, None)
+    return AxiomVerdict(axiom, w is None, w)
+
+
 @dataclass(frozen=True)
 class SubvarietyAxiomReport:
     variety: str
@@ -469,15 +424,10 @@ def check_umv_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
     rng = range(n)
     arrow, join, leq = alg.arrow, alg.join, alg.leq
     pre = classify(alg).mv
-
-    def scan(axiom, gen):
-        w = next(gen, None)
-        return AxiomVerdict(axiom, w is None, w)
-
     verdicts = (
         AxiomVerdict("forall1", f[top] == top, None if f[top] == top else (top,)),
-        scan("forall2", ((x,) for x in rng if not leq[f[x]][x])),
-        scan(
+        _axiom_verdict("forall2", ((x,) for x in rng if not leq[f[x]][x])),
+        _axiom_verdict(
             "forall3",
             (
                 (x, y)
@@ -486,7 +436,7 @@ def check_umv_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
                 if f[join[x][f[y]]] != join[f[x]][f[y]]
             ),
         ),
-        scan(
+        _axiom_verdict(
             "forall4",
             (
                 (x, y)
@@ -495,7 +445,7 @@ def check_umv_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
                 if arrow[f[arrow[x][y]]][arrow[f[x]][f[y]]] != top
             ),
         ),
-        scan(
+        _axiom_verdict(
             "forall5",
             (
                 (x, y)
@@ -517,15 +467,10 @@ def check_mba_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
     meet, leq = alg.meet, alg.leq
     pre = classify(alg).boolean
     ex = tuple(alg.neg(f[alg.neg(x)]) for x in rng)
-
-    def scan(axiom, gen):
-        w = next(gen, None)
-        return AxiomVerdict(axiom, w is None, w)
-
     verdicts = (
         AxiomVerdict("exists1", ex[bot] == bot, None if ex[bot] == bot else (bot,)),
-        scan("exists2", ((x,) for x in rng if not leq[x][ex[x]])),
-        scan(
+        _axiom_verdict("exists2", ((x,) for x in rng if not leq[x][ex[x]])),
+        _axiom_verdict(
             "exists3",
             (
                 (x, y)

@@ -13,7 +13,8 @@ from umtl import (
     classify,
     validate,
 )
-from umtl.core import boolean_2, derive_odot_from_arrow
+from umtl.core import boolean_2
+from umtl.oracles import derive_odot_from_arrow
 from umtl.corpus import SIX_ARROW, SIX_NAMES, SIX_ODOT
 
 

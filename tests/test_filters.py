@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from umtl import enumerate_quantifiers, make_umtl
+from umtl import enumerate_quantifiers, example_3_2, make_umtl
 from umtl import filters as flt
+from umtl import oracles
 from umtl.core import boolean_2
+from umtl.corpus import SIX_BLOCKY, SIX_DELTA
 from umtl.quantifier import identity_table
 
 
@@ -31,12 +33,12 @@ def test_generated_filter_matches_formula(corpus_entries):
         alg = entry.algebra
         for x in alg.elements:
             closure = flt.generated_filter(alg, {x}).members
-            formula = flt.generated_filter_formula(alg, {x})
+            formula = oracles.generated_filter_formula(alg, {x})
             assert closure == formula
         for x in alg.elements:
             for y in alg.elements:
                 assert flt.generated_filter(alg, {x, y}).members == (
-                    flt.generated_filter_formula(alg, {x, y})
+                    oracles.generated_filter_formula(alg, {x, y})
                 )
 
 
@@ -44,7 +46,7 @@ def test_generated_ufilter_of_c(six_block):
     six = six_block.algebra
     got = flt.generated_ufilter(six_block, {3}).members
     assert got == members(six, "b", "c", "1")
-    assert got == flt.generated_ufilter_formula(six_block, {3})
+    assert got == oracles.generated_ufilter_formula(six_block, {3})
 
 
 def test_principal_ufilter_power_formula(six_block, six_delta):
@@ -116,7 +118,7 @@ def test_filter_characterizations_agree(corpus_entries):
             continue
         for mask in range(1 << alg.size):
             s = flt.members_of(mask, alg.size)
-            assert flt.is_filter_by_implication(alg, s) == flt.is_filter_by_closure(
+            assert flt.is_filter_by_implication(alg, s) == oracles.is_filter_by_closure(
                 alg, s
             )
 
@@ -152,6 +154,35 @@ def test_maximal_ufilters(six_delta, six_block):
         ["b", "c", "1"],
         ["d", "1"],
     ]
+
+
+@pytest.mark.parametrize("first", ["delta", "block"])
+@pytest.mark.parametrize("family", ["ufilters", "maximal", "is_maximal"])
+def test_ufilter_families_are_cached_per_quantifier(first, family):
+    # a fresh algebra object starts with an empty cache, so the quantifier
+    # asked about first fills it; the other must still get its own family
+    six = example_3_2()
+    pairs = {"delta": make_umtl(six, SIX_DELTA), "block": make_umtl(six, SIX_BLOCKY)}
+    expected = {
+        "delta": {"ufilters": [["1"], ["0", "a", "b", "c", "d", "1"]], "maximal": [["1"]]},
+        "block": {
+            "ufilters": [["1"], ["b", "c", "1"], ["d", "1"], ["0", "a", "b", "c", "d", "1"]],
+            "maximal": [["b", "c", "1"], ["d", "1"]],
+        },
+    }
+    for name in sorted(pairs, key=lambda k: k != first):
+        q = pairs[name]
+        if family == "ufilters":
+            assert labels(six, flt.enumerate_ufilters(q)) == expected[name]["ufilters"]
+        elif family == "maximal":
+            assert labels(six, flt.maximal_ufilters(q)) == expected[name]["maximal"]
+        else:
+            got = [
+                [six.name_of(i) for i in sorted(m)]
+                for m in (members(six, "1"), members(six, "b", "c", "1"), members(six, "d", "1"))
+                if flt.FilterSet(six, m, q.forall).is_maximal_ufilter()
+            ]
+            assert got == expected[name]["maximal"]
 
 
 def test_maximality_criterion_agreement(six_delta, six_block):

@@ -11,6 +11,10 @@ n^n scan is what checks that no quantifier is lost by that restriction.
 U-congruences are joins of principal congruences; the Bell(n) partition
 scan checks them, also on unary maps that are not quantifiers, since the
 closure does not rely on U1-U3.
+
+Filters and U-filters come from the close-by-one search of
+`core.closed_masks`; the 2^n subset scans in `umtl.filters` check them,
+U-filters also on unary maps that are not quantifiers.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import random
 import pytest
 
 from umtl import analysis as ana
+from umtl import filters as flt
 from umtl import oracles
 from umtl.audit import corpus_pairs
 from umtl.core import FiniteMTLAlgebra, chain_algebra, classify, validate
@@ -249,3 +254,32 @@ def test_ucongruences_match_partition_oracle_on_every_unary_map(tag):
     alg = chain(tag)
     for table in itertools.product(alg.elements, repeat=alg.size):
         assert_ucongruences_match_oracle(unchecked_pair(alg, table))
+
+
+def assert_ufilters_match_oracle(q):
+    assert flt.enumerate_ufilters(q) == flt.enumerate_ufilters_subset_oracle(q)
+
+
+def assert_filters_match_oracle(alg):
+    assert flt.enumerate_filters(alg) == flt.enumerate_filters_subset_oracle(alg)
+    for uq in enumerate_quantifiers(alg):
+        assert_ufilters_match_oracle(UMTLAlgebra(alg, uq))
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_filters_match_subset_oracle(seed):
+    assert_filters_match_oracle(random_algebra(seed, 8))
+
+
+@pytest.mark.parametrize("name", ["G12", "G4+L4+N4", "L3xL3", "G3xL3"])
+def test_filters_match_subset_oracle_on_ladder(name):
+    alg = relabel(LADDER[name](), random.Random(name))
+    assert alg.size <= 12
+    assert_filters_match_oracle(alg)
+
+
+@pytest.mark.parametrize("tag", ["G3", "L3"])
+def test_ufilters_match_subset_oracle_on_every_unary_map(tag):
+    alg = chain(tag)
+    for table in itertools.product(alg.elements, repeat=alg.size):
+        assert_ufilters_match_oracle(unchecked_pair(alg, table))
