@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteMTLAlgebra, closed_masks, validate
-from .quantifier import UMTLAlgebra, UniversalQuantifier, validate_quantifier
+from .quantifier import UMTLAlgebra, validate_quantifier
 
 
 def mask_of(members) -> int:

@@ -156,33 +156,33 @@ def test_maximal_ufilters(six_delta, six_block):
     ]
 
 
+SIX_UFILTERS = {
+    "delta": [["1"], ["0", "a", "b", "c", "d", "1"]],
+    "block": [["1"], ["b", "c", "1"], ["d", "1"], ["0", "a", "b", "c", "d", "1"]],
+}
+SIX_MAXIMAL_UFILTERS = {"delta": [["1"]], "block": [["b", "c", "1"], ["d", "1"]]}
+
+
 @pytest.mark.parametrize("first", ["delta", "block"])
 @pytest.mark.parametrize("family", ["ufilters", "maximal", "is_maximal"])
 def test_ufilter_families_are_cached_per_quantifier(first, family):
     # a fresh algebra object starts with an empty cache, so the quantifier
     # asked about first fills it; the other must still get its own family
     six = example_3_2()
-    pairs = {"delta": make_umtl(six, SIX_DELTA), "block": make_umtl(six, SIX_BLOCKY)}
-    expected = {
-        "delta": {"ufilters": [["1"], ["0", "a", "b", "c", "d", "1"]], "maximal": [["1"]]},
-        "block": {
-            "ufilters": [["1"], ["b", "c", "1"], ["d", "1"], ["0", "a", "b", "c", "d", "1"]],
-            "maximal": [["b", "c", "1"], ["d", "1"]],
-        },
-    }
-    for name in sorted(pairs, key=lambda k: k != first):
-        q = pairs[name]
+    tables = {"delta": SIX_DELTA, "block": SIX_BLOCKY}
+    for name in sorted(tables, key=lambda k: k != first):
+        q = make_umtl(six, tables[name])
         if family == "ufilters":
-            assert labels(six, flt.enumerate_ufilters(q)) == expected[name]["ufilters"]
-        elif family == "maximal":
-            assert labels(six, flt.maximal_ufilters(q)) == expected[name]["maximal"]
+            got, want = flt.enumerate_ufilters(q), SIX_UFILTERS[name]
         else:
-            got = [
-                [six.name_of(i) for i in sorted(m)]
-                for m in (members(six, "1"), members(six, "b", "c", "1"), members(six, "d", "1"))
-                if flt.FilterSet(six, m, q.forall).is_maximal_ufilter()
-            ]
-            assert got == expected[name]["maximal"]
+            if family == "maximal":
+                got = flt.maximal_ufilters(q)
+            else:
+                proper = [members(six, *u) for u in SIX_UFILTERS["block"][:3]]
+                candidates = [flt.FilterSet(six, m, q.forall) for m in proper]
+                got = [f for f in candidates if f.is_maximal_ufilter()]
+            want = SIX_MAXIMAL_UFILTERS[name]
+        assert labels(six, got) == want
 
 
 def test_maximality_criterion_agreement(six_delta, six_block):

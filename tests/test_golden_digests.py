@@ -64,6 +64,8 @@ def cases() -> dict[str, list[str]]:
             out[f"quantifiers-enum {parse} {stem}"] = [*flag, "quantifiers", p, "enum"]
         for kind in FILTER_KINDS:
             out[f"filters {kind} {stem}"] = ["filters", p, "--kind", kind]
+        for what in ("order", "filters"):
+            out[f"export {what} {stem}"] = ["export", "dot", p, "--what", what]
         specs = ["delta", "identity"]
         if load_algebra_file(p).forall is not None:
             specs.append("file")
@@ -73,6 +75,8 @@ def cases() -> dict[str, list[str]]:
             out[f"analyze {spec} {stem}"] = ["analyze", p, *forall]
             for kind in UFILTER_KINDS:
                 out[f"filters {kind} {spec} {stem}"] = ["filters", p, "--kind", kind, *forall]
+            export = ["export", "dot", p, "--what", "ufilters", *forall]
+            out[f"export ufilters {spec} {stem}"] = export
     for stem, spec, members in QUOTIENTS:
         p = str(corpus_dir() / f"{stem}.alg")
         out[f"quotient {spec} {stem} {members}"] = [
@@ -108,7 +112,7 @@ def test_every_case_is_pinned():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert sorted(golden) == sorted(CASES)
     assert set(GROUPS) == {
-        "analyze", "audit", "classify", "filters", "logic-countermodel",
+        "analyze", "audit", "classify", "export", "filters", "logic-countermodel",
         "logic-valid", "prove-check", "prove-deduce", "quantifiers-check",
         "quantifiers-enum", "quotient", "validate",
     }
