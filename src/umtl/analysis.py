@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 from .core import FiniteMTLAlgebra, classify
 from .quantifier import (
+    InvalidQuantifierError,
     UMTLAlgebra,
     delta_table,
+    make_umtl,
     properties_suite,
-    quantifier_violations,
     check_mba_axioms,
     check_umv_axioms,
 )
@@ -47,6 +48,20 @@ class RepresentabilityReport:
         return self.by_equation == self.by_join_implication == self.by_minimal_primes
 
 
+def join_implication_witness(q: UMTLAlgebra) -> tuple[int, int] | None:
+    """The least (x, y) with x join y = top but x join forall y below top."""
+    alg, f, top = q.algebra, q.forall, q.algebra.top
+    return next(
+        (
+            (x, y)
+            for x in alg.elements
+            for y in alg.elements
+            if alg.join[x][y] == top and alg.join[x][f[y]] != top
+        ),
+        None,
+    )
+
+
 def is_representable(q: UMTLAlgebra) -> RepresentabilityReport:
     alg, f = q.algebra, q.forall
     rng = range(alg.size)
@@ -60,15 +75,7 @@ def is_representable(q: UMTLAlgebra) -> RepresentabilityReport:
         ),
         None,
     )
-    join_witness = next(
-        (
-            (x, y)
-            for x in rng
-            for y in rng
-            if alg.join[x][y] == top and alg.join[x][f[y]] != top
-        ),
-        None,
-    )
+    join_witness = join_implication_witness(q)
     offending = next(
         (
             p.sorted_members()
@@ -503,16 +510,14 @@ def audit_delta_on_linear(alg: FiniteMTLAlgebra, subject: str, u2_parse: str) ->
     the linearly ordered bases; delta can fail the U2 scan on
     non-involutive chains, which this audit records rather than assumes."""
     linear = classify(alg).linear
-    violations = quantifier_violations(alg, delta_table(alg), u2_parse)
-    delta_valid = not violations
-    representable = False
-    if delta_valid:
-        from .quantifier import make_umtl
-
-        representable = is_representable(
-            make_umtl(alg, delta_table(alg), u2_parse)
-        ).representable
-    claim = linear == (delta_valid and representable)
+    try:
+        q = make_umtl(alg, delta_table(alg), u2_parse)
+        violations = []
+    except InvalidQuantifierError as exc:
+        q, violations = None, exc.violations
+    delta_valid = q is not None
+    representable = delta_valid and is_representable(q).representable
+    claim = linear == representable
     return AuditEntry(
         "delta-on-linear-bases",
         subject,

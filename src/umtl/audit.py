@@ -29,7 +29,13 @@ from .logic.semantics import (
 )
 from .logic.transform import deduction_transform
 from .logic.builder import ProofBuilder
-from .quantifier import UMTLAlgebra, enumerate_quantifiers, identity_table, make_umtl
+from .quantifier import (
+    InvalidQuantifierError,
+    UMTLAlgebra,
+    enumerate_quantifiers,
+    identity_table,
+    make_umtl,
+)
 
 
 def pair_name(base: str, table) -> str:
@@ -52,8 +58,6 @@ def corpus_pairs_with_rejects(
     """Like corpus_pairs, also returning file-supplied tables that fail
     the quantifier scan under the selected parse (relevant for the
     alternative reading, under which no table validates)."""
-    from .quantifier import quantifier_violations
-
     pairs: list[UMTLAlgebra] = []
     rejected: list[tuple[str, list]] = []
     seen: set[tuple] = set()
@@ -64,11 +68,10 @@ def corpus_pairs_with_rejects(
                 continue
             seen.add(key)
             name = pair_name(entry.name, entry.forall)
-            violations = quantifier_violations(entry.algebra, entry.forall, u2_parse)
-            if violations:
-                rejected.append((name, violations))
-                continue
-            pairs.append(make_umtl(entry.algebra, entry.forall, u2_parse, name))
+            try:
+                pairs.append(make_umtl(entry.algebra, entry.forall, u2_parse, name))
+            except InvalidQuantifierError as exc:
+                rejected.append((name, exc.violations))
             continue
         for q in enumerate_quantifiers(entry.algebra, u2_parse):
             key = (entry.algebra.table_key(), q.table)
@@ -81,11 +84,22 @@ def corpus_pairs_with_rejects(
     return pairs, rejected
 
 
-def _find_six_element(entries: list[CorpusEntry]) -> FiniteMTLAlgebra | None:
+def _six_element_pairs(
+    entries: list[CorpusEntry], u2_parse: str
+) -> tuple[UMTLAlgebra, UMTLAlgebra] | None:
+    """The delta and block pairs on the six-element fixture, when the
+    corpus holds it and both tables validate under the parse."""
     key = example_3_2().table_key()
     for entry in sorted(entries, key=lambda e: e.name):
         if entry.algebra.table_key() == key:
-            return entry.algebra
+            six = entry.algebra
+            try:
+                return (
+                    make_umtl(six, SIX_DELTA, u2_parse, pair_name("six", SIX_DELTA)),
+                    make_umtl(six, SIX_BLOCKY, u2_parse, pair_name("six", SIX_BLOCKY)),
+                )
+            except InvalidQuantifierError:
+                return None
     return None
 
 
@@ -98,16 +112,11 @@ def fixture_audits(
     pairs: list[UMTLAlgebra],
     u2_parse: str,
 ) -> list[AuditEntry]:
-    from .quantifier import quantifier_violations
-
     out: list[AuditEntry] = []
-    six = _find_six_element(entries)
-    if six is not None and not (
-        quantifier_violations(six, SIX_DELTA, u2_parse)
-        or quantifier_violations(six, SIX_BLOCKY, u2_parse)
-    ):
-        q_delta = make_umtl(six, SIX_DELTA, u2_parse, pair_name("six", SIX_DELTA))
-        q_block = make_umtl(six, SIX_BLOCKY, u2_parse, pair_name("six", SIX_BLOCKY))
+    six_pairs = _six_element_pairs(entries, u2_parse)
+    if six_pairs is not None:
+        q_delta, q_block = six_pairs
+        six = q_delta.algebra
         under_delta = _family(six, flt.enumerate_ufilters(q_delta))
         under_block = _family(six, flt.enumerate_ufilters(q_block))
         four_member = [["1"], ["b", "c", "1"], ["d", "1"], ["0", "a", "b", "c", "d", "1"]]
@@ -185,9 +194,9 @@ def _deduction_exponent_entry(u2_parse: str) -> AuditEntry:
     builder.mp(h, once)
     transformed = deduction_transform(catalog, builder.proof, "alpha")
     l3 = chain_algebra("lukasiewicz", 3)
-    from .quantifier import quantifier_violations
-
-    if quantifier_violations(l3, identity_table(l3), u2_parse):
+    try:
+        qi = make_umtl(l3, identity_table(l3), u2_parse, "lukasiewicz-3+012")
+    except InvalidQuantifierError:
         return AuditEntry(
             "deduction-transform-exponent",
             "corpus",
@@ -198,7 +207,6 @@ def _deduction_exponent_entry(u2_parse: str) -> AuditEntry:
                 "note": "semantic witness unavailable under this parse",
             },
         )
-    qi = make_umtl(l3, identity_table(l3), u2_parse, "lukasiewicz-3+012")
     plain_form = Impl(Box(p), And(p, p))
     plain_verdict = is_valid(qi, plain_form)
     powered_verdict = is_valid(qi, transformed.conclusion)

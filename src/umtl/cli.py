@@ -26,7 +26,7 @@ from .core import (
     validate,
 )
 from .corpus import CorpusEntry, corpus_dir
-from .logic.formulas import FormulaSyntaxError, parse_formula, print_formula
+from .logic.formulas import FormulaSyntaxError, Var, parse_formula, print_formula
 from .logic.proofs import ProofFileError, check_proof, parse_proof_text, print_proof
 from .logic.schemas import RULE_SHAPES, SchemaCatalog, instantiate
 from .logic.semantics import (
@@ -105,11 +105,11 @@ def _load_document(run: Run, path: str):
 
 def _validated_algebra(run: Run, path: str) -> tuple[FiniteMTLAlgebra, object]:
     doc = _load_document(run, path)
-    violations = check_mtl_tables(doc.size, doc.odot, doc.arrow, doc.top)
-    if violations:
-        lines = "; ".join(v.describe(doc.names) for v in violations)
-        raise CommandError(f"{path}: not an MTL-algebra: {lines}")
-    return validate(doc.size, doc.odot, doc.arrow, doc.top, doc.names), doc
+    try:
+        return validate(doc.size, doc.odot, doc.arrow, doc.top, doc.names), doc
+    except InvalidAlgebraError as exc:
+        lines = "; ".join(v.describe(doc.names) for v in exc.violations)
+        raise CommandError(f"{path}: not an MTL-algebra: {lines}") from exc
 
 
 def _resolve_forall(run: Run, alg, doc, spec: str | None) -> tuple[int, ...]:
@@ -127,16 +127,20 @@ def _resolve_forall(run: Run, alg, doc, spec: str | None) -> tuple[int, ...]:
         table = tuple(int(v) for v in spec.replace(",", " ").split())
     except ValueError as exc:
         raise CommandError(f"bad --forall value {spec!r}") from exc
+    if len(table) != alg.size:
+        raise CommandError(
+            f"--forall lists {len(table)} entries; the carrier has {alg.size} elements"
+        )
     return table
 
 
 def _pair(run: Run, alg, doc, forall_spec: str | None, u2_parse: str):
     table = _resolve_forall(run, alg, doc, forall_spec)
-    violations = quantifier_violations(alg, table, u2_parse)
-    if violations:
-        lines = "; ".join(v.describe(alg.names) for v in violations)
-        raise CommandError(f"not a universal quantifier: {lines}")
-    return make_umtl(alg, table, u2_parse, name=doc.name)
+    try:
+        return make_umtl(alg, table, u2_parse, name=doc.name)
+    except InvalidQuantifierError as exc:
+        lines = "; ".join(v.describe(alg.names) for v in exc.violations)
+        raise CommandError(f"not a universal quantifier: {lines}") from exc
 
 
 def _parse_members(alg, spec: str) -> frozenset[int]:
@@ -462,8 +466,6 @@ def cmd_logic(run: Run, args) -> int:
         premises, conclusion = shape
         if goal is not None:
             raise CommandError("pass either a formula or --rule, not both")
-        from .logic.formulas import Var
-
         binding = {"alpha": Var(0), "beta": Var(1)}
         goal = RuleInstance(
             tuple(instantiate(p, binding) for p in premises),

@@ -81,9 +81,6 @@ class FiniteMTLAlgebra:
     def elements(self) -> range:
         return range(self.size)
 
-    def le(self, x: int, y: int) -> bool:
-        return bool(self.leq[x][y])
-
     def neg(self, x: int) -> int:
         return self.arrow[x][self.bottom]
 

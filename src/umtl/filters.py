@@ -322,7 +322,7 @@ class QuotientResult:
     classes: tuple[frozenset[int], ...]
 
 
-def congruence_classes(q: UMTLAlgebra, members) -> tuple[frozenset[int], ...]:
+def congruence_of_filter(q: UMTLAlgebra, members) -> tuple[frozenset[int], ...]:
     """Blocks of x ~ y iff x->y and y->x both lie in the filter, ordered by
     least element."""
     alg = q.algebra
@@ -356,7 +356,7 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
             f"member but forall maps it to {alg.name_of(f[bad])}",
             witness=(bad, f[bad]),
         )
-    classes = congruence_classes(q, s)
+    classes = congruence_of_filter(q, s)
     class_map = [0] * alg.size
     for idx, block in enumerate(classes):
         for x in block:
@@ -510,7 +510,3 @@ def filter_of_congruence(q: UMTLAlgebra, blocks) -> frozenset[int]:
         if q.algebra.top in b:
             return frozenset(b)
     raise ValueError("no block contains top")
-
-
-def congruence_of_filter(q: UMTLAlgebra, members) -> tuple[frozenset[int], ...]:
-    return congruence_classes(q, members)

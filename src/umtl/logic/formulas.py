@@ -99,20 +99,23 @@ def iff(a: Formula, b: Formula) -> Formula:
     return And(Impl(a, b), Impl(b, a))
 
 
+def leaves_of(f: Formula) -> tuple[Formula, ...]:
+    """The distinct leaves of `f` (variables, metavariables, bot), left to
+    right in order of first occurrence."""
+    out: dict[Formula, None] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kids = _children(g)
+        if kids:
+            stack.extend(reversed(kids))
+        else:
+            out.setdefault(g)
+    return tuple(out)
+
+
 def variables_of(f: Formula) -> tuple[int, ...]:
-    out: set[int] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Var):
-            out.add(g.index)
-        elif isinstance(g, (Impl, And, Min)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Box):
-            walk(g.arg)
-
-    walk(f)
-    return tuple(sorted(out))
+    return tuple(sorted(g.index for g in leaves_of(f) if isinstance(g, Var)))
 
 
 class FormulaSyntaxError(ValueError):

@@ -18,6 +18,7 @@ from .formulas import (
     Impl,
     MetaVar,
     Min,
+    leaves_of,
     lor,
     neg,
 )
@@ -98,20 +99,8 @@ class SchemaCatalog:
 
 
 def metavars_of(pattern: Formula) -> tuple[str, ...]:
-    out: list[str] = []
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, MetaVar):
-            if g.label not in out:
-                out.append(g.label)
-        elif isinstance(g, (Impl, And, Min)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Box):
-            walk(g.arg)
-
-    walk(pattern)
-    return tuple(out)
+    """Metavariable labels in order of first occurrence."""
+    return tuple(g.label for g in leaves_of(pattern) if isinstance(g, MetaVar))
 
 
 def match_schema(pattern: Formula, target: Formula) -> dict[str, Formula] | None:

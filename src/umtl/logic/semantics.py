@@ -1,9 +1,11 @@
 """Evaluation of formulas over quantified algebras and countermodel search.
 
-Valuation sweeps run in mixed-radix order over the formula's variables
-(itertools.product with the last variable fastest), so results and first
-witnesses are deterministic: a countermodel search returns the hit with
-the least (pool index, valuation rank).
+Validity, consequence, countermodel search and schema soundness all ask
+one question of `_refutations`: which valuations send every premise to top
+and the conclusion below it?  It sweeps in mixed-radix order over the
+variables (itertools.product with the last variable fastest), so results
+and first witnesses are deterministic: a countermodel search returns the
+hit with the least (pool index, valuation rank).
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 from ..quantifier import UMTLAlgebra
 from ..core import classify
+from ..analysis import join_implication_witness
 from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var, variables_of
-from .schemas import SchemaCatalog, metavars_of
+from .schemas import A, B, SchemaCatalog, metavars_of
 
 
 class VariableBudgetError(ValueError):
@@ -54,11 +57,6 @@ def eval_formula(q: UMTLAlgebra, valuation, f: Formula) -> int:
     return ev(f)
 
 
-def _sweep(variables: tuple[int, ...], size: int):
-    for combo in itertools.product(range(size), repeat=len(variables)):
-        yield dict(zip(variables, combo))
-
-
 @dataclass(frozen=True)
 class ValidityResult:
     valid: bool
@@ -66,40 +64,40 @@ class ValidityResult:
     value: int | None = None
 
 
-def is_valid(q: UMTLAlgebra, f: Formula, max_vars: int = 6) -> ValidityResult:
-    variables = variables_of(f)
+def _variables(formulas, max_vars: int) -> tuple[int, ...]:
+    """The sorted variables of all `formulas`, within the budget."""
+    variables = tuple(sorted({v for f in formulas for v in variables_of(f)}))
     if len(variables) > max_vars:
         raise VariableBudgetError(
             f"{len(variables)} variables exceed the budget of {max_vars}"
         )
+    return variables
+
+
+def _refutations(q: UMTLAlgebra, premises, conclusion: Formula, leaves):
+    """Every valuation of `leaves` (variable indices or metavariable
+    labels) that sends each premise to top and the conclusion below top,
+    with the conclusion's value, in mixed-radix order (last leaf fastest)."""
     top = q.algebra.top
-    for valuation in _sweep(variables, q.algebra.size):
-        value = eval_formula(q, valuation, f)
-        if value != top:
-            return ValidityResult(False, valuation, value)
-    return ValidityResult(True)
+    for combo in itertools.product(range(q.algebra.size), repeat=len(leaves)):
+        valuation = dict(zip(leaves, combo))
+        value = eval_formula(q, valuation, conclusion)
+        if value != top and all(eval_formula(q, valuation, p) == top for p in premises):
+            yield valuation, value
+
+
+def is_valid(q: UMTLAlgebra, f: Formula, max_vars: int = 6) -> ValidityResult:
+    return consequence(q, (), f, max_vars)
 
 
 def consequence(
     q: UMTLAlgebra, theory, f: Formula, max_vars: int = 6
 ) -> ValidityResult:
     """Every valuation sending the whole theory to top sends f to top."""
-    variables = tuple(
-        sorted(set(variables_of(f)).union(*(set(variables_of(t)) for t in theory)))
-        if theory
-        else variables_of(f)
-    )
-    if len(variables) > max_vars:
-        raise VariableBudgetError(
-            f"{len(variables)} variables exceed the budget of {max_vars}"
-        )
-    top = q.algebra.top
-    for valuation in _sweep(variables, q.algebra.size):
-        if all(eval_formula(q, valuation, t) == top for t in theory):
-            value = eval_formula(q, valuation, f)
-            if value != top:
-                return ValidityResult(False, valuation, value)
-    return ValidityResult(True)
+    theory = tuple(theory)
+    variables = _variables((f, *theory), max_vars)
+    hit = next(_refutations(q, theory, f, variables), None)
+    return ValidityResult(True) if hit is None else ValidityResult(False, *hit)
 
 
 @dataclass(frozen=True)
@@ -125,27 +123,6 @@ class SearchExhausted:
     valuations_checked: int
 
 
-def _refutes(q: UMTLAlgebra, goal, valuation) -> int | None:
-    """The conclusion value when the valuation refutes the goal, else None."""
-    top = q.algebra.top
-    if isinstance(goal, RuleInstance):
-        if any(eval_formula(q, valuation, p) != top for p in goal.premises):
-            return None
-        value = eval_formula(q, valuation, goal.conclusion)
-        return value if value != top else None
-    value = eval_formula(q, valuation, goal)
-    return value if value != top else None
-
-
-def _goal_variables(goal) -> tuple[int, ...]:
-    if isinstance(goal, RuleInstance):
-        out: set[int] = set(variables_of(goal.conclusion))
-        for p in goal.premises:
-            out.update(variables_of(p))
-        return tuple(sorted(out))
-    return variables_of(goal)
-
-
 def countermodel_search(
     goal: Formula | RuleInstance,
     pool: list[UMTLAlgebra],
@@ -156,17 +133,16 @@ def countermodel_search(
 
     `jobs` is accepted for compatibility and ignored: the search is serial.
     """
-    variables = _goal_variables(goal)
-    if len(variables) > max_vars:
-        raise VariableBudgetError(
-            f"{len(variables)} variables exceed the budget of {max_vars}"
-        )
+    if isinstance(goal, RuleInstance):
+        premises, conclusion = goal.premises, goal.conclusion
+    else:
+        premises, conclusion = (), goal
+    variables = _variables((conclusion, *premises), max_vars)
     for index, q in enumerate(pool):
-        for valuation in _sweep(variables, q.algebra.size):
-            value = _refutes(q, goal, valuation)
-            if value is not None:
-                valuation = tuple(sorted(valuation.items()))
-                return Countermodel(index, q.label(), valuation, value)
+        hit = next(_refutations(q, premises, conclusion, variables), None)
+        if hit is not None:
+            valuation, value = hit
+            return Countermodel(index, q.label(), tuple(sorted(valuation.items())), value)
     checked = sum(q.algebra.size ** len(variables) for q in pool)
     return SearchExhausted(len(pool), checked)
 
@@ -174,17 +150,7 @@ def countermodel_search(
 def check_semilinearity_condition(q: UMTLAlgebra):
     """Algebra-side validity of the disjunction form of the box rule:
     a join b = top implies a join forall b = top."""
-    alg, f = q.algebra, q.forall
-    top = alg.top
-    witness = next(
-        (
-            (x, y)
-            for x in alg.elements
-            for y in alg.elements
-            if alg.join[x][y] == top and alg.join[x][f[y]] != top
-        ),
-        None,
-    )
+    witness = join_implication_witness(q)
     return witness is None, witness
 
 
@@ -219,19 +185,25 @@ _EXTENSION_GUARDS = {
 }
 
 
-def _schema_instance_valid(q: UMTLAlgebra, pattern: Formula) -> tuple[bool, tuple | None]:
-    """Validity of a schema with metavariables ranging over the carrier.
+# the two rules of the calculus over metavariables: conclusion, premises
+_MP = (B, (A, Impl(A, B)))
+_NEC = (Box(A), (A,))
+
+
+def _schema_instance_valid(
+    q: UMTLAlgebra, pattern: Formula, premises=()
+) -> tuple[bool, tuple | None]:
+    """Validity of a schema, or of the rule from `premises` to it, with
+    metavariables ranging over the carrier.
 
     Substituting arbitrary formulas for metavariables only ever produces
     carrier values, so this scan covers every instance of the schema.
     """
-    labels = metavars_of(pattern)
-    alg = q.algebra
-    for combo in itertools.product(range(alg.size), repeat=len(labels)):
-        env = dict(zip(labels, combo))
-        if eval_formula(q, env, pattern) != alg.top:
-            return False, tuple(sorted(env.items()))
-    return True, None
+    labels = tuple(
+        dict.fromkeys(m for f in (pattern, *premises) for m in metavars_of(f))
+    )
+    hit = next(_refutations(q, premises, pattern, labels), None)
+    return (True, None) if hit is None else (False, tuple(sorted(hit[0].items())))
 
 
 def soundness_audit(
@@ -253,12 +225,6 @@ def soundness_audit(
             entries.append(
                 SchemaSoundness(schema_id, q.label(), valid, witness)
             )
-        alg = q.algebra
-        top = alg.top
-        mp_ok = mp_ok and all(
-            not (u == top and alg.arrow[u][v] == top) or v == top
-            for u in alg.elements
-            for v in alg.elements
-        )
-        nec_ok = nec_ok and q.forall[top] == top
+        mp_ok = mp_ok and _schema_instance_valid(q, *_MP)[0]
+        nec_ok = nec_ok and _schema_instance_valid(q, *_NEC)[0]
     return SoundnessReport(tuple(entries), mp_ok, nec_ok)

@@ -25,7 +25,7 @@ from .proofs import (
     Proof,
     check_proof,
 )
-from .schemas import SchemaCatalog
+from .schemas import SchemaCatalog, match_schema
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,6 @@ def deduction_transform(
     ]
     builder = ProofBuilder(catalog, remaining)
 
-    if discharged_name is None:
-        # alpha is not among the hypotheses: replay and weaken, flagged.
-        final = _replay(builder, proof)
-        w = builder.weaken(beta, h)
-        final = builder.mp(final, w)
-        return TransformResult(
-            builder.proof, 1, alpha, builder.formula_at(final), weakened=True
-        )
-
     # tags[k] = ("plain", idx) proving step k itself from the remaining
     # theory, or ("guarded", n, idx) proving (box alpha)^n -> step k.
     tags: list[tuple] = []
@@ -87,8 +78,6 @@ def deduction_transform(
         if isinstance(just, AxiomStep):
             binding = dict(just.binding) if just.binding is not None else None
             if binding is None:
-                from .schemas import match_schema
-
                 binding = match_schema(catalog.get(just.schema_id), step.formula)
             idx = builder.axiom(just.schema_id, **binding)
             tags.append(("plain", idx))
@@ -111,41 +100,19 @@ def deduction_transform(
 
     kind, *rest = tags[-1]
     if kind == "plain":
-        idx = rest[0]
+        # alpha unused (or not a hypothesis at all): weaken by the guard
         w = builder.weaken(beta, h)
-        final = builder.mp(idx, w)
+        final = builder.mp(rest[0], w)
         exponent = 1
     else:
         exponent, final = rest
     return TransformResult(
-        builder.proof, exponent, alpha, builder.formula_at(final)
+        builder.proof,
+        exponent,
+        alpha,
+        builder.formula_at(final),
+        weakened=discharged_name is None,
     )
-
-
-def _replay(builder: ProofBuilder, proof: Proof) -> int:
-    index_map: list[int] = []
-    for step in proof.steps:
-        just = step.justification
-        if isinstance(just, AxiomStep):
-            binding = dict(just.binding) if just.binding is not None else None
-            if binding is None:
-                from .schemas import match_schema
-
-                binding = match_schema(
-                    builder.catalog.get(just.schema_id), step.formula
-                )
-            index_map.append(builder.axiom(just.schema_id, **binding))
-        elif isinstance(just, HypStep):
-            index_map.append(builder.hyp(just.name))
-        elif isinstance(just, MPStep):
-            index_map.append(
-                builder.mp(
-                    index_map[just.premise - 1], index_map[just.implication - 1]
-                )
-            )
-        elif isinstance(just, NecStep):
-            index_map.append(builder.nec(index_map[just.premise - 1]))
-    return index_map[-1]
 
 
 def _transform_mp(builder: ProofBuilder, h: Formula, tag_premise, tag_impl):

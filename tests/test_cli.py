@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umtl.algfile import load_algebra_file
 from umtl.cli import main
 from umtl.corpus import corpus_dir, proofs_dir
 from umtl.logic.formulas import MAX_DEPTH
@@ -182,6 +187,18 @@ def test_missing_forall_is_input_error(capsys):
 def test_bad_forall_value_is_input_error(capsys):
     assert run_cli("analyze", SIX, "--forall", "nonsense") == 2
     assert run_cli("analyze", SIX, "--forall", "0 0 9 9 9 5") == 2
+    capsys.readouterr()
+    for spec, count in (("0,1,2,3,4", 5), ("0,1", 2), ("", 0)):
+        for argv in (
+            ("quantifiers", NM3, "check"),
+            ("analyze", NM3),
+            ("filters", NM3, "--kind", "ufilters"),
+            ("quotient", NM3, "--filter", "2"),
+            ("export", "dot", NM3, "--what", "ufilters"),
+        ):
+            assert run_cli(*argv, f"--forall={spec}") == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: --forall lists {count} entries; the carrier has 3 elements"]
 
 
 def test_explicit_forall_table(capsys):
@@ -314,3 +331,80 @@ def test_audit_report_deterministic_across_jobs(tmp_path, capsys):
     assert main(["--json", str(p2), "--jobs", "8", "audit", str(CORPUS)]) == 1
     capsys.readouterr()
     assert p1.read_text() == p2.read_text()
+
+
+ALG_FILES = sorted(CORPUS.glob("*.alg"))
+PROOF_FILES = sorted(proofs_dir().glob("*.prf"))
+SIZES = {path: load_algebra_file(str(path)).size for path in ALG_FILES}
+# splice material for both file formats
+FRAGMENTS = [
+    "", " ", "\n", "0", "1", "5", "9", "-1", "x", "#", "forall", "size", "names",
+    "odot", "arrow", "step", "theory:", "hyp", "mp 1 2", "nec", "axiom", "p0",
+    "box", "->", "(", ")", "[", "]", ":=", ";", ":",
+]
+
+
+@st.composite
+def _mutated_text(draw, paths):
+    path = draw(st.sampled_from(paths))
+    text = path.read_text(encoding="utf-8")
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 12)))
+        text = text[:start] + draw(st.sampled_from(FRAGMENTS)) + text[stop:]
+    return path, text
+
+
+@st.composite
+def _alg_case(draw, target):
+    path, text = draw(_mutated_text(ALG_FILES))
+    n = SIZES[path]
+    entries = draw(st.lists(st.integers(-1, n + 1), min_size=0, max_size=n + 2))
+    forall = "--forall=" + ",".join(map(str, entries))
+    members = "--filter=" + ",".join(map(str, draw(st.lists(st.integers(0, n), max_size=3))))
+    kind = draw(st.sampled_from(["filters", "ufilters", "maximal-ufilters", "primes"]))
+    return text, draw(
+        st.sampled_from(
+            [
+                ["validate", str(target)],
+                ["classify", str(target)],
+                ["quantifiers", str(target), "enum"],
+                ["quantifiers", str(target), "check", forall],
+                ["analyze", str(target), forall],
+                ["filters", str(target), "--kind", kind, forall],
+                ["quotient", str(target), members, forall],
+                ["export", "dot", str(target), "--what", "ufilters", forall],
+            ]
+        )
+    )
+
+
+@st.composite
+def _proof_case(draw, target):
+    _path, text = draw(_mutated_text(PROOF_FILES))
+    name = draw(st.sampled_from(["boxed", "guarded", "imp", "equiv", "x"]))
+    return text, draw(
+        st.sampled_from(
+            [["prove", "check", str(target)], ["prove", "deduce", str(target), "--discharge", name]]
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_keep_the_exit_code_contract(fuzz_dir, data):
+    target = fuzz_dir / data.draw(st.sampled_from(["input.alg", "input.prf"]))
+    case = _alg_case if target.suffix == ".alg" else _proof_case
+    text, argv = data.draw(case(target))
+    target.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1

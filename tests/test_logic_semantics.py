@@ -210,3 +210,81 @@ def test_mp_nec_preservation_pointwise(corpus_entries):
                 if u == top and alg.arrow[u][v] == top:
                     assert v == top
         assert q.forall[top] == top
+
+
+def _random_formula(rnd, depth, k):
+    from umtl.logic.formulas import And, Bot, Box, Impl, Min
+
+    if depth == 0 or rnd.random() < 0.3:
+        return Var(rnd.randrange(k)) if rnd.random() < 0.9 else Bot()
+    kind = rnd.randrange(4)
+    if kind == 3:
+        return Box(_random_formula(rnd, depth - 1, k))
+    left, right = (_random_formula(rnd, depth - 1, k) for _ in range(2))
+    return (Impl, And, Min)[kind](left, right)
+
+
+def _first_refutation(pool, premises, conclusion):
+    """(pool index, valuation, value) of the least refuting valuation,
+    ranked by hand: rank r gives the last variable the digit r % n."""
+    from umtl.logic.formulas import variables_of
+
+    variables = sorted({v for f in (conclusion, *premises) for v in variables_of(f)})
+    for index, q in enumerate(pool):
+        n, top = q.algebra.size, q.algebra.top
+        for rank in range(n ** len(variables)):
+            digits = []
+            for _ in variables:
+                rank, digit = divmod(rank, n)
+                digits.append(digit)
+            valuation = dict(zip(variables, reversed(digits)))
+            if any(eval_formula(q, valuation, p) != top for p in premises):
+                continue
+            value = eval_formula(q, valuation, conclusion)
+            if value != top:
+                return index, valuation, value
+    return None
+
+
+def _first_invalid(pool, check):
+    for index, q in enumerate(pool):
+        verdict = check(q)
+        if not verdict.valid:
+            return index, verdict.countervaluation, verdict.value
+    return None
+
+
+def test_every_search_finds_the_first_refutation(corpus_entries):
+    import random
+
+    from umtl.logic.formulas import Box, Impl, lor, neg
+
+    pool = _pool(corpus_entries)
+    rnd = random.Random(20261018)
+    for _ in range(40):
+        premises = tuple(_random_formula(rnd, 2, 3) for _ in range(rnd.randrange(1, 3)))
+        t = _random_formula(rnd, 3, 3)
+        # the two-valued tautologies pass the Boolean pair at pool index 0
+        conclusion = rnd.choice([t, lor(t, neg(t)), Impl(neg(neg(t)), t), Impl(t, Box(t))])
+        for theory in ((), premises):
+            expected = _first_refutation(pool, theory, conclusion)
+            goal = RuleInstance(theory, conclusion) if theory else conclusion
+            hit = countermodel_search(goal, pool)
+            if expected is None:
+                assert isinstance(hit, SearchExhausted)
+            else:
+                index, valuation, value = expected
+                assert hit == Countermodel(
+                    index, pool[index].label(), tuple(sorted(valuation.items())), value
+                )
+            assert _first_invalid(pool, lambda q: consequence(q, theory, conclusion)) == expected
+            if not theory:
+                assert _first_invalid(pool, lambda q: is_valid(q, conclusion)) == expected
+
+
+def test_soundness_audit_flags_a_table_that_breaks_necessitation(goedel3):
+    from umtl.quantifier import unchecked_pair
+
+    assert soundness_audit([make_umtl(goedel3, (0, 1, 2))], CATALOG).nec_preserves
+    report = soundness_audit([unchecked_pair(goedel3, (0, 0, 0))], CATALOG)
+    assert report.mp_preserves and not report.nec_preserves
