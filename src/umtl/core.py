@@ -122,12 +122,18 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
+def first_witnesses(checks):
+    """Each (key, witnesses) pair's key with its first witness, or None
+    when it has none, in order; each witness iterable runs only until its
+    first item."""
+    for key, witnesses in checks:
+        yield key, next(iter(witnesses), None)
+
+
 def first_violations(checks):
     """A violation with the first witness of each (axiom, witnesses) pair
-    that has one, in order; each witness generator runs only until its
-    first item."""
-    for axiom, witnesses in checks:
-        w = next(witnesses, None)
+    that has one, in order."""
+    for axiom, w in first_witnesses(checks):
         if w is not None:
             yield Violation(axiom, w)
 

@@ -101,11 +101,19 @@ def iff(a: Formula, b: Formula) -> Formula:
 
 def leaves_of(f: Formula) -> tuple[Formula, ...]:
     """The distinct leaves of `f` (variables, metavariables, bot), left to
-    right in order of first occurrence."""
+    right in order of first occurrence.
+
+    Each distinct node object is visited once: the leaves under a repeated
+    shared subtree were already seen, so a sugared `|` chain costs time
+    linear in its length, not in its expanded tree."""
     out: dict[Formula, None] = {}
+    seen: set[int] = set()  # by id(): `f` keeps every node alive
     stack = [f]
     while stack:
         g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
         kids = _children(g)
         if kids:
             stack.extend(reversed(kids))

@@ -19,12 +19,17 @@ candidate table is, they share no code with the paths they check:
 - `is_filter_by_closure` is the up-set and monoid form of the filter
   test, for `filters.is_filter_by_implication`;
 - `derive_odot_from_arrow` recovers the monoid table from the residuum,
-  for the tables `core.validate` accepts.
+  for the tables `core.validate` accepts;
+- `eval_formula_tree` evaluates a formula by a recursive walk over its
+  tree, one valuation at a time, and `first_refutation_tree_walk` ranks
+  the valuations by hand with it, for the compiled column evaluator and
+  the searches of `logic.semantics`.
 """
 
 from __future__ import annotations
 
 from .core import FiniteMTLAlgebra
+from .logic.formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var, variables_of
 from .quantifier import UMTLAlgebra, quantifier_violations, relativization_table
 
 
@@ -180,3 +185,56 @@ def derive_odot_from_arrow(size: int, arrow, top: int):
             row.append(least[0])
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def eval_formula_tree(q: UMTLAlgebra, valuation, f: Formula) -> int:
+    """The value of `f` by a recursive walk over its tree (shared subtrees
+    are walked once per occurrence), with each variable's value looked up
+    in `valuation` by index and each metavariable's by label."""
+    alg = q.algebra
+
+    def ev(g: Formula) -> int:
+        if isinstance(g, Var):
+            try:
+                return valuation[g.index]
+            except (KeyError, IndexError) as exc:
+                raise ValueError(f"valuation misses p{g.index}") from exc
+        if isinstance(g, MetaVar):
+            try:
+                return valuation[g.label]
+            except KeyError as exc:
+                raise ValueError(f"valuation misses {g.label}") from exc
+        if isinstance(g, Bot):
+            return alg.bottom
+        if isinstance(g, Impl):
+            return alg.arrow[ev(g.left)][ev(g.right)]
+        if isinstance(g, And):
+            return alg.odot[ev(g.left)][ev(g.right)]
+        if isinstance(g, Min):
+            return alg.meet[ev(g.left)][ev(g.right)]
+        if isinstance(g, Box):
+            return q.forall[ev(g.arg)]
+        raise TypeError(f"cannot evaluate {g!r}")
+
+    return ev(f)
+
+
+def first_refutation_tree_walk(pool, premises, conclusion: Formula):
+    """(pool index, valuation, value) of the least valuation sending every
+    premise to top and the conclusion below it, or None, by the tree walk:
+    rank r over k variables gives the last variable the digit r % n."""
+    variables = sorted({v for f in (conclusion, *premises) for v in variables_of(f)})
+    for index, q in enumerate(pool):
+        n, top = q.algebra.size, q.algebra.top
+        for rank in range(n ** len(variables)):
+            digits = []
+            for _ in variables:
+                rank, digit = divmod(rank, n)
+                digits.append(digit)
+            valuation = dict(zip(variables, reversed(digits)))
+            if any(eval_formula_tree(q, valuation, p) != top for p in premises):
+                continue
+            value = eval_formula_tree(q, valuation, conclusion)
+            if value != top:
+                return index, valuation, value
+    return None

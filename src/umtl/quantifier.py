@@ -12,7 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FiniteMTLAlgebra, Violation, classify, closed_masks, first_violations
+from .core import (
+    FiniteMTLAlgebra,
+    Violation,
+    classify,
+    closed_masks,
+    first_violations,
+    first_witnesses,
+)
 
 U2_PARSES = ("standard", "alt")
 
@@ -270,26 +277,27 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
     image = sorted(set(f))
     fixed = sorted(x for x in rng if f[x] == x)
 
-    def scan(item, desc, gen):
-        w = next(gen, None)
-        return PropertyCheck(item, desc, w is None, w)
+    def subalgebra_witnesses():
+        img = set(image)
+        for x in img:
+            for y in img:
+                if any(op[x][y] not in img for op in (meet, join, odot, arrow)):
+                    yield (x, y)
+            if f[x] not in img:
+                yield (x,)
+        if not {bot, top} <= img:
+            yield (bot,)
 
     checks = [
-        PropertyCheck(
-            1, "forall bottom = bottom", f[bot] == bot, None if f[bot] == bot else (bot,)
-        ),
-        PropertyCheck(
-            2, "forall top = top", f[top] == top, None if f[top] == top else (top,)
-        ),
-        scan(3, "idempotent", ((x,) for x in rng if f[f[x]] != f[x])),
-        scan(
-            4,
-            "monotone",
+        ((1, "forall bottom = bottom"), [(bot,)] if f[bot] != bot else ()),
+        ((2, "forall top = top"), [(top,)] if f[top] != top else ()),
+        ((3, "idempotent"), ((x,) for x in rng if f[f[x]] != f[x])),
+        (
+            (4, "monotone"),
             ((x, y) for x in rng for y in rng if leq[x][y] and not leq[f[x]][f[y]]),
         ),
-        scan(
-            5,
-            "forall(x->y) <= forall x -> forall y (and negation case)",
+        (
+            (5, "forall(x->y) <= forall x -> forall y (and negation case)"),
             (
                 (x, y)
                 for x in rng
@@ -298,9 +306,8 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 or (y == bot and not leq[f[arrow[x][bot]]][arrow[f[x]][bot]])
             ),
         ),
-        scan(
-            6,
-            "forall x <= y iff forall x <= forall y",
+        (
+            (6, "forall x <= y iff forall x <= forall y"),
             (
                 (x, y)
                 for x in rng
@@ -308,9 +315,8 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if bool(leq[f[x]][y]) != bool(leq[f[x]][f[y]])
             ),
         ),
-        scan(
-            7,
-            "forall(forall x -> forall y) = forall x -> forall y",
+        (
+            (7, "forall(forall x -> forall y) = forall x -> forall y"),
             (
                 (x, y)
                 for x in rng
@@ -318,19 +324,16 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if f[arrow[f[x]][f[y]]] != arrow[f[x]][f[y]]
             ),
         ),
-        scan(
-            8,
-            "forall neg forall x = neg forall x",
+        (
+            (8, "forall neg forall x = neg forall x"),
             ((x,) for x in rng if f[arrow[f[x]][bot]] != arrow[f[x]][bot]),
         ),
-        scan(
-            9,
-            "forall(x meet y) = forall x meet forall y",
+        (
+            (9, "forall(x meet y) = forall x meet forall y"),
             ((x, y) for x in rng for y in rng if f[meet[x][y]] != meet[f[x]][f[y]]),
         ),
-        scan(
-            10,
-            "forall(forall x join forall y) = forall x join forall y",
+        (
+            (10, "forall(forall x join forall y) = forall x join forall y"),
             (
                 (x, y)
                 for x in rng
@@ -338,9 +341,8 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if f[join[f[x]][f[y]]] != join[f[x]][f[y]]
             ),
         ),
-        scan(
-            11,
-            "forall(x odot y) >= forall x odot forall y",
+        (
+            (11, "forall(x odot y) >= forall x odot forall y"),
             (
                 (x, y)
                 for x in rng
@@ -348,9 +350,8 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if not leq[odot[f[x]][f[y]]][f[odot[x][y]]]
             ),
         ),
-        scan(
-            12,
-            "forall(forall x odot forall y) = forall x odot forall y",
+        (
+            (12, "forall(forall x odot forall y) = forall x odot forall y"),
             (
                 (x, y)
                 for x in rng
@@ -358,38 +359,13 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if f[odot[f[x]][f[y]]] != odot[f[x]][f[y]]
             ),
         ),
-        PropertyCheck(
-            13,
-            "image equals fixpoint set",
-            image == fixed,
-            None if image == fixed else tuple(image),
-        ),
+        ((13, "image equals fixpoint set"), [tuple(image)] if image != fixed else ()),
+        ((14, "image is a subalgebra"), subalgebra_witnesses()),
     ]
-    closure_witness = None
-    img = set(image)
-    for x in img:
-        for y in img:
-            for tag, val in (
-                ("meet", meet[x][y]),
-                ("join", join[x][y]),
-                ("odot", odot[x][y]),
-                ("arrow", arrow[x][y]),
-            ):
-                if val not in img and closure_witness is None:
-                    closure_witness = (x, y)
-        if f[x] not in img and closure_witness is None:
-            closure_witness = (x,)
-    if not {bot, top} <= img and closure_witness is None:
-        closure_witness = (bot,)
-    checks.append(
-        PropertyCheck(
-            14,
-            "image is a subalgebra",
-            closure_witness is None,
-            closure_witness,
-        )
-    )
-    return checks
+    return [
+        PropertyCheck(item, desc, w is None, w)
+        for (item, desc), w in first_witnesses(checks)
+    ]
 
 
 @dataclass(frozen=True)

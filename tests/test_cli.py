@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umtl import chain_algebra, make_umtl
 from umtl.algfile import load_algebra_file
 from umtl.cli import main
 from umtl.corpus import corpus_dir, proofs_dir
-from umtl.logic.formulas import MAX_DEPTH
+from umtl.logic.formulas import MAX_DEPTH, Var, lor, parse_formula
+from umtl.logic.semantics import ValidityResult, compile_formulas, is_valid
+from umtl.quantifier import delta_table
 
 CORPUS = corpus_dir()
 SIX = str(CORPUS / "example-3-2.alg")
@@ -281,6 +284,30 @@ def test_formula_just_inside_depth_bound_evaluates(capsys, shape):
     assert run_cli("logic", "valid", shape(MAX_DEPTH - 1), "--pool", NM3) == 1
     assert "NOT valid on" in capsys.readouterr().out
     assert run_cli("logic", "valid", shape(MAX_DEPTH), "--pool", NM3) == 2
+
+
+def test_or_chains_compile_to_linear_programs(capsys):
+    # `a | b` holds each side three times, so the tree of a flat chain of
+    # `|` grows about 2.5 times per link, while its program grows by at
+    # most five slots.  Each link adds three levels: 34 links is the
+    # longest flat chain inside the depth bound, and 40 an input error.
+    longest = (MAX_DEPTH - 1) // 3 + 1
+    for links, code in ((longest, 1), (40, 2)):
+        text = " | ".join(["p0"] * links)
+        assert run_cli("logic", "valid", text, "--pool", NM3) == code
+        assert run_cli("logic", "countermodel", text, "--pool", NM3) == code
+    out, err = capsys.readouterr()
+    assert "NOT valid on nm-3+002: p0=e0" in out
+    assert "countermodel on nm-3+002: p0=e0 (value e0)" in out
+    assert err.count(f"more than {MAX_DEPTH} levels deep") == 2
+    parsed = parse_formula(" | ".join(["p0"] * longest))
+    assert len(compile_formulas((parsed,)).code) <= 5 * longest
+    built = Var(0)
+    for _ in range(39):
+        built = lor(built, Var(0))
+    assert len(compile_formulas((built,)).code) <= 5 * 40
+    nm3 = chain_algebra("nilpotent-minimum", 3)
+    assert is_valid(make_umtl(nm3, delta_table(nm3)), built) == ValidityResult(False, {0: 0}, 0)
 
 
 def test_console_entry_point():

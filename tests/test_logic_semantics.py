@@ -180,7 +180,7 @@ def test_schema_scan_equals_literal_instantiation():
 
     from umtl.logic.formulas import And, Bot, Box, Impl, Min, Var
     from umtl.logic.schemas import instantiate, metavars_of
-    from umtl.logic.semantics import _schema_instance_valid
+    from umtl.logic.semantics import _schema_instance_valid, compile_formulas
 
     nm3 = chain_algebra("nilpotent-minimum", 3)
     q = make_umtl(nm3, delta_table(nm3), name="nm-3+002")
@@ -193,7 +193,7 @@ def test_schema_scan_equals_literal_instantiation():
     for schema_id in ("A2", "A3", "M1", "M3a", "M2a"):
         pattern = CATALOG.get(schema_id)
         labels = metavars_of(pattern)
-        scan_valid, _ = _schema_instance_valid(q, pattern)
+        scan_valid, _ = _schema_instance_valid(q, compile_formulas((pattern,)))
         literal_valid = all(
             is_valid(q, instantiate(pattern, dict(zip(labels, combo)))).valid
             for combo in itertools.product(pool, repeat=len(labels))
@@ -224,28 +224,6 @@ def _random_formula(rnd, depth, k):
     return (Impl, And, Min)[kind](left, right)
 
 
-def _first_refutation(pool, premises, conclusion):
-    """(pool index, valuation, value) of the least refuting valuation,
-    ranked by hand: rank r gives the last variable the digit r % n."""
-    from umtl.logic.formulas import variables_of
-
-    variables = sorted({v for f in (conclusion, *premises) for v in variables_of(f)})
-    for index, q in enumerate(pool):
-        n, top = q.algebra.size, q.algebra.top
-        for rank in range(n ** len(variables)):
-            digits = []
-            for _ in variables:
-                rank, digit = divmod(rank, n)
-                digits.append(digit)
-            valuation = dict(zip(variables, reversed(digits)))
-            if any(eval_formula(q, valuation, p) != top for p in premises):
-                continue
-            value = eval_formula(q, valuation, conclusion)
-            if value != top:
-                return index, valuation, value
-    return None
-
-
 def _first_invalid(pool, check):
     for index, q in enumerate(pool):
         verdict = check(q)
@@ -258,6 +236,7 @@ def test_every_search_finds_the_first_refutation(corpus_entries):
     import random
 
     from umtl.logic.formulas import Box, Impl, lor, neg
+    from umtl.oracles import first_refutation_tree_walk
 
     pool = _pool(corpus_entries)
     rnd = random.Random(20261018)
@@ -267,7 +246,7 @@ def test_every_search_finds_the_first_refutation(corpus_entries):
         # the two-valued tautologies pass the Boolean pair at pool index 0
         conclusion = rnd.choice([t, lor(t, neg(t)), Impl(neg(neg(t)), t), Impl(t, Box(t))])
         for theory in ((), premises):
-            expected = _first_refutation(pool, theory, conclusion)
+            expected = first_refutation_tree_walk(pool, theory, conclusion)
             goal = RuleInstance(theory, conclusion) if theory else conclusion
             hit = countermodel_search(goal, pool)
             if expected is None:

@@ -15,6 +15,13 @@ closure does not rely on U1-U3.
 Filters and U-filters come from the close-by-one search of
 `core.closed_masks`; the 2^n subset scans in `umtl.filters` check them,
 U-filters also on unary maps that are not quantifiers.
+
+Formulas are compiled once and evaluated a block of valuations at a time
+(`logic.semantics`); the recursive tree walk `oracles.eval_formula_tree`
+and the hand-ranked `oracles.first_refutation_tree_walk` check the values
+and every search's first refutation, also with small blocks, across the
+boundary of a real block, and on sugared `|` chains, whose shared subtrees
+the tree walk expands.
 """
 
 from __future__ import annotations
@@ -31,9 +38,31 @@ from umtl import oracles
 from umtl.audit import corpus_pairs
 from umtl.core import FiniteMTLAlgebra, chain_algebra, classify, validate
 from umtl.filters import enumerate_ucongruences
+from umtl.logic import semantics
+from umtl.logic.formulas import (
+    And,
+    Bot,
+    Box,
+    Impl,
+    Min,
+    Var,
+    lor,
+    neg,
+    parse_formula,
+    variables_of,
+)
+from umtl.logic.semantics import (
+    Countermodel,
+    RuleInstance,
+    SearchExhausted,
+    consequence,
+    countermodel_search,
+    eval_formula,
+)
 from umtl.quantifier import (
     UMTLAlgebra,
     enumerate_quantifiers,
+    make_umtl,
     subalgebra_masks,
     unchecked_pair,
 )
@@ -283,3 +312,134 @@ def test_ufilters_match_subset_oracle_on_every_unary_map(tag):
     alg = chain(tag)
     for table in itertools.product(alg.elements, repeat=alg.size):
         assert_ufilters_match_oracle(unchecked_pair(alg, table))
+
+
+def random_formula(rnd: random.Random, depth: int, k: int):
+    """A formula over p0..p{k-1} with bot, the primitives and the `|` and
+    `neg` sugar, so some subtrees are shared objects."""
+    if depth == 0 or rnd.random() < 0.25:
+        return Var(rnd.randrange(k)) if rnd.random() < 0.9 else Bot()
+    kind = rnd.randrange(6)
+    if kind == 0:
+        return Box(random_formula(rnd, depth - 1, k))
+    if kind == 1:
+        return neg(random_formula(rnd, depth - 1, k))
+    left, right = (random_formula(rnd, depth - 1, k) for _ in range(2))
+    return (Impl, And, Min, lor)[kind - 2](left, right)
+
+
+def random_goal(rnd: random.Random, k: int):
+    """A conclusion and zero to two premises over p0..p{k-1}; the
+    conclusion is often a two-valued tautology, so refutations land past
+    the Boolean pair."""
+    t = random_formula(rnd, 3, k)
+    conclusion = rnd.choice([t, lor(t, neg(t)), Impl(neg(neg(t)), t), Impl(t, Box(t))])
+    premises = tuple(random_formula(rnd, 2, k) for _ in range(rnd.randrange(3)))
+    return premises, conclusion
+
+
+def assert_searches_match_tree_walk(pool, premises, conclusion):
+    expected = oracles.first_refutation_tree_walk(pool, premises, conclusion)
+    goal = RuleInstance(premises, conclusion) if premises else conclusion
+    hit = countermodel_search(goal, pool)
+    if expected is None:
+        k = len({v for f in (conclusion, *premises) for v in variables_of(f)})
+        assert hit == SearchExhausted(len(pool), sum(q.algebra.size**k for q in pool))
+    else:
+        index, valuation, value = expected
+        assert hit == Countermodel(
+            index, pool[index].label(), tuple(sorted(valuation.items())), value
+        )
+    for index, q in enumerate(pool):
+        verdict = consequence(q, premises, conclusion)
+        want = oracles.first_refutation_tree_walk([q], premises, conclusion)
+        if want is None:
+            assert verdict.valid
+        else:
+            assert (verdict.valid, verdict.countervaluation, verdict.value) == (False, *want[1:])
+    return expected
+
+
+@pytest.fixture(scope="module")
+def formula_pool(corpus_entries):
+    pool = corpus_pairs(corpus_entries)
+    assert len(pool) == 25
+    return pool
+
+
+def test_eval_formula_matches_tree_walk(formula_pool):
+    rnd = random.Random(6)
+    for _ in range(200):
+        q = rnd.choice(formula_pool)
+        k = rnd.randint(1, 4)
+        f = random_formula(rnd, 5, k)
+        valuation = {v: rnd.randrange(q.algebra.size) for v in range(k)}
+        assert eval_formula(q, valuation, f) == oracles.eval_formula_tree(q, valuation, f)
+        # one variable short: the same value, or the same error
+        missing = dict(valuation)
+        del missing[rnd.randrange(k)]
+
+        def outcome(evaluate):
+            try:
+                return evaluate(q, missing, f)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(eval_formula) == outcome(oracles.eval_formula_tree)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_searches_match_tree_walk(formula_pool, seed):
+    rnd = random.Random(f"searches/{seed}")
+    hits = 0
+    for _ in range(12):
+        premises, conclusion = random_goal(rnd, rnd.randint(1, 4))
+        hits += assert_searches_match_tree_walk(formula_pool, premises, conclusion) is not None
+    assert 0 < hits < 12
+
+
+@pytest.mark.parametrize("block", [1, 5, 7, 36])
+def test_searches_match_tree_walk_with_small_blocks(formula_pool, monkeypatch, block):
+    # a block smaller than, coprime to or a power of the carrier sizes puts
+    # first refutations in later blocks and at every offset inside one
+    monkeypatch.setattr(semantics, "BLOCK", block)
+    rnd = random.Random(f"blocks/{block}")
+    for _ in range(10):
+        premises, conclusion = random_goal(rnd, rnd.randint(1, 4))
+        assert_searches_match_tree_walk(formula_pool, premises, conclusion)
+
+
+# On the Goedel chain G6 (values 0 < ... < 5, neg x = 5 if x = 0 else 0,
+# p & neg p = 0) each goal's first refutation over p0..p4 has a known rank
+# next to the first or second boundary of 1296-valuation blocks.
+AROUND_BLOCKS = [
+    ((1, 2, 3, 4), "p0", (0, 5, 5, 5, 5)),  # rank 1295
+    ((), "neg p0 | (neg p1 & p1 & p2 & p3 & p4)", (1, 0, 0, 0, 0)),  # 1296
+    ((), "neg p0 | neg p4 | (neg p1 & p1 & p2 & p3)", (1, 0, 0, 0, 1)),  # 1297
+    ((1, 2, 3, 4), "neg p0", (1, 5, 5, 5, 5)),  # 2591
+]
+
+
+@pytest.mark.parametrize("premises, text, digits", AROUND_BLOCKS)
+def test_first_refutation_around_block_boundaries(premises, text, digits):
+    assert semantics.BLOCK == 6**4
+    q = make_umtl(chain("G6"), tuple(range(6)), name="goedel-6+012345")
+    theory = tuple(Var(v) for v in premises)
+    expected = assert_searches_match_tree_walk([q], theory, parse_formula(text))
+    assert expected is not None
+    _index, valuation, _value = expected
+    assert tuple(valuation[v] for v in range(5)) == digits
+
+
+@pytest.mark.parametrize("links", range(1, 9))
+def test_or_chains_match_tree_walk(formula_pool, links):
+    operands = ["p0", "box p1", "neg p0"]
+    text = " | ".join(operands[i % 3] for i in range(links))
+    f = parse_formula(text)
+    for q in formula_pool[::6]:
+        for x in q.algebra.elements:
+            for y in q.algebra.elements:
+                assert eval_formula(q, {0: x, 1: y}, f) == oracles.eval_formula_tree(
+                    q, {0: x, 1: y}, f
+                )
+    assert_searches_match_tree_walk(formula_pool, (), f)
