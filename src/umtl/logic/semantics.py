@@ -307,7 +307,7 @@ def soundness_audit(
     """Schema validity plus pointwise rule preservation on every corpus
     member.  Extension schemas are audited only on bases in the matching
     subvariety."""
-    schemas = [
+    programs = [
         (schema_id, _EXTENSION_GUARDS.get(schema_id), compile_formulas((pattern,)))
         for schema_id, pattern in catalog.schemas
     ]
@@ -317,7 +317,7 @@ def soundness_audit(
     nec_ok = True
     for q in corpus:
         profile = classify(q.algebra)
-        for schema_id, guard, program in schemas:
+        for schema_id, guard, program in programs:
             if guard is not None and not guard(profile):
                 continue
             valid, witness = _schema_instance_valid(q, program)
