@@ -4,13 +4,19 @@ Every "equivalence" claimed by the source theory is audited as agreement
 of independently computed booleans; the audit never aborts on a
 disagreement, it records a witness.  Verdicts are pure functions of the
 input pair.
+
+Filters come from the one filter closure system, `filters.filter_table`,
+through `core.closure` and `core.closed_masks`; the image-simplicity
+condition takes the filters of the fixpoint subalgebra from the same
+table restricted to that carrier.  The scans in `umtl.oracles` check
+these independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FiniteMTLAlgebra, classify
+from .core import FiniteMTLAlgebra, classify, closure
 from .quantifier import (
     InvalidQuantifierError,
     UMTLAlgebra,
@@ -156,41 +162,23 @@ class SimplicityReport:
         return len(set(self.conditions())) == 1
 
 
-def _filter_within(alg: FiniteMTLAlgebra, members, seed) -> set[int]:
-    """Smallest subset of `members` containing top and `seed` that is closed
-    under modus ponens inside `members` (x, x->y in F, y in members imply
-    y in F)."""
-    arrow = alg.arrow
-    f = {alg.top, *seed}
-    pending = list(f)
-    while pending:
-        x = pending.pop()
-        # x enters modus ponens as the premise or as the implication
-        for y in members:
-            if y not in f and (
-                arrow[x][y] in f or any(arrow[z][y] == x for z in f)
-            ):
-                f.add(y)
-                pending.append(y)
-    return f
-
-
 def _subalgebra_filters_trivial(alg: FiniteMTLAlgebra, carrier: frozenset[int]) -> bool:
     """Whether the subalgebra on `carrier` has only {top} and itself as
-    filters (filters computed inside the subalgebra).
+    filters (filters computed inside the subalgebra).  `carrier` must be
+    a subalgebra, as every quantifier image is.
 
     {top} and the carrier are always filters, and any other filter contains
     some x != top whose principal filter is then proper; so the family is
     exactly those two iff the carrier has two or more elements and every
-    x != top generates all of it.
+    x != top generates all of it: its closure under `filters.filter_table`
+    restricted to the carrier is the whole carrier.
     """
     if alg.top not in carrier or len(carrier) < 2:
         return False
-    members = sorted(carrier)
+    table = flt.filter_table(alg, carrier=carrier)
+    whole = flt.mask_of(carrier)
     return all(
-        len(_filter_within(alg, members, {x})) == len(members)
-        for x in members
-        if x != alg.top
+        closure(table, (alg.top, x)) == whole for x in carrier if x != alg.top
     )
 
 
@@ -219,15 +207,13 @@ def is_simple(q: UMTLAlgebra) -> SimplicityReport:
 class SemisimplicityReport:
     semisimple: bool
     radical_members: tuple[int, ...]
-    empty_family: bool
 
 
 def is_semisimple(q: UMTLAlgebra) -> SemisimplicityReport:
     rad = flt.radical(q)
     return SemisimplicityReport(
-        semisimple=rad.is_trivial and not rad.empty_family,
+        semisimple=rad.is_trivial,
         radical_members=rad.filterset.sorted_members(),
-        empty_family=rad.empty_family,
     )
 
 
@@ -525,9 +511,7 @@ def audit_delta_on_linear(alg: FiniteMTLAlgebra, subject: str, u2_parse: str) ->
         {
             "linear": linear,
             "delta_valid": delta_valid,
-            "delta_violations": [
-                {"axiom": v.axiom, "witness": list(v.witness)} for v in violations
-            ],
+            "delta_violations": [v.as_dict() for v in violations],
             "representable_with_delta": representable,
         },
     )

@@ -272,10 +272,7 @@ def run_corpus_audit(
                 name,
                 False,
                 {
-                    "violations": [
-                        {"axiom": v.axiom, "witness": list(v.witness)}
-                        for v in violations
-                    ],
+                    "violations": [v.as_dict() for v in violations],
                     "u2_parse": u2_parse,
                 },
             )

@@ -178,10 +178,7 @@ def cmd_validate(run: Run, args) -> int:
         "mtl-axioms",
         doc.name,
         ok,
-        violations=[
-            {"axiom": v.axiom, "witness": [doc.names[i] for i in v.witness]}
-            for v in violations
-        ],
+        violations=[v.as_dict(doc.names) for v in violations],
     )
     if ok:
         run.say(f"{doc.name}: MTL-algebra: valid")
@@ -196,10 +193,7 @@ def cmd_validate(run: Run, args) -> int:
             "quantifier-axioms",
             doc.name,
             not qv,
-            violations=[
-                {"axiom": v.axiom, "witness": [doc.names[i] for i in v.witness]}
-                for v in qv
-            ],
+            violations=[v.as_dict(doc.names) for v in qv],
         )
         if qv:
             run.say(f"{doc.name}: forall: INVALID")
@@ -230,10 +224,7 @@ def cmd_quantifiers(run: Run, args) -> int:
             doc.name,
             not violations,
             table=list(table),
-            violations=[
-                {"axiom": v.axiom, "witness": [alg.names[i] for i in v.witness]}
-                for v in violations
-            ],
+            violations=[v.as_dict(alg.names) for v in violations],
         )
         if violations:
             run.say(f"{doc.name}: not a universal quantifier")

@@ -26,17 +26,27 @@ class InvalidAlgebraError(ValueError):
 
 @dataclass(frozen=True)
 class Violation:
-    """A failed axiom together with its lexicographically least witness."""
+    """A failed axiom together with its lexicographically least witness.
+
+    A `shape` witness counts sizes or lengths, not elements, so it is
+    never rendered through element names.
+    """
 
     axiom: str
     witness: tuple[int, ...]
+    shape: bool = field(default=False, compare=False)
+
+    def _witness(self, names: tuple[str, ...] | None) -> list:
+        if names is None or self.shape:
+            return list(self.witness)
+        return [names[i] for i in self.witness]
 
     def describe(self, names: tuple[str, ...] | None = None) -> str:
-        if names is None:
-            w = ",".join(str(i) for i in self.witness)
-        else:
-            w = ",".join(names[i] for i in self.witness)
+        w = ",".join(str(x) for x in self._witness(names))
         return f"{self.axiom} fails at ({w})"
+
+    def as_dict(self, names: tuple[str, ...] | None = None) -> dict:
+        return {"axiom": self.axiom, "witness": self._witness(names)}
 
 
 @dataclass(frozen=True)
@@ -138,76 +148,83 @@ def first_violations(checks):
             yield Violation(axiom, w)
 
 
-def closed_masks(n: int, base, forced) -> list[int]:
-    """Bitmasks of every closed subset of {0, .., n-1} that contains `base`.
+def closure(forced, seed, mask: int = 0, members=None, floor: int = 0) -> int | None:
+    """Bitmask of the least closed set containing `seed` and the closed
+    set `mask`, or None once the table forces in an element below `floor`
+    outside `mask`.  `members`, when given, lists the elements of `mask`
+    and receives the new ones.
 
     The closure system is given by the table `forced`: `forced[a][b]`
     lists the elements that a new member `a` forces in together with a
     member `b`, `b == a` included.  Members added earlier are not visited
     again, so the entry must cover both orders of a non-commutative
-    operation.
+    operation.  Only the new elements are paired with the members, so
+    closing a closed set under one more element is incremental.
+    """
+    if members is None:
+        members = []
+    pending = []
+    for s in seed:
+        if not mask >> s & 1:
+            mask |= 1 << s
+            members.append(s)
+            pending.append(s)
+    while pending:
+        row = forced[pending.pop()]
+        for b in members:
+            for c in row[b]:
+                if not mask >> c & 1:
+                    if c < floor:
+                        return None
+                    mask |= 1 << c
+                    members.append(c)
+                    pending.append(c)
+    return mask
+
+
+def closed_masks(n: int, base, forced) -> list[int]:
+    """Bitmasks of every set of {0, .., n-1} closed under the table
+    `forced` (see `closure`) that contains `base`.
 
     Close-by-one depth-first search (Kuznetsov; the canonicity test of
     Ganter's NextClosure): a child adds one element i to a closed set and
-    closes incrementally, pairing only the new elements with the members.
-    The child is kept only if its closure adds no element below i, so
-    every closed set is reached from exactly one parent, with delay
-    polynomial in n and no pairwise join of closed sets.
+    closes incrementally.  The child is kept only if its closure adds no
+    element below i, so every closed set is reached from exactly one
+    parent, with delay polynomial in n and no pairwise join of closed sets.
     """
-
-    def close(mask: int, members: list[int], new: int, floor: int):
-        """Closure of mask + {new}, or None once an element below `floor`
-        outside mask would enter.  `mask` must already be closed."""
-        members = members + [new]
-        mask |= 1 << new
-        pending = [new]
-        while pending:
-            row = forced[pending.pop()]
-            for b in members:
-                for c in row[b]:
-                    if not mask >> c & 1:
-                        if c < floor:
-                            return None
-                        mask |= 1 << c
-                        members.append(c)
-                        pending.append(c)
-        return mask, members
-
-    mask, members = 0, []
-    for b in base:
-        if not mask >> b & 1:
-            mask, members = close(mask, members, b, 0)
     out = []
-    stack = [(mask, members, 0)]
+    members: list[int] = []
+    stack = [(closure(forced, base, 0, members), members, 0)]
     while stack:
         mask, members, start = stack.pop()
         out.append(mask)
         for i in range(start, n):
             if mask >> i & 1:
                 continue
-            child = close(mask, members, i, i)
+            child_members = members.copy()
+            child = closure(forced, (i,), mask, child_members, i)
             if child is not None:
-                stack.append((*child, i + 1))
+                stack.append((child, child_members, i + 1))
     return out
 
 
 def _shape_violations(size: int, odot, arrow, top: int) -> list[Violation]:
     out: list[Violation] = []
     if size < 2:
-        out.append(Violation("degenerate-size", (size,)))
+        out.append(Violation("degenerate-size", (size,), shape=True))
         return out
     if not (0 <= top < size):
-        out.append(Violation("top-out-of-range", (top,)))
+        out.append(Violation("top-out-of-range", (top,), shape=True))
         return out
     if top == 0:
         out.append(Violation("top-equals-bottom", (0,)))
     for tag, table in (("odot", odot), ("arrow", arrow)):
         if len(table) != size:
-            out.append(Violation(f"{tag}-non-square", (len(table),)))
+            out.append(Violation(f"{tag}-non-square", (len(table),), shape=True))
             continue
         for i, row in enumerate(table):
             if len(row) != size:
-                out.append(Violation(f"{tag}-non-square", (i, len(row))))
+                out.append(Violation(f"{tag}-non-square", (i, len(row)), shape=True))
                 break
             bad = next((j for j, v in enumerate(row) if not (0 <= v < size)), None)
             if bad is not None:
@@ -234,9 +251,15 @@ def check_mtl_tables(size: int, odot, arrow, top: int) -> list[Violation]:
     The scan is complete for the listed axioms: it accepts exactly the
     operation tables of finite MTL-algebras.
     """
+    return _scan(size, odot, arrow, top)[0]
+
+
+def _scan(size: int, odot, arrow, top: int):
+    """The violations of `check_mtl_tables`, with the (leq, meet, join)
+    tables derived on the way, or None when the order is no lattice."""
     out = _shape_violations(size, odot, arrow, top)
     if out:
-        return out
+        return out, None
     rng = range(size)
     leq = tuple(tuple(int(arrow[x][y] == top) for y in rng) for x in rng)
 
@@ -261,10 +284,10 @@ def check_mtl_tables(size: int, odot, arrow, top: int) -> list[Violation]:
     )
     out.extend(first_violations(order_checks))
     if out:
-        return out
+        return out, None
 
-    meet_rows: list[list[int]] = []
-    join_rows: list[list[int]] = []
+    meet_rows: list[tuple[int, ...]] = []
+    join_rows: list[tuple[int, ...]] = []
     lattice_ok = True
     for x in rng:
         mrow, jrow = [], []
@@ -278,8 +301,8 @@ def check_mtl_tables(size: int, odot, arrow, top: int) -> list[Violation]:
                 m = j = 0
             mrow.append(m)
             jrow.append(j)
-        meet_rows.append(mrow)
-        join_rows.append(jrow)
+        meet_rows.append(tuple(mrow))
+        join_rows.append(tuple(jrow))
 
     checks = [
         (
@@ -324,7 +347,8 @@ def check_mtl_tables(size: int, odot, arrow, top: int) -> list[Violation]:
             )
         )
     out.extend(first_violations(checks))
-    return out
+    lattice = (leq, tuple(meet_rows), tuple(join_rows)) if lattice_ok else None
+    return out, lattice
 
 
 def validate(
@@ -335,25 +359,18 @@ def validate(
     names: tuple[str, ...] | None = None,
 ) -> FiniteMTLAlgebra:
     """Build a fully cached algebra, or raise with the violation list."""
-    violations = check_mtl_tables(size, odot, arrow, top)
+    violations, lattice = _scan(size, odot, arrow, top)
     if violations:
         raise InvalidAlgebraError(violations)
-    rng = range(size)
-    odot_t = tuple(tuple(row) for row in odot)
-    arrow_t = tuple(tuple(row) for row in arrow)
-    leq = tuple(tuple(int(arrow_t[x][y] == top) for y in rng) for x in rng)
-    meet = tuple(
-        tuple(_bound_pair(leq, x, y, upper=False) for y in rng) for x in rng
-    )
-    join = tuple(tuple(_bound_pair(leq, x, y, upper=True) for y in rng) for x in rng)
+    leq, meet, join = lattice
     if names is None:
         names = default_names(size)
     if len(names) != size:
         raise ValueError(f"expected {size} names, got {len(names)}")
     return FiniteMTLAlgebra(
         size=size,
-        odot=odot_t,
-        arrow=arrow_t,
+        odot=tuple(tuple(row) for row in odot),
+        arrow=tuple(tuple(row) for row in arrow),
         top=top,
         names=tuple(names),
         leq=leq,

@@ -2,17 +2,19 @@
 
 Element subsets use dense bitmask semantics keyed by element index; every
 listing is sorted by bitmask value so output order is reproducible.
-Enumerations run two ways (close-by-one search over the closure system,
-and, as an oracle, the 2^n subset scan) so tests can pin their agreement.
-Families that one call path asks for repeatedly are kept in the
-algebra's `cache`.
+Filters, U-filters and the filters of a subalgebra are the closed sets of
+one closure system, given by the table `filter_table`: enumerations are
+`core.closed_masks` over it and a generated filter is `core.closure` of
+its seed.  The 2^n subset scans stay as oracles, so tests can pin their
+agreement.  Families that one call path asks for repeatedly are kept in
+the algebra's `cache`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteMTLAlgebra, closed_masks, validate
+from .core import FiniteMTLAlgebra, closed_masks, closure, validate
 from .quantifier import UMTLAlgebra, validate_quantifier
 
 
@@ -32,11 +34,7 @@ class QuotientError(ValueError):
 
 @dataclass(frozen=True)
 class FilterSet:
-    """An element subset of an algebra, with kind predicates.
-
-    `forall` is carried when the subset is inspected against a quantifier;
-    the U-filter predicates require it.
-    """
+    """An element subset of an algebra; `forall` is carried by U-filters."""
 
     algebra: FiniteMTLAlgebra
     members: frozenset[int]
@@ -52,33 +50,8 @@ class FilterSet:
     def label(self) -> str:
         return "{" + ",".join(self.algebra.name_of(i) for i in sorted(self.members)) + "}"
 
-    def is_filter(self) -> bool:
-        return is_filter_by_implication(self.algebra, self.members)
-
     def is_proper(self) -> bool:
         return len(self.members) < self.algebra.size
-
-    def is_prime(self) -> bool:
-        return is_prime_filter(self.algebra, self.members)
-
-    def is_ufilter(self) -> bool:
-        if self.forall is None:
-            raise ValueError("no quantifier attached to this FilterSet")
-        return is_ufilter(self.algebra, self.forall, self.members)
-
-    def is_minimal_prime(self) -> bool:
-        return self.members in {
-            f.members for f in minimal_primes(self.algebra).by_inclusion
-        }
-
-    def is_maximal(self) -> bool:
-        return self.members in {f.members for f in maximal_filters(self.algebra)}
-
-    def is_maximal_ufilter(self) -> bool:
-        if self.forall is None:
-            raise ValueError("no quantifier attached to this FilterSet")
-        maxes = _maximal_ufilters(self.algebra, self.forall)
-        return self.members in {f.members for f in maxes}
 
 
 def is_filter_by_implication(alg: FiniteMTLAlgebra, members) -> bool:
@@ -111,40 +84,44 @@ def is_ufilter(alg: FiniteMTLAlgebra, forall, members) -> bool:
     return is_filter_by_implication(alg, s) and all(forall[x] in s for x in s)
 
 
-def upward_closure(alg: FiniteMTLAlgebra, members) -> set[int]:
-    return {y for y in alg.elements if any(alg.leq[x][y] for x in members)}
+def filter_table(alg: FiniteMTLAlgebra, forall=None, carrier=None):
+    """The closure system of filters as a `core.closure` table.
+
+    A new member forces in its product with each member and, paired with
+    itself, its up-set and, unless `forall` is None, its quantifier image.
+    With `carrier`, a subalgebra, the up-set is taken inside it, so the
+    closed sets that contain top are the filters of that subalgebra.
+    """
+    odot, leq = alg.odot, alg.leq
+    inside = alg.elements if carrier is None else sorted(carrier)
+    # entries outside a subalgebra carrier are never reached
+    forced = [None] * alg.size
+    for a in inside:
+        row = forced[a] = [None] * alg.size
+        for b in inside:
+            row[b] = (odot[a][b],)
+        row[a] += tuple(y for y in inside if leq[a][y])
+        if forall is not None:
+            row[a] += (forall[a],)
+    return forced
+
+
+def _generated(alg: FiniteMTLAlgebra, forall, seed) -> FilterSet:
+    seed = set(seed)
+    if not seed:
+        raise ValueError("seed must be nonempty")
+    mask = closure(filter_table(alg, forall), (alg.top, *seed))
+    return FilterSet(alg, members_of(mask, alg.size), forall)
 
 
 def generated_filter(alg: FiniteMTLAlgebra, seed) -> FilterSet:
-    """Smallest filter containing the nonempty seed, by closure iteration."""
-    s = set(seed)
-    if not s:
-        raise ValueError("seed must be nonempty")
-    s.add(alg.top)
-    while True:
-        nxt = set(s)
-        nxt.update(alg.odot[x][y] for x in s for y in s)
-        nxt = upward_closure(alg, nxt)
-        if nxt == s:
-            return FilterSet(alg, frozenset(s))
-        s = nxt
+    """Smallest filter containing the nonempty seed."""
+    return _generated(alg, None, seed)
 
 
 def generated_ufilter(q: UMTLAlgebra, seed) -> FilterSet:
-    """Smallest quantifier-closed filter containing the seed."""
-    alg, f = q.algebra, q.forall
-    s = set(seed)
-    if not s:
-        raise ValueError("seed must be nonempty")
-    s.add(alg.top)
-    while True:
-        nxt = set(s)
-        nxt.update(f[x] for x in s)
-        nxt.update([alg.odot[x][y] for x in nxt for y in nxt])
-        nxt = upward_closure(alg, nxt)
-        if nxt == s:
-            return FilterSet(alg, frozenset(s), f)
-        s = nxt
+    """Smallest quantifier-closed filter containing the nonempty seed."""
+    return _generated(q.algebra, q.forall, seed)
 
 
 def _cached(alg: FiniteMTLAlgebra, key, compute):
@@ -156,19 +133,8 @@ def _cached(alg: FiniteMTLAlgebra, key, compute):
 
 def _closed_filters(alg: FiniteMTLAlgebra, forall) -> tuple[FilterSet, ...]:
     """All filters, closed under the table `forall` unless it is None,
-    sorted by bitmask.
-
-    They are the closed sets of `core.closed_masks` that contain top: a
-    new member forces in its product with each member and, paired with
-    itself, its up-set and its quantifier image.
-    """
-    rng = alg.elements
-    forced = [[(alg.odot[a][b],) for b in rng] for a in rng]
-    for a in rng:
-        forced[a][a] += tuple(y for y in rng if alg.leq[a][y])
-        if forall is not None:
-            forced[a][a] += (forall[a],)
-    masks = sorted(closed_masks(alg.size, (alg.top,), forced))
+    sorted by bitmask: the closed sets of `filter_table` that contain top."""
+    masks = sorted(closed_masks(alg.size, (alg.top,), filter_table(alg, forall)))
     return tuple(FilterSet(alg, members_of(m, alg.size), forall) for m in masks)
 
 
@@ -191,14 +157,10 @@ def enumerate_filters_subset_oracle(alg: FiniteMTLAlgebra) -> tuple[FilterSet, .
     return tuple(out)
 
 
-def _ufilters(alg: FiniteMTLAlgebra, forall) -> tuple[FilterSet, ...]:
-    forall = tuple(forall)
-    return _cached(alg, ("ufilters", forall), lambda: _closed_filters(alg, forall))
-
-
 def enumerate_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
     """All quantifier-closed filters, improper one included, by bitmask."""
-    return _ufilters(q.algebra, q.forall)
+    alg, f = q.algebra, q.forall
+    return _cached(alg, ("ufilters", f), lambda: _closed_filters(alg, f))
 
 
 def enumerate_ufilters_subset_oracle(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
@@ -260,27 +222,24 @@ def _minimal_primes(alg: FiniteMTLAlgebra) -> MinimalPrimesResult:
     return MinimalPrimesResult(by_inclusion, tuple(by_perp))
 
 
-def maximal_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
-    proper = [f for f in enumerate_filters(alg) if f.is_proper()]
+def _maximal_proper(family) -> tuple[FilterSet, ...]:
+    """The inclusion-maximal proper members of a family, in its order."""
+    proper = [f for f in family if f.is_proper()]
     return tuple(
-        f
-        for f in proper
-        if not any(f.members < o.members for o in proper)
+        f for f in proper if not any(f.members < o.members for o in proper)
     )
 
 
-def _maximal_ufilters(alg: FiniteMTLAlgebra, forall) -> tuple[FilterSet, ...]:
-    def compute():
-        proper = [f for f in _ufilters(alg, forall) if f.is_proper()]
-        return tuple(
-            f for f in proper if not any(f.members < o.members for o in proper)
-        )
-
-    return _cached(alg, ("maximal_ufilters", tuple(forall)), compute)
+def maximal_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
+    return _maximal_proper(enumerate_filters(alg))
 
 
 def maximal_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
-    return _maximal_ufilters(q.algebra, q.forall)
+    return _cached(
+        q.algebra,
+        ("maximal_ufilters", q.forall),
+        lambda: _maximal_proper(enumerate_ufilters(q)),
+    )
 
 
 @dataclass(frozen=True)
@@ -400,7 +359,6 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
 @dataclass(frozen=True)
 class RadicalResult:
     filterset: FilterSet
-    empty_family: bool = False
 
     @property
     def is_trivial(self) -> bool:
@@ -408,17 +366,12 @@ class RadicalResult:
 
 
 def radical(q: UMTLAlgebra) -> RadicalResult:
-    """Intersection of all maximal U-filters; the whole carrier (flagged)
-    if the family were empty, which cannot happen on a finite algebra."""
-    maxes = maximal_ufilters(q)
-    if not maxes:
-        return RadicalResult(
-            FilterSet(q.algebra, frozenset(q.algebra.elements), q.forall), True
-        )
-    acc = set(q.algebra.elements)
-    for m in maxes:
+    """Intersection of all maximal U-filters.  A finite algebra has at
+    least one: {top} is a proper U-filter, and some maximal one holds it."""
+    acc = frozenset(q.algebra.elements)
+    for m in maximal_ufilters(q):
         acc &= m.members
-    return RadicalResult(FilterSet(q.algebra, frozenset(acc), q.forall))
+    return RadicalResult(FilterSet(q.algebra, acc, q.forall))
 
 
 def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:

@@ -43,7 +43,7 @@ class ProofBuilder:
     def formula_at(self, index: int) -> Formula:
         return self.proof.steps[index - 1].formula
 
-    def axiom(self, schema_id: str, **binding: Formula) -> int:
+    def axiom(self, schema_id: str, /, **binding: Formula) -> int:
         pattern = self.catalog.get(schema_id)
         if pattern is None:
             raise ValueError(f"unknown schema {schema_id}")

@@ -3,19 +3,24 @@
 Nothing in the package calls these.  The scans are exponential in the
 carrier size and meant for small algebras.  Apart from
 `relativization_table` and `quantifier_violations`, which define what a
-candidate table is, they share no code with the paths they check:
+candidate table is, they share no code with the paths they check; in
+particular none of them calls the filter closure system
+(`filters.filter_table`, `core.closure`, `core.closed_masks`):
 
 - `subalgebras_subset_oracle` and `fixpoint_subset_tables` scan the
   2^(n-2) subsets containing bottom and top, the former for
   `quantifier.subalgebra_masks`, the latter for
   `enumerate_quantifiers(method="fixpoint")`;
 - `subalgebra_filters_trivial_subset_oracle` scans the 2^|S| subsets of a
-  carrier, for the image-simplicity condition of `analysis.is_simple`;
+  carrier for modus-ponens closed ones, for the image-simplicity
+  condition of `analysis.is_simple` (closures of the filter table inside
+  the carrier);
 - `ucongruences_partition_oracle` scans all Bell(n) set partitions of the
   carrier, for `filters.enumerate_ucongruences`;
 - `generated_filter_formula` and `generated_ufilter_formula` give the
   explicit description of a generated filter (everything above a product
-  of seeds), for `filters.generated_filter` and `filters.generated_ufilter`;
+  of seeds), for `filters.generated_filter` and `filters.generated_ufilter`
+  (closures of the seed under the filter table);
 - `is_filter_by_closure` is the up-set and monoid form of the filter
   test, for `filters.is_filter_by_implication`;
 - `derive_odot_from_arrow` recovers the monoid table from the residuum,

@@ -39,12 +39,6 @@ class UniversalQuantifier:
     table: tuple[int, ...]
     fixpoints: frozenset[int]
 
-    def apply(self, x: int) -> int:
-        return self.table[x]
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.table)
-
 
 @dataclass(frozen=True)
 class UMTLAlgebra:
@@ -84,7 +78,7 @@ def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
         raise ValueError(f"unknown u2 parse: {u2_parse!r}")
     n, top = alg.size, alg.top
     if len(table) != n:
-        yield Violation("forall-wrong-length", (len(table),))
+        yield Violation("forall-wrong-length", (len(table),), shape=True)
         return
     bad = next((x for x in range(n) if not (0 <= table[x] < n)), None)
     if bad is not None:
@@ -208,18 +202,23 @@ def relativization_table(alg: FiniteMTLAlgebra, subset) -> tuple[int, ...]:
     return tuple(table)
 
 
-def subalgebra_masks(alg: FiniteMTLAlgebra) -> list[int]:
-    """Bitmasks of every subalgebra containing bottom and top: the closed
-    sets of `core.closed_masks` under odot, arrow, meet and join."""
+def subalgebra_table(alg: FiniteMTLAlgebra):
+    """The closure system of odot, arrow, meet and join as a `core.closure`
+    table."""
     odot, arrow, meet, join = alg.odot, alg.arrow, alg.meet, alg.join
-    forced = [
+    return [
         [
             (odot[a][b], arrow[a][b], arrow[b][a], meet[a][b], join[a][b])
             for b in alg.elements
         ]
         for a in alg.elements
     ]
-    return closed_masks(alg.size, (alg.bottom, alg.top), forced)
+
+
+def subalgebra_masks(alg: FiniteMTLAlgebra) -> list[int]:
+    """Bitmasks of every subalgebra containing bottom and top: the closed
+    sets of `subalgebra_table` that contain both."""
+    return closed_masks(alg.size, (alg.bottom, alg.top), subalgebra_table(alg))
 
 
 def enumerate_quantifiers(

@@ -48,6 +48,29 @@ def test_validate_rejects_malformed(tmp_path, capsys):
     assert run_cli("validate", str(bad)) == 2
 
 
+def test_one_element_file_prints_its_size_as_a_number(tmp_path, capsys):
+    # the degenerate-size witness is the carrier size, not an element
+    one = tmp_path / "one.alg"
+    one.write_text("algebra one\nsize 1\nodot\n0\narrow\n0\n")
+    report = tmp_path / "one.json"
+    assert main(["--json", str(report), "validate", str(one)]) == 1
+    out = capsys.readouterr().out
+    assert "  degenerate-size fails at (1)" in out.splitlines()
+    violations = json.loads(report.read_text())["report"]["checks"][0]["details"]
+    assert violations == {"violations": [{"axiom": "degenerate-size", "witness": [1]}]}
+    for argv in (
+        ("classify", str(one)),
+        ("filters", str(one)),
+        ("quantifiers", str(one), "enum"),
+        ("analyze", str(one), "--forall", "0"),
+    ):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            f"error: {one}: not an MTL-algebra: degenerate-size fails at (1)"
+        ]
+
+
 def test_validate_checks_forall_line(capsys):
     assert run_cli("validate", SIX_BLOCK) == 0
     assert "valid universal quantifier" in capsys.readouterr().out
@@ -130,6 +153,22 @@ def test_prove_check_and_deduce(tmp_path, capsys):
         == 0
     )
     assert "exponent 1" in capsys.readouterr().out
+    assert run_cli("prove", "check", str(out_path)) == 0
+
+
+def test_prove_deduce_keeps_a_binding_named_schema_id(tmp_path, capsys):
+    src = tmp_path / "sid.prf"
+    src.write_text(
+        "theory:\nh: p0\n"
+        "step 1: p0 & p1 -> p0 ; axiom A2 [alpha:=p0, beta:=p1, schema_id:=p0]\n"
+        "step 2: p0 ; hyp h\n"
+    )
+    assert run_cli("prove", "check", str(src)) == 0
+    out_path = tmp_path / "deduced.prf"
+    argv = ("prove", "deduce", str(src), "--discharge", "h", "--out", str(out_path))
+    assert run_cli(*argv) == 0
+    assert "re-checks: True" in capsys.readouterr().out
+    assert "schema_id:=p0" in out_path.read_text()
     assert run_cli("prove", "check", str(out_path)) == 0
 
 

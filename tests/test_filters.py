@@ -179,8 +179,12 @@ def test_ufilter_families_are_cached_per_quantifier(first, family):
                 got = flt.maximal_ufilters(q)
             else:
                 proper = [members(six, *u) for u in SIX_UFILTERS["block"][:3]]
-                candidates = [flt.FilterSet(six, m, q.forall) for m in proper]
-                got = [f for f in candidates if f.is_maximal_ufilter()]
+                got = [
+                    flt.FilterSet(six, m)
+                    for m in proper
+                    if flt.is_ufilter(six, q.forall, m)
+                    and flt.is_maximal_ufilter(q, m).by_definition
+                ]
             want = SIX_MAXIMAL_UFILTERS[name]
         assert labels(six, got) == want
 
@@ -253,12 +257,14 @@ def test_congruence_correspondence_roundtrip(six_block):
 
 
 def test_filterset_flags(six_block):
-    six = six_block.algebra
-    fs = flt.FilterSet(six, members(six, "d", "1"), six_block.forall)
-    assert fs.is_filter() and fs.is_proper() and fs.is_ufilter()
-    assert fs.is_prime() and fs.is_minimal_prime()
-    assert fs.is_maximal() and fs.is_maximal_ufilter()
-    whole = flt.FilterSet(six, frozenset(six.elements))
-    assert whole.is_filter() and not whole.is_proper()
-    with pytest.raises(ValueError):
-        flt.FilterSet(six, frozenset({5})).is_ufilter()
+    six, f = six_block.algebra, six_block.forall
+    d1 = members(six, "d", "1")
+    assert flt.FilterSet(six, d1, f).is_proper()
+    assert flt.is_filter_by_implication(six, d1) and flt.is_ufilter(six, f, d1)
+    assert flt.is_prime_filter(six, d1)
+    assert d1 in {p.members for p in flt.minimal_primes(six).by_inclusion}
+    assert d1 in {m.members for m in flt.maximal_filters(six)}
+    assert flt.is_maximal_ufilter(six_block, d1).by_definition
+    whole = frozenset(six.elements)
+    assert flt.is_filter_by_implication(six, whole)
+    assert not flt.FilterSet(six, whole).is_proper()

@@ -13,8 +13,13 @@ scan checks them, also on unary maps that are not quantifiers, since the
 closure does not rely on U1-U3.
 
 Filters and U-filters come from the close-by-one search of
-`core.closed_masks`; the 2^n subset scans in `umtl.filters` check them,
-U-filters also on unary maps that are not quantifiers.
+`core.closed_masks` over `filters.filter_table`; the 2^n subset scans in
+`umtl.filters` check them, U-filters also on unary maps that are not
+quantifiers.  Generated filters and U-filters are `core.closure` of the
+seed over the same table; the explicit descriptions in `umtl.oracles`
+check them, and `core.closure` itself must give the least closed set of
+the search that holds the seed, on the filter, U-filter and subalgebra
+tables.
 
 Formulas are compiled once and evaluated a block of valuations at a time
 (`logic.semantics`); the recursive tree walk `oracles.eval_formula_tree`
@@ -36,7 +41,14 @@ from umtl import analysis as ana
 from umtl import filters as flt
 from umtl import oracles
 from umtl.audit import corpus_pairs
-from umtl.core import FiniteMTLAlgebra, chain_algebra, classify, validate
+from umtl.core import (
+    FiniteMTLAlgebra,
+    chain_algebra,
+    classify,
+    closed_masks,
+    closure,
+    validate,
+)
 from umtl.filters import enumerate_ucongruences
 from umtl.logic import semantics
 from umtl.logic.formulas import (
@@ -64,6 +76,7 @@ from umtl.quantifier import (
     enumerate_quantifiers,
     make_umtl,
     subalgebra_masks,
+    subalgebra_table,
     unchecked_pair,
 )
 
@@ -312,6 +325,45 @@ def test_ufilters_match_subset_oracle_on_every_unary_map(tag):
     alg = chain(tag)
     for table in itertools.product(alg.elements, repeat=alg.size):
         assert_ufilters_match_oracle(unchecked_pair(alg, table))
+
+
+def assert_closure_is_least_closed_superset(n, base, table):
+    closed = closed_masks(n, base, table)
+    seeds = [(x,) for x in range(n)] + list(itertools.combinations(range(n), 2))
+    for seed in seeds:
+        seed = (*base, *seed)
+        want = (1 << n) - 1
+        for m in closed:
+            if all(m >> x & 1 for x in seed):
+                want &= m
+        assert closure(table, seed) == want
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_closure_is_the_least_closed_set_holding_the_seed(seed):
+    alg = random_algebra(seed, 8)
+    n = alg.size
+    assert_closure_is_least_closed_superset(n, (alg.top,), flt.filter_table(alg))
+    assert_closure_is_least_closed_superset(
+        n, (alg.bottom, alg.top), subalgebra_table(alg)
+    )
+    for uq in enumerate_quantifiers(alg):
+        table = flt.filter_table(alg, uq.table)
+        assert_closure_is_least_closed_superset(n, (alg.top,), table)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_generated_filters_match_formula(seed):
+    alg = random_algebra(seed, 8)
+    seeds = [{x} for x in alg.elements]
+    seeds += [{x, y} for x, y in itertools.combinations(alg.elements, 2)]
+    pairs = [UMTLAlgebra(alg, uq) for uq in enumerate_quantifiers(alg)]
+    for s in seeds:
+        got = flt.generated_filter(alg, s).members
+        assert got == oracles.generated_filter_formula(alg, s)
+        for q in pairs:
+            got = flt.generated_ufilter(q, s).members
+            assert got == oracles.generated_ufilter_formula(q, s)
 
 
 def random_formula(rnd: random.Random, depth: int, k: int):
