@@ -21,7 +21,6 @@ from .audit import corpus_pairs, run_corpus_audit
 from .core import (
     FiniteMTLAlgebra,
     InvalidAlgebraError,
-    check_mtl_tables,
     classify,
     validate,
 )
@@ -172,7 +171,11 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_validate(run: Run, args) -> int:
     doc = _load_document(run, args.path)
-    violations = check_mtl_tables(doc.size, doc.odot, doc.arrow, doc.top)
+    try:
+        alg = validate(doc.size, doc.odot, doc.arrow, doc.top, doc.names)
+        violations = []
+    except InvalidAlgebraError as exc:
+        violations = exc.violations
     ok = not violations
     run.check(
         "mtl-axioms",
@@ -187,7 +190,6 @@ def cmd_validate(run: Run, args) -> int:
         for v in violations:
             run.say(f"  {v.describe(doc.names)}")
     if ok and doc.forall is not None:
-        alg = validate(doc.size, doc.odot, doc.arrow, doc.top, doc.names)
         qv = quantifier_violations(alg, doc.forall, args.u2_parse)
         run.check(
             "quantifier-axioms",

@@ -182,7 +182,7 @@ def closure(forced, seed, mask: int = 0, members=None, floor: int = 0) -> int | 
     return mask
 
 
-def closed_masks(n: int, base, forced) -> list[int]:
+def closed_masks(n: int, base, forced, cut=None) -> list[int]:
     """Bitmasks of every set of {0, .., n-1} closed under the table
     `forced` (see `closure`) that contains `base`.
 
@@ -191,12 +191,21 @@ def closed_masks(n: int, base, forced) -> list[int]:
     closes incrementally.  The child is kept only if its closure adds no
     element below i, so every closed set is reached from exactly one
     parent, with delay polynomial in n and no pairwise join of closed sets.
+
+    A node is (mask, members, start): its closed set, that set's elements
+    and the least element its children may add.  Every set in its subtree
+    contains the mask and agrees with it on the elements below `start`.
+    `cut`, when given, is called with each node and returns true to skip
+    the node and its whole subtree.
     """
     out = []
     members: list[int] = []
     stack = [(closure(forced, base, 0, members), members, 0)]
     while stack:
-        mask, members, start = stack.pop()
+        node = stack.pop()
+        if cut is not None and cut(*node):
+            continue
+        mask, members, start = node
         out.append(mask)
         for i in range(start, n):
             if mask >> i & 1:
@@ -206,6 +215,14 @@ def closed_masks(n: int, base, forced) -> list[int]:
             if child is not None:
                 stack.append((child, child_members, i + 1))
     return out
+
+
+def lower_covers(leq: Table) -> list[list[int]]:
+    """For each element d, the elements c < d with nothing strictly
+    between them, in index order."""
+    n = len(leq)
+    below = [[c for c in range(n) if c != d and leq[c][d]] for d in range(n)]
+    return [[c for c in b if not any(leq[c][e] for e in b if e != c)] for b in below]
 
 
 def _shape_violations(size: int, odot, arrow, top: int) -> list[Violation]:
@@ -233,16 +250,43 @@ def _shape_violations(size: int, odot, arrow, top: int) -> list[Violation]:
     return out
 
 
-def _bound_pair(leq: Table, x: int, y: int, upper: bool) -> int | None:
-    """Unique least upper (or greatest lower) bound of {x, y}, if any."""
-    n = len(leq)
-    if upper:
-        bounds = [z for z in range(n) if leq[x][z] and leq[y][z]]
-        extreme = [b for b in bounds if all(leq[b][c] for c in bounds)]
-    else:
-        bounds = [z for z in range(n) if leq[z][x] and leq[z][y]]
-        extreme = [b for b in bounds if all(leq[c][b] for c in bounds)]
-    return extreme[0] if len(extreme) == 1 else None
+def _extreme(cones: list[int], bounds: int) -> int | None:
+    """The element of the bitmask `bounds` whose cone is all of `bounds`,
+    if any: the meet of a pair when `cones` are the down-sets and
+    `bounds` the pair's common lower bounds, the join for up-sets and
+    upper bounds.  In a partial order at most one element qualifies."""
+    rest = bounds
+    while rest:
+        low = rest & -rest
+        z = low.bit_length() - 1
+        if cones[z] == bounds:
+            return z
+        rest ^= low
+    return None
+
+
+def _lattice(leq: Table):
+    """(meet, join, None) for a lattice order, or (None, None, (x, y))
+    with the first pair in row-major order that lacks a meet or a join.
+
+    O(n) per pair: a bound is extreme exactly when its cone, a bitmask,
+    equals the set of bounds."""
+    rng = range(len(leq))
+    down = [sum(1 << z for z in rng if leq[z][x]) for x in rng]
+    up = [sum(1 << z for z in rng if leq[x][z]) for x in rng]
+    meet_rows, join_rows = [], []
+    for x in rng:
+        mrow, jrow = [], []
+        for y in rng:
+            m = _extreme(down, down[x] & down[y])
+            j = _extreme(up, up[x] & up[y])
+            if m is None or j is None:
+                return None, None, (x, y)
+            mrow.append(m)
+            jrow.append(j)
+        meet_rows.append(tuple(mrow))
+        join_rows.append(tuple(jrow))
+    return tuple(meet_rows), tuple(join_rows), None
 
 
 def check_mtl_tables(size: int, odot, arrow, top: int) -> list[Violation]:
@@ -286,23 +330,9 @@ def _scan(size: int, odot, arrow, top: int):
     if out:
         return out, None
 
-    meet_rows: list[tuple[int, ...]] = []
-    join_rows: list[tuple[int, ...]] = []
-    lattice_ok = True
-    for x in rng:
-        mrow, jrow = [], []
-        for y in rng:
-            m = _bound_pair(leq, x, y, upper=False)
-            j = _bound_pair(leq, x, y, upper=True)
-            if m is None or j is None:
-                if lattice_ok:
-                    out.append(Violation("order-not-a-lattice", (x, y)))
-                    lattice_ok = False
-                m = j = 0
-            mrow.append(m)
-            jrow.append(j)
-        meet_rows.append(tuple(mrow))
-        join_rows.append(tuple(jrow))
+    meet, join, no_bound = _lattice(leq)
+    if no_bound is not None:
+        out.append(Violation("order-not-a-lattice", no_bound))
 
     checks = [
         (
@@ -334,7 +364,7 @@ def _scan(size: int, odot, arrow, top: int):
             ),
         ),
     ]
-    if lattice_ok:
+    if no_bound is None:
         checks.append(
             (
                 "prelinearity",
@@ -342,13 +372,12 @@ def _scan(size: int, odot, arrow, top: int):
                     (x, y)
                     for x in rng
                     for y in rng
-                    if join_rows[arrow[x][y]][arrow[y][x]] != top
+                    if join[arrow[x][y]][arrow[y][x]] != top
                 ),
             )
         )
     out.extend(first_violations(checks))
-    lattice = (leq, tuple(meet_rows), tuple(join_rows)) if lattice_ok else None
-    return out, lattice
+    return out, None if no_bound is not None else (leq, meet, join)
 
 
 def validate(

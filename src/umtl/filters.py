@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteMTLAlgebra, closed_masks, closure, validate
+from .core import FiniteMTLAlgebra, closed_masks, closure, lower_covers, validate
 from .quantifier import UMTLAlgebra, validate_quantifier
 
 
@@ -382,10 +382,14 @@ def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
     Every congruence is the join of the principal congruences Cg(a, b) of
     its pairs, and joins in the congruence lattice are joins of equivalence
     relations (Freese, "Computing congruences efficiently", Algebra
-    Universalis 59, 2008).  So each Cg(a, b) is closed with a union-find
-    under odot, arrow, meet, join and the quantifier, and the identity plus
-    the principal congruences are closed under join.  A congruence is held
-    as a canonical tuple giving each element's least class member.
+    Universalis 59, 2008).  Covering pairs c < d suffice: classes are
+    convex and a ~ b iff a meet b ~ a join b, so Cg(a, b) is the join of
+    the Cg(c, d) over the covering pairs of a maximal chain from a meet b
+    to a join b, all of which lie in every congruence holding (a, b).  So
+    each Cg(c, d) is closed with a union-find under odot, arrow, meet,
+    join and the quantifier, and the identity plus these principal
+    congruences are closed under join.  A congruence is held as a
+    canonical tuple giving each element's least class member.
 
     Reads only the operation tables and `q.forall`, never the filter code,
     so the U-filter/congruence correspondence audit compares two
@@ -434,7 +438,8 @@ def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
             union(parent, x, c2[x])
         return canonical(parent)
 
-    principals = {principal(a, b) for a in range(n) for b in range(a + 1, n)}
+    covers = lower_covers(alg.leq)
+    principals = {principal(c, d) for d in range(n) for c in covers[d]}
     found = {tuple(range(n))} | principals
     frontier = list(found)
     while frontier:

@@ -8,8 +8,8 @@ particular none of them calls the filter closure system
 (`filters.filter_table`, `core.closure`, `core.closed_masks`):
 
 - `subalgebras_subset_oracle` and `fixpoint_subset_tables` scan the
-  2^(n-2) subsets containing bottom and top, the former for
-  `quantifier.subalgebra_masks`, the latter for
+  2^(n-2) subsets containing bottom and top, the former for the closed
+  sets of `quantifier.subalgebra_table`, the latter for
   `enumerate_quantifiers(method="fixpoint")`;
 - `subalgebra_filters_trivial_subset_oracle` scans the 2^|S| subsets of a
   carrier for modus-ponens closed ones, for the image-simplicity
@@ -17,6 +17,10 @@ particular none of them calls the filter closure system
   the carrier);
 - `ucongruences_partition_oracle` scans all Bell(n) set partitions of the
   carrier, for `filters.enumerate_ucongruences`;
+- `ucongruences_all_pairs_oracle` joins the principal congruences of all
+  n(n-1)/2 pairs, not only of the covering pairs as
+  `filters.enumerate_ucongruences` does, at sizes the Bell(n) scan cannot
+  reach;
 - `generated_filter_formula` and `generated_ufilter_formula` give the
   explicit description of a generated filter (everything above a product
   of seeds), for `filters.generated_filter` and `filters.generated_ufilter`
@@ -132,6 +136,56 @@ def ucongruences_partition_oracle(
         if ok:
             blocks = sorted((frozenset(b) for b in part), key=min)
             out.append(tuple(blocks))
+    out.sort(key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks))
+    return out
+
+
+def ucongruences_all_pairs_oracle(
+    q: UMTLAlgebra,
+) -> list[tuple[frozenset[int], ...]]:
+    """Every congruence compatible with odot, arrow, meet, join and the
+    quantifier, as the joins of the principal congruences Cg(a, b) of all
+    pairs a < b (by index), in the order of
+    `filters.enumerate_ucongruences`."""
+    alg, f = q.algebra, q.forall
+    n = alg.size
+    ops = (alg.odot, alg.arrow, alg.meet, alg.join)
+
+    def merged(cls, pairs) -> tuple[int, ...]:
+        # the least congruence that is coarser than the partition `cls`
+        # (each element's least class member) and joins every pair: each
+        # merge of two classes by (x, y) queues the pairs it forces
+        cls = list(cls)
+        pending = list(pairs)
+        while pending:
+            x, y = pending.pop()
+            keep, drop = sorted((cls[x], cls[y]))
+            if keep == drop:
+                continue
+            cls = [keep if c == drop else c for c in cls]
+            pending.append((f[x], f[y]))
+            for op in ops:
+                pending += ((op[x][z], op[y][z]) for z in range(n))
+                pending += ((op[z][x], op[z][y]) for z in range(n))
+        return tuple(cls)
+
+    identity = tuple(range(n))
+    principals = {merged(identity, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
+    found = {identity} | principals
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for c in frontier:
+            for p in principals:
+                joined = merged(c, enumerate(p))
+                if joined not in found:
+                    found.add(joined)
+                    fresh.append(joined)
+        frontier = fresh
+    out = [
+        tuple(frozenset(x for x in range(n) if c[x] == r) for r in sorted(set(c)))
+        for c in found
+    ]
     out.sort(key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks))
     return out
 

@@ -19,6 +19,7 @@ from .core import (
     closed_masks,
     first_violations,
     first_witnesses,
+    lower_covers,
 )
 
 U2_PARSES = ("standard", "alt")
@@ -215,10 +216,84 @@ def subalgebra_table(alg: FiniteMTLAlgebra):
     ]
 
 
-def subalgebra_masks(alg: FiniteMTLAlgebra) -> list[int]:
-    """Bitmasks of every subalgebra containing bottom and top: the closed
-    sets of `subalgebra_table` that contain both."""
-    return closed_masks(alg.size, (alg.bottom, alg.top), subalgebra_table(alg))
+def _image_tables(alg: FiniteMTLAlgebra, u2_parse: str) -> list[tuple[int, ...]]:
+    """The floor maps onto the subalgebras containing bottom and top that
+    satisfy U2, found by one close-by-one search over the subalgebras that
+    skips every subtree holding a U2 failure that no descendant can undo.
+
+    For the floor map q onto a subalgebra S, U2 reads its second argument
+    y only through q(y), which ranges over S and is s at y = s; so it
+    holds iff q(outer_s(x)) = (q(x) -> s) -> s for all x and all s in S,
+    where outer_s(x) is (x -> s) -> s under the standard parse and
+    x -> (s -> s) = top under "alt".
+
+    The search runs over the ranks of a linear extension of the order
+    (elements sorted by down-set size), so everything below x ranks below
+    x.  Take a node (S, start) of `core.closed_masks`.  Its descendants
+    add only elements of rank at least `start`, so for every x of rank
+    below `start` they keep S ∩ ↓x, hence the floor value q(x); q(top) =
+    top always.  Call those x frozen.  A U2 failure at (x, s) with x and
+    outer_s(x) frozen and s in S then recurs in every descendant, as each
+    still holds s: the node and its subtree are cut.  Under "alt",
+    outer_s(x) is top, so the cut holds for both parses.  The sets that
+    survive are checked against U2 in full.
+    """
+    n, leq, arrow = alg.size, alg.leq, alg.arrow
+    order = sorted(alg.elements, key=lambda x: sum(row[x] for row in leq))
+    rank = [0] * n
+    for r, x in enumerate(order):
+        rank[x] = r
+
+    def in_ranks(op):
+        return [[rank[op(order[a], order[b])] for b in range(n)] for a in range(n)]
+
+    join = in_ranks(lambda a, b: alg.join[a][b])
+    inner = in_ranks(lambda s, x: arrow[arrow[x][s]][s])
+    if u2_parse == "standard":
+        outer = inner
+    else:
+        outer = in_ranks(lambda s, x: arrow[x][arrow[s][s]])
+    covers = [[rank[c] for c in cs] for cs in lower_covers(leq)]
+
+    def closure_table_in_ranks(table):
+        return [[tuple([rank[c] for c in table[a][b]]) for b in order] for a in order]
+
+    forced = closure_table_in_ranks(subalgebra_table(alg))
+
+    def floor_map(mask, stop):
+        # q on the ranks below `stop` and on top, None elsewhere: the
+        # largest member below x is x itself or the join of the values
+        # on x's lower covers
+        q = [None] * n
+        q[n - 1] = n - 1
+        for r in range(stop):
+            if mask >> r & 1:
+                q[r] = r
+            else:
+                acc = 0
+                for c in covers[order[r]]:
+                    acc = join[acc][q[c]]
+                q[r] = acc
+        return q
+
+    def u2_fails(q, members, stop):
+        for s in members:
+            outer_s, inner_s = outer[s], inner[s]
+            for x in range(stop):
+                z = q[outer_s[x]]
+                if z is not None and z != inner_s[q[x]]:
+                    return True
+        return False
+
+    def cut(mask, members, start):
+        return u2_fails(floor_map(mask, start), members, start)
+
+    out = []
+    for mask in closed_masks(n, (rank[alg.bottom], rank[alg.top]), forced, cut):
+        q = floor_map(mask, n)
+        if not u2_fails(q, [r for r in range(n) if mask >> r & 1], n):
+            out.append(tuple(order[q[rank[x]]] for x in range(n)))
+    return out
 
 
 def enumerate_quantifiers(
@@ -229,28 +304,33 @@ def enumerate_quantifiers(
 ) -> list[UniversalQuantifier]:
     """All quantifiers on the algebra, sorted by table lexicographically.
 
-    `jobs` is accepted for compatibility and ignored: the scan is serial.
+    `jobs` is ignored: the search is serial.  It stays a positional
+    parameter because `perfbench/ops.py` passes it.
 
-    method="fixpoint" relativizes to each subalgebra containing bottom and
+    method="fixpoint" relativizes to subalgebras containing bottom and
     top: a quantifier is an interior operator, hence the floor map onto
     its fixpoint set, and that set is a subalgebra (it is the image, closed
     under odot, arrow, meet and join by the basic properties checked in
-    `properties_suite`).  method="brute" scans all n^n unary maps and is
-    intended as an oracle for small n.
+    `properties_suite`).  The floor map q onto a subalgebra S satisfies U1
+    and U3 by construction: q(x) <= x, and for s in S, s odot q(s -> y)
+    lies in S and below y, so q(s -> y) <= s -> q(y) by residuation, while
+    s -> q(y) lies in S and below s -> y, which gives equality.  So the
+    search (`_image_tables`) tests U2 alone and cuts whole subtrees of the
+    subalgebra search at U2 failures that persist in them.  Every table it
+    returns still passes the full U1-U3 scan of `validate_quantifier`.
+    method="brute" scans all n^n unary maps and is intended as an oracle
+    for small n.
     """
+    if u2_parse not in U2_PARSES:
+        raise ValueError(f"unknown u2 parse: {u2_parse!r}")
     if method == "fixpoint":
-        # masks, not sets, keep the 2^(n-2) subalgebras of a Goedel chain small
-        n = alg.size
-        candidates = [
-            relativization_table(alg, [i for i in range(n) if mask >> i & 1])
-            for mask in subalgebra_masks(alg)
-        ]
+        valid = _image_tables(alg, u2_parse)
     elif method == "brute":
-        candidates = list(itertools.product(range(alg.size), repeat=alg.size))
+        candidates = itertools.product(range(alg.size), repeat=alg.size)
+        # a candidate is dropped at its first failing axiom
+        valid = [t for t in candidates if next(_violations(alg, t, u2_parse), None) is None]
     else:
         raise ValueError(f"unknown enumeration method: {method!r}")
-    # a candidate is dropped at its first failing axiom
-    valid = {t for t in candidates if next(_violations(alg, t, u2_parse), None) is None}
     return [validate_quantifier(alg, t, u2_parse) for t in sorted(valid)]
 
 

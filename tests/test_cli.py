@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umtl import chain_algebra, make_umtl
+from umtl import chain_algebra, core, make_umtl
 from umtl.algfile import load_algebra_file
 from umtl.cli import main
 from umtl.corpus import corpus_dir, proofs_dir
@@ -71,9 +71,17 @@ def test_one_element_file_prints_its_size_as_a_number(tmp_path, capsys):
         ]
 
 
-def test_validate_checks_forall_line(capsys):
+def test_validate_checks_forall_line(capsys, monkeypatch):
+    scan, scans = core._scan, []
+
+    def counting_scan(*tables):
+        scans.append(tables)
+        return scan(*tables)
+
+    monkeypatch.setattr(core, "_scan", counting_scan)
     assert run_cli("validate", SIX_BLOCK) == 0
     assert "valid universal quantifier" in capsys.readouterr().out
+    assert len(scans) == 1  # the MTL axioms are scanned once
 
 
 def test_validate_flags_invalid_forall_line(tmp_path, capsys):

@@ -154,6 +154,29 @@ def test_residuation_scan_complete(corpus_entries):
             )
 
 
+def _order_arrow(pairs):
+    """An arrow table on 0 < .. < 5 whose order is the reflexive closure of
+    bottom and top with the strict `pairs`: x -> y is top iff x <= y."""
+    leq = lambda x, y: x == y or x == 0 or y == 5 or (x, y) in pairs
+    return [[5 if leq(x, y) else 0 for y in range(6)] for x in range(6)]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        # 1 and 2 have the upper bounds 3 and 4 but no least one
+        {(1, 3), (1, 4), (2, 3), (2, 4)},
+        # 1 and 2 have the lower bounds 3 and 4 but no greatest one
+        {(3, 1), (3, 2), (4, 1), (4, 2)},
+    ],
+)
+def test_order_without_a_bound_names_the_first_pair(pairs):
+    odot = [[min(x, y) for y in range(6)] for x in range(6)]
+    violations = check_mtl_tables(6, odot, _order_arrow(pairs), 5)
+    lattice = [v.witness for v in violations if v.axiom == "order-not-a-lattice"]
+    assert lattice == [(1, 2)]
+
+
 def test_classify_deterministic(six):
     assert classify(six) == classify(six)
 

@@ -6,11 +6,14 @@ bundled corpus.
 Quantifier enumeration only relativizes to subalgebras, so "the image is
 a subalgebra" (item 14 of `properties_suite`) holds by construction for
 every enumerated pair.  Agreement with the all-subsets scan and with the
-n^n scan is what checks that no quantifier is lost by that restriction.
+n^n scan is what checks that no quantifier is lost by that restriction,
+nor by the cut of the subalgebra search at persistent U2 failures, under
+both U2 parses.
 
-U-congruences are joins of principal congruences; the Bell(n) partition
-scan checks them, also on unary maps that are not quantifiers, since the
-closure does not rely on U1-U3.
+U-congruences are joins of the principal congruences of covering pairs;
+the Bell(n) partition scan checks them, also on unary maps that are not
+quantifiers, since the closure does not rely on U1-U3, and the join over
+all pairs checks them at 12 elements.
 
 Filters and U-filters come from the close-by-one search of
 `core.closed_masks` over `filters.filter_table`; the 2^n subset scans in
@@ -38,6 +41,7 @@ import random
 import pytest
 
 from umtl import analysis as ana
+from umtl import core
 from umtl import filters as flt
 from umtl import oracles
 from umtl.audit import corpus_pairs
@@ -75,7 +79,6 @@ from umtl.quantifier import (
     UMTLAlgebra,
     enumerate_quantifiers,
     make_umtl,
-    subalgebra_masks,
     subalgebra_table,
     unchecked_pair,
 )
@@ -179,10 +182,11 @@ def random_algebra(seed: int, max_size: int):
 
 
 RANDOM_SEEDS = range(24)
-# The ladder constructions with at most 14 elements.
+# The ladder constructions with at most 14 elements, and N12.
 LADDER = {
     "G12": lambda: chain("G12"),
     "G14": lambda: chain("G14"),
+    "N12": lambda: chain("N12"),
     "G4+L4+N4": lambda: ordinal_sum(chain("G4"), chain("L4"), chain("N4")),
     "L3xL3": lambda: product_algebra(chain("L3"), chain("L3")),
     "G3xL3": lambda: product_algebra(chain("G3"), chain("L3")),
@@ -194,7 +198,7 @@ def tables(alg, u2_parse="standard", method="fixpoint"):
 
 
 def assert_subalgebras_match_oracle(alg):
-    got = subalgebra_masks(alg)
+    got = closed_masks(alg.size, (alg.bottom, alg.top), subalgebra_table(alg))
     assert len(set(got)) == len(got)
     want = {sum(1 << x for x in s) for s in oracles.subalgebras_subset_oracle(alg)}
     assert set(got) == want
@@ -248,6 +252,28 @@ def test_enumeration_matches_fixpoint_subset_scan_on_ladder(name):
 
 
 @pytest.mark.parametrize("u2_parse", ["standard", "alt"])
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_pruned_enumeration_matches_fixpoint_subset_scan(seed, u2_parse):
+    alg = random_algebra(seed, 10)
+    assert tables(alg, u2_parse) == oracles.fixpoint_subset_tables(alg, u2_parse)
+
+
+def test_goedel_20_search_stays_polynomial(monkeypatch):
+    # 2^18 subalgebras, one quantifier; the cut search closes at most n^2
+    # sets, in any labelling
+    alg = relabel(chain("G20"), random.Random("G20"))
+    calls = []
+
+    def counting_closure(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(core, "closure", counting_closure)
+    assert tables(alg) == [tuple(range(20))]
+    assert 0 < len(calls) <= alg.size**2
+
+
+@pytest.mark.parametrize("u2_parse", ["standard", "alt"])
 @pytest.mark.parametrize("seed", range(8))
 def test_enumeration_matches_brute_force(seed, u2_parse):
     alg = random_algebra(seed, 5)
@@ -289,6 +315,15 @@ def test_ucongruences_match_partition_oracle_on_ladder(name):
     assert alg.size == 9
     for uq in enumerate_quantifiers(alg):
         assert_ucongruences_match_oracle(UMTLAlgebra(alg, uq))
+
+
+@pytest.mark.parametrize("name", ["G12", "N12"])
+def test_ucongruences_match_all_pairs_oracle_on_ladder(name):
+    alg = relabel(LADDER[name](), random.Random(name))
+    assert alg.size == 12
+    for uq in enumerate_quantifiers(alg):
+        q = UMTLAlgebra(alg, uq)
+        assert enumerate_ucongruences(q) == oracles.ucongruences_all_pairs_oracle(q)
 
 
 @pytest.mark.parametrize("tag", ["G3", "G4", "L3", "L4"])
