@@ -8,25 +8,21 @@ a flat `|` chain is exponential as a tree but linear as a program.  Equal
 instructions over equal slots also share one slot, so every leaf (a
 variable index, a metavariable label, or bot) gets exactly one.
 
-Validity, consequence, countermodel search and schema soundness all ask
-one question of `_refutations`: which valuations send every premise to top
-and the conclusion below it?  Valuations are ranked in mixed-radix order
-over the leaves, last leaf fastest (the order of itertools.product), and
-evaluated BLOCK at a time: each program slot becomes one column, a list of
-up to BLOCK values looked up in the algebra's tables.  The first hit is
-the least rank whose conclusion misses top while every premise hits it,
-and a search stops at the first block holding one.  So results and first
-witnesses are deterministic, and a countermodel search returns the hit
-with the least (pool index, valuation rank).  BLOCK is fixed at 1296 =
-6^4 valuations: larger blocks raise the peak memory of a sweep and were
-slower in measurement, much smaller ones were no faster.
+Validity, consequence, countermodel search and schema soundness all ask one
+question of `_refutations`: which valuations send every premise to top and
+the conclusion below it?  Valuations are ranked in mixed-radix order over
+the leaves, last leaf fastest (the order of itertools.product), and
+evaluated BLOCK at a time, one bit each, as value masks (see `Program`).
+The hit set is the complement of the conclusion's mask of top, ANDed with
+each premise's mask of top.  The least rank is the lowest set bit, and a
+search stops at the first block with a hit, so first witnesses are
+deterministic: a countermodel search returns the hit with the least (pool
+index, valuation rank).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import getitem
 
 from ..quantifier import UMTLAlgebra
 from ..core import classify
@@ -34,7 +30,7 @@ from ..analysis import join_implication_witness
 from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var
 from .schemas import A, B, SchemaCatalog
 
-BLOCK = 1296  # valuations evaluated per column
+BLOCK = 1296  # valuations evaluated together, one bit each
 
 
 class VariableBudgetError(ValueError):
@@ -58,6 +54,11 @@ class Program:
     `leaves` lists the leaf keys (variable indices and metavariable labels)
     in order of first occurrence, left to right; `roots` holds the slot of
     each compiled formula, in the order given.
+
+    `masks` runs the code over a set of valuations, one bit each: a slot
+    holds one value mask per carrier value v, whose bit i is set iff
+    valuation i gives the slot the value v.  A table step T ORs
+    `a[x] & b[y]` into `out[T[x][y]]` over the non-zero masks.
     """
 
     code: tuple[tuple, ...]
@@ -72,25 +73,32 @@ class Program:
     def labels(self) -> tuple[str, ...]:
         return tuple(k for k in self.leaves if isinstance(k, str))
 
-    def run(self, q: UMTLAlgebra, columns, size: int) -> list[list[int]]:
-        """The column of each root, from each leaf's column of `size` values."""
+    def masks(self, q: UMTLAlgebra, leaf_masks, full: int) -> list[list[int]]:
+        """The value masks of each root, from each leaf's value masks;
+        `full` has the bit of every valuation set."""
         alg = q.algebra
         tables = {"arrow": alg.arrow, "odot": alg.odot, "meet": alg.meet}
         forall = q.forall
+        n = alg.size
         slots: list[list[int]] = []
         for op, *args in self.code:
+            out = [0] * n
             if op in tables:
-                rows = map(tables[op].__getitem__, slots[args[0]])
-                slots.append(list(map(getitem, rows, slots[args[1]])))
+                table = tables[op]
+                right = [(y, b) for y, b in enumerate(slots[args[1]]) if b]
+                for x, a in enumerate(slots[args[0]]):
+                    if a:
+                        row = table[x]
+                        for y, b in right:
+                            out[row[y]] |= a & b
             elif op == "forall":
-                slots.append(list(map(forall.__getitem__, slots[args[0]])))
+                for x, a in enumerate(slots[args[0]]):
+                    out[forall[x]] |= a
             elif op == "leaf":
-                column = columns.get(args[0])
-                if column is None:
-                    raise ValueError(f"valuation misses {_leaf_name(args[0])}")
-                slots.append(column)
+                out = leaf_masks[args[0]]
             else:
-                slots.append([alg.bottom] * size)
+                out[alg.bottom] = full
+            slots.append(out)
         return [slots[r] for r in self.roots]
 
 
@@ -136,15 +144,23 @@ def compile_formulas(formulas) -> Program:
 
 def eval_formula(q: UMTLAlgebra, valuation, f: Formula) -> int:
     """The value of `f`, with each variable's value looked up in
-    `valuation` by index and each metavariable's by label."""
+    `valuation` by index and each metavariable's by label; each value must
+    be an element of the carrier."""
     program = compile_formulas((f,))
-    columns = {}
+    n = q.algebra.size
+    leaf_masks = {}
     for key in program.leaves:
         try:
-            columns[key] = [valuation[key]]
+            value = valuation[key]
         except (KeyError, IndexError) as exc:
             raise ValueError(f"valuation misses {_leaf_name(key)}") from exc
-    return program.run(q, columns, 1)[0][0]
+        if not isinstance(value, int) or not 0 <= value < n:
+            raise ValueError(
+                f"valuation gives {_leaf_name(key)} the value {value!r},"
+                f" not an element of 0..{n - 1}"
+            )
+        leaf_masks[key] = [int(v == value) for v in range(n)]
+    return program.masks(q, leaf_masks, 1)[0].index(1)
 
 
 @dataclass(frozen=True)
@@ -164,6 +180,26 @@ def _variables(program: Program, max_vars: int) -> tuple[int, ...]:
     return variables
 
 
+def _leaf_masks(n: int, weight: int, start: int, size: int) -> list[int]:
+    """The value masks of a leaf over ranks start..start+size-1, where the
+    leaf takes the value rank // weight % n: runs of `weight` equal values,
+    repeating with period n * weight."""
+    full = (1 << size) - 1
+    masks = [0] * n
+    if weight >= size:  # the value changes at most once inside the block
+        v = start // weight % n
+        masks[v] = (1 << min(size, weight - start % weight)) - 1
+        masks[(v + 1) % n] |= full ^ masks[v]
+        return masks
+    period = n * weight
+    phase = start % period  # how far into a period the block starts
+    pattern, span = (1 << weight) - 1, period  # the runs of value 0
+    while span < phase + size:
+        pattern |= pattern << span
+        span *= 2
+    return [(pattern << v * weight >> phase) & full for v in range(n)]
+
+
 def _refutations(q: UMTLAlgebra, program: Program, leaves):
     """Every valuation of `leaves` (variable indices or metavariable
     labels) that sends the program's first root, the conclusion, below top
@@ -173,15 +209,21 @@ def _refutations(q: UMTLAlgebra, program: Program, leaves):
     weights = [n**e for e in reversed(range(len(leaves)))]
     total = n ** len(leaves)
     for start in range(0, total, BLOCK):
-        stop = min(start + BLOCK, total)
-        columns = {
-            leaf: [rank // w % n for rank in range(start, stop)]
-            for leaf, w in zip(leaves, weights)
+        size = min(BLOCK, total - start)
+        full = (1 << size) - 1
+        leaf_masks = {
+            leaf: _leaf_masks(n, w, start, size) for leaf, w in zip(leaves, weights)
         }
-        conclusion, *premises = program.run(q, columns, stop - start)
-        for i in compress(range(stop - start), map(top.__ne__, conclusion)):
-            if all(p[i] == top for p in premises):
-                yield {leaf: columns[leaf][i] for leaf in leaves}, conclusion[i]
+        conclusion, *premises = program.masks(q, leaf_masks, full)
+        hits = full ^ conclusion[top]
+        for p in premises:
+            hits &= p[top]
+        while hits:
+            low = hits & -hits  # the least rank left
+            rank = start + low.bit_length() - 1
+            value = next(v for v, m in enumerate(conclusion) if m & low)
+            yield {leaf: rank // w % n for leaf, w in zip(leaves, weights)}, value
+            hits ^= low
 
 
 def is_valid(q: UMTLAlgebra, f: Formula, max_vars: int = 6) -> ValidityResult:

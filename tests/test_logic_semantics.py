@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from umtl import chain_algebra, enumerate_quantifiers, make_umtl
 from umtl.quantifier import delta_table
-from umtl.logic.formulas import Var, parse_formula
-from umtl.logic.schemas import RULE_SHAPES, SchemaCatalog, instantiate
+from umtl.logic.formulas import Impl, Var, parse_formula
+from umtl.logic.schemas import RULE_SHAPES, A, SchemaCatalog, instantiate
 from umtl.logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -45,6 +47,23 @@ def test_eval_basics(six_delta):
     assert eval_formula(six_delta, {0: 3}, g) == 0
     with pytest.raises(ValueError, match="misses p1"):
         eval_formula(six_delta, {0: 0}, parse_formula("p1"))
+
+
+def test_eval_rejects_values_outside_the_carrier():
+    boolean = make_umtl(chain_algebra("goedel", 2), (0, 1), name="boolean-2+01")
+    cases = [
+        ("p0", 0, 99),
+        ("box p0", 0, -1),
+        ("p0 -> p0", 0, 99),
+        ("p0 & p0", 0, "1"),
+        ("p0", 0, 1.0),
+        (Impl(A, A), A.label, 2),
+    ]
+    for f, key, value in cases:
+        f = parse_formula(f) if isinstance(f, str) else f
+        name = f"p{key}" if isinstance(key, int) else key
+        with pytest.raises(ValueError, match=re.escape(f"gives {name} the value {value!r}")):
+            eval_formula(boolean, {key: value}, f)
 
 
 def test_eval_derived_connectives(six_block):

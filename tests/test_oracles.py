@@ -24,12 +24,14 @@ check them, and `core.closure` itself must give the least closed set of
 the search that holds the seed, on the filter, U-filter and subalgebra
 tables.
 
-Formulas are compiled once and evaluated a block of valuations at a time
-(`logic.semantics`); the recursive tree walk `oracles.eval_formula_tree`
-and the hand-ranked `oracles.first_refutation_tree_walk` check the values
-and every search's first refutation, also with small blocks, across the
-boundary of a real block, and on sugared `|` chains, whose shared subtrees
-the tree walk expands.
+Formulas are compiled once and evaluated a block of valuations at a time,
+one bit per valuation (`logic.semantics`); the recursive tree walk
+`oracles.eval_formula_tree` and the hand-ranked
+`oracles.first_refutation_tree_walk` check the values and every search's
+first refutation, on the corpus pairs and on products and ordinal sums of
+8 to 16 elements, also with small blocks, across the boundary of a real
+block, and on sugared `|` chains, whose shared subtrees the tree walk
+expands.
 """
 
 from __future__ import annotations
@@ -454,46 +456,78 @@ def formula_pool(corpus_entries):
     return pool
 
 
-def test_eval_formula_matches_tree_walk(formula_pool):
+# Carriers of 8 to 16 elements: 1296 = 6^4 is a multiple of none of 8^3,
+# 9^3 and 16^2, so real blocks start part way through the period of a leaf.
+LARGER = {
+    "L4xL2": lambda: product_algebra(chain("L4"), chain("L2")),
+    "G3xL3": lambda: product_algebra(chain("G3"), chain("L3")),
+    "G3+L3+N4": lambda: ordinal_sum(chain("G3"), chain("L3"), chain("N4")),
+    "L4xL4": lambda: product_algebra(chain("L4"), chain("L4")),
+}
+
+
+@pytest.fixture(scope="module")
+def larger_pool():
+    """Each LARGER algebra, relabelled, with its non-identity quantifier
+    of most distinct values."""
+    pool = []
+    for name, build in LARGER.items():
+        alg = relabel(build(), random.Random(name))
+        uq = max(
+            (uq for uq in enumerate_quantifiers(alg) if uq.table != tuple(alg.elements)),
+            key=lambda uq: len(set(uq.table)),
+        )
+        pool.append(make_umtl(alg, uq.table, name=f"{name}+{','.join(map(str, uq.table))}"))
+    return pool
+
+
+def test_eval_formula_matches_tree_walk(formula_pool, larger_pool):
     rnd = random.Random(6)
-    for _ in range(200):
-        q = rnd.choice(formula_pool)
-        k = rnd.randint(1, 4)
-        f = random_formula(rnd, 5, k)
-        valuation = {v: rnd.randrange(q.algebra.size) for v in range(k)}
-        assert eval_formula(q, valuation, f) == oracles.eval_formula_tree(q, valuation, f)
-        # one variable short: the same value, or the same error
-        missing = dict(valuation)
-        del missing[rnd.randrange(k)]
+    for pool in (formula_pool, larger_pool):
+        for _ in range(200):
+            q = rnd.choice(pool)
+            k = rnd.randint(1, 4)
+            f = random_formula(rnd, 5, k)
+            valuation = {v: rnd.randrange(q.algebra.size) for v in range(k)}
+            assert eval_formula(q, valuation, f) == oracles.eval_formula_tree(q, valuation, f)
+            # one variable short: the same value, or the same error
+            missing = dict(valuation)
+            del missing[rnd.randrange(k)]
 
-        def outcome(evaluate):
-            try:
-                return evaluate(q, missing, f)
-            except ValueError as exc:
-                return str(exc)
+            def outcome(evaluate):
+                try:
+                    return evaluate(q, missing, f)
+                except ValueError as exc:
+                    return str(exc)
 
-        assert outcome(eval_formula) == outcome(oracles.eval_formula_tree)
+            assert outcome(eval_formula) == outcome(oracles.eval_formula_tree)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_searches_match_tree_walk(formula_pool, seed):
+def test_searches_match_tree_walk(formula_pool, larger_pool, seed):
     rnd = random.Random(f"searches/{seed}")
-    hits = 0
-    for _ in range(12):
-        premises, conclusion = random_goal(rnd, rnd.randint(1, 4))
-        hits += assert_searches_match_tree_walk(formula_pool, premises, conclusion) is not None
-    assert 0 < hits < 12
+    for pool in (formula_pool, larger_pool):
+        hits = 0
+        for _ in range(12):
+            premises, conclusion = random_goal(rnd, rnd.randint(1, 4))
+            hits += assert_searches_match_tree_walk(pool, premises, conclusion) is not None
+        assert 0 < hits < 12
 
 
 @pytest.mark.parametrize("block", [1, 5, 7, 36])
-def test_searches_match_tree_walk_with_small_blocks(formula_pool, monkeypatch, block):
+def test_searches_match_tree_walk_with_small_blocks(
+    formula_pool, larger_pool, monkeypatch, block
+):
     # a block smaller than, coprime to or a power of the carrier sizes puts
-    # first refutations in later blocks and at every offset inside one
+    # first refutations in later blocks and at every offset inside one; at
+    # most 3 variables on the larger carriers keep the sweeps of one-bit
+    # blocks short
     monkeypatch.setattr(semantics, "BLOCK", block)
     rnd = random.Random(f"blocks/{block}")
-    for _ in range(10):
-        premises, conclusion = random_goal(rnd, rnd.randint(1, 4))
-        assert_searches_match_tree_walk(formula_pool, premises, conclusion)
+    for pool, most in ((formula_pool, 4), (larger_pool, 3)):
+        for _ in range(10):
+            premises, conclusion = random_goal(rnd, rnd.randint(1, most))
+            assert_searches_match_tree_walk(pool, premises, conclusion)
 
 
 # On the Goedel chain G6 (values 0 < ... < 5, neg x = 5 if x = 0 else 0,
