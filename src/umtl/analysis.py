@@ -433,9 +433,9 @@ def audit_congruence_correspondence(q: UMTLAlgebra) -> AuditEntry:
     composition too, and both directions preserve inclusion."""
     ufilters = flt.enumerate_ufilters(q)
     congruences = flt.enumerate_ucongruences(q)
+    of_filter = {u.members: flt.congruence_of_filter(q, u.members) for u in ufilters}
     round_trip = all(
-        flt.filter_of_congruence(q, flt.congruence_of_filter(q, u.members))
-        == u.members
+        flt.filter_of_congruence(q, of_filter[u.members]) == u.members
         for u in ufilters
     )
     back = all(
@@ -443,14 +443,11 @@ def audit_congruence_correspondence(q: UMTLAlgebra) -> AuditEntry:
         for c in congruences
     )
     cong_set = {tuple(c) for c in congruences}
-    images = {tuple(flt.congruence_of_filter(q, u.members)) for u in ufilters}
+    images = set(of_filter.values())
     bijective = images == cong_set and len(ufilters) == len(congruences)
     order_iso = all(
         (u1.members <= u2.members)
-        == _congruence_leq(
-            flt.congruence_of_filter(q, u1.members),
-            flt.congruence_of_filter(q, u2.members),
-        )
+        == _congruence_leq(of_filter[u1.members], of_filter[u2.members])
         for u1 in ufilters
         for u2 in ufilters
     )

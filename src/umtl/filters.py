@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteMTLAlgebra, closed_masks, closure, lower_covers, validate
-from .quantifier import UMTLAlgebra, validate_quantifier
+from .core import FiniteMTLAlgebra, closed_masks, closure, lower_covers
+from .quantifier import UMTLAlgebra, UniversalQuantifier
 
 
 def mask_of(members) -> int:
@@ -300,8 +300,14 @@ def congruence_of_filter(q: UMTLAlgebra, members) -> tuple[frozenset[int], ...]:
 
 
 def quotient(q: UMTLAlgebra, members) -> QuotientResult:
-    """Quotient by a proper U-filter, with well-definedness verified on
-    every representative pair and the result re-validated."""
+    """Quotient by a proper U-filter, with well-definedness of every
+    operation and the quantifier verified on every pair of classes.
+
+    A well-defined quotient of a UMTL-algebra is a homomorphic image, so it
+    satisfies every MTL equation and U1-U3 with no re-scan: its meet and
+    join are the parent's, collapsed, and its order is read off the
+    collapsed arrow table (x <= y iff x -> y is the top class).
+    """
     alg, f = q.algebra, q.forall
     s = frozenset(members)
     if not is_filter_by_implication(alg, s):
@@ -322,21 +328,23 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
             class_map[x] = idx
     k = len(classes)
 
-    def collapse(op_name: str, value_of) -> list[list[int]]:
-        table = [[0] * k for _ in range(k)]
-        for i, bi in enumerate(classes):
-            for j, bj in enumerate(classes):
-                vals = {class_map[value_of(x, y)] for x in bi for y in bj}
+    def collapse(op_name: str, table) -> tuple[tuple[int, ...], ...]:
+        rows = []
+        for bi in classes:
+            row = []
+            for bj in classes:
+                vals = {class_map[table[x][y]] for x in bi for y in bj}
                 if len(vals) != 1:
                     raise QuotientError(
                         f"{op_name} not well defined on classes",
                         witness=(min(bi), min(bj)),
                     )
-                table[i][j] = vals.pop()
-        return table
+                row.append(vals.pop())
+            rows.append(tuple(row))
+        return tuple(rows)
 
-    odot_q = collapse("odot", lambda x, y: alg.odot[x][y])
-    arrow_q = collapse("arrow", lambda x, y: alg.arrow[x][y])
+    odot_q = collapse("odot", alg.odot)
+    arrow_q = collapse("arrow", alg.arrow)
     forall_vals = []
     for block in classes:
         vals = {class_map[f[x]] for x in block}
@@ -345,9 +353,20 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
                 "forall not well defined on classes", witness=(min(block),)
             )
         forall_vals.append(vals.pop())
-    names = tuple("[" + alg.name_of(min(b)) + "]" for b in classes)
-    alg_q = validate(k, odot_q, arrow_q, class_map[alg.top], names)
-    quant_q = validate_quantifier(alg_q, tuple(forall_vals))
+    top_q = class_map[alg.top]
+    alg_q = FiniteMTLAlgebra(
+        size=k,
+        odot=odot_q,
+        arrow=arrow_q,
+        top=top_q,
+        names=tuple("[" + alg.name_of(min(b)) + "]" for b in classes),
+        leq=tuple(tuple(int(v == top_q) for v in row) for row in arrow_q),
+        meet=collapse("meet", alg.meet),
+        join=collapse("join", alg.join),
+    )
+    forall_q = tuple(forall_vals)
+    fixpoints = frozenset(i for i in range(k) if forall_q[i] == i)
+    quant_q = UniversalQuantifier(alg_q, forall_q, fixpoints)
     filter_label = FilterSet(alg, s).label()
     return QuotientResult(
         quotient=UMTLAlgebra(alg_q, quant_q, name=q.label() + "/" + filter_label),
@@ -379,6 +398,31 @@ def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
     quantifier, as block tuples ordered by least element, the list sorted
     by its blocks' sorted members.
 
+    A congruence of the expansion (A, forall) is exactly a congruence of A
+    that is compatible with forall (Burris and Sankappanavar, "A Course in
+    Universal Algebra", II.5), for any unary table.  So the congruences of
+    A are computed once per algebra object (`_mtl_congruences`, kept in
+    `alg.cache`) and each quantifier keeps those that respect it: a
+    congruence c, held as each element's least class member, respects f
+    iff f(x) and f(c[x]) share a class for every x.
+
+    Reads only the operation tables and `q.forall`, never the filter code,
+    so the U-filter/congruence correspondence audit compares two
+    independent computations.
+    """
+    alg, f = q.algebra, q.forall
+    return [
+        blocks
+        for c, blocks in _cached(alg, "congruences", lambda: _mtl_congruences(alg))
+        if all(c[f[x]] == c[f[cx]] for x, cx in enumerate(c))
+    ]
+
+
+def _mtl_congruences(alg: FiniteMTLAlgebra):
+    """Every congruence of the algebra under odot, arrow, meet and join,
+    as (canonical tuple, blocks) pairs in the order of
+    `enumerate_ucongruences`.
+
     Every congruence is the join of the principal congruences Cg(a, b) of
     its pairs, and joins in the congruence lattice are joins of equivalence
     relations (Freese, "Computing congruences efficiently", Algebra
@@ -386,18 +430,38 @@ def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
     convex and a ~ b iff a meet b ~ a join b, so Cg(a, b) is the join of
     the Cg(c, d) over the covering pairs of a maximal chain from a meet b
     to a join b, all of which lie in every congruence holding (a, b).  So
-    each Cg(c, d) is closed with a union-find under odot, arrow, meet,
-    join and the quantifier, and the identity plus these principal
-    congruences are closed under join.  A congruence is held as a
-    canonical tuple giving each element's least class member.
-
-    Reads only the operation tables and `q.forall`, never the filter code,
-    so the U-filter/congruence correspondence audit compares two
-    independent computations.
+    each Cg(c, d) is closed under the four operations by merging classes,
+    and the identity plus these principal congruences are closed under
+    join with a union-find.  A congruence is held as a canonical tuple
+    giving each element's least class member.
     """
-    alg, f = q.algebra, q.forall
     n = alg.size
-    ops = (alg.odot, alg.arrow, alg.meet, alg.join)
+    arrow = alg.arrow
+    # odot, meet and join are commutative, so their rows suffice; arrow
+    # needs its columns too
+    rows = (alg.odot, arrow, alg.meet, alg.join)
+
+    def principal(a: int, b: int) -> tuple[int, ...]:
+        # cls[x] names x's class; a merge relabels the smaller class, and
+        # the images of a merged pair are queued
+        cls = list(range(n))
+        members = [[x] for x in range(n)]
+        pending = [(a, b)]
+        while pending:
+            x, y = pending.pop()
+            keep, drop = cls[x], cls[y]
+            if keep == drop:
+                continue
+            if len(members[keep]) < len(members[drop]):
+                keep, drop = drop, keep
+            for z in members[drop]:
+                cls[z] = keep
+            members[keep] += members[drop]
+            for op in rows:
+                pending += zip(op[x], op[y])  # op(x, z) ~ op(y, z)
+            pending += ((row[x], row[y]) for row in arrow)  # z -> x ~ z -> y
+        least = {c: min(members[c]) for c in set(cls)}
+        return tuple(least[c] for c in cls)
 
     def find(parent: list[int], x: int) -> int:
         while parent[x] != x:
@@ -407,36 +471,12 @@ def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
 
     # every union hangs the larger root below the smaller, so each root is
     # its class's least member and the canonical tuple is the roots
-    def union(parent: list[int], x: int, y: int) -> bool:
-        rx, ry = find(parent, x), find(parent, y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    def canonical(parent: list[int]) -> tuple[int, ...]:
-        return tuple(find(parent, x) for x in range(n))
-
-    def principal(a: int, b: int) -> tuple[int, ...]:
-        parent = list(range(n))
-        union(parent, a, b)
-        pending = [(a, b)]
-        while pending:
-            x, y = pending.pop()
-            images = [(f[x], f[y])]
-            for op in ops:
-                images += zip(op[x], op[y])  # op(x, z) ~ op(y, z)
-                images += ((row[x], row[y]) for row in op)  # op(z, x) ~ op(z, y)
-            for u, v in images:
-                if u != v and union(parent, u, v):
-                    pending.append((u, v))
-        return canonical(parent)
-
     def join(c1: tuple[int, ...], c2: tuple[int, ...]) -> tuple[int, ...]:
         parent = list(c1)
         for x in range(n):
-            union(parent, x, c2[x])
-        return canonical(parent)
+            rx, ry = find(parent, x), find(parent, c2[x])
+            parent[max(rx, ry)] = min(rx, ry)
+        return tuple(find(parent, x) for x in range(n))
 
     covers = lower_covers(alg.leq)
     principals = {principal(c, d) for d in range(n) for c in covers[d]}
@@ -457,9 +497,9 @@ def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
         blocks: dict[int, set[int]] = {}
         for x in range(n):
             blocks.setdefault(c[x], set()).add(x)
-        out.append(tuple(frozenset(blocks[r]) for r in sorted(blocks)))
-    out.sort(key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks))
-    return out
+        out.append((c, tuple(frozenset(blocks[r]) for r in sorted(blocks))))
+    out.sort(key=lambda pair: tuple(tuple(sorted(b)) for b in pair[1]))
+    return tuple(out)
 
 
 def filter_of_congruence(q: UMTLAlgebra, blocks) -> frozenset[int]:

@@ -249,20 +249,28 @@ def derive_odot_from_arrow(size: int, arrow, top: int):
 def eval_formula_tree(q: UMTLAlgebra, valuation, f: Formula) -> int:
     """The value of `f` by a recursive walk over its tree (shared subtrees
     are walked once per occurrence), with each variable's value looked up
-    in `valuation` by index and each metavariable's by label."""
+    in `valuation` by index and each metavariable's by label; each value
+    must be an element of the carrier."""
     alg = q.algebra
+    n = alg.size
+
+    def leaf(key, name: str) -> int:
+        try:
+            value = valuation[key]
+        except (KeyError, IndexError) as exc:
+            raise ValueError(f"valuation misses {name}") from exc
+        if not isinstance(value, int) or not 0 <= value < n:
+            raise ValueError(
+                f"valuation gives {name} the value {value!r},"
+                f" not an element of 0..{n - 1}"
+            )
+        return value
 
     def ev(g: Formula) -> int:
         if isinstance(g, Var):
-            try:
-                return valuation[g.index]
-            except (KeyError, IndexError) as exc:
-                raise ValueError(f"valuation misses p{g.index}") from exc
+            return leaf(g.index, f"p{g.index}")
         if isinstance(g, MetaVar):
-            try:
-                return valuation[g.label]
-            except KeyError as exc:
-                raise ValueError(f"valuation misses {g.label}") from exc
+            return leaf(g.label, g.label)
         if isinstance(g, Bot):
             return alg.bottom
         if isinstance(g, Impl):

@@ -10,10 +10,14 @@ n^n scan is what checks that no quantifier is lost by that restriction,
 nor by the cut of the subalgebra search at persistent U2 failures, under
 both U2 parses.
 
-U-congruences are joins of the principal congruences of covering pairs;
-the Bell(n) partition scan checks them, also on unary maps that are not
-quantifiers, since the closure does not rely on U1-U3, and the join over
-all pairs checks them at 12 elements.
+U-congruences are the congruences of the algebra that respect the
+quantifier, and the congruences are joins of the principal congruences
+of covering pairs, computed once per algebra object; the Bell(n)
+partition scan checks them, also on unary maps that are not quantifiers,
+since neither step relies on U1-U3, the join over all pairs checks them
+at 12 elements, and the order in which quantifiers reach the shared
+lattice must not matter.  Quotients collapse the parent's tables; the
+build by `core.validate` and `validate_quantifier` checks them.
 
 Filters and U-filters come from the close-by-one search of
 `core.closed_masks` over `filters.filter_table`; the 2^n subset scans in
@@ -39,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -83,6 +88,7 @@ from umtl.quantifier import (
     make_umtl,
     subalgebra_table,
     unchecked_pair,
+    validate_quantifier,
 )
 
 KINDS = {"L": "lukasiewicz", "G": "goedel", "N": "nilpotent-minimum"}
@@ -302,7 +308,11 @@ def assert_ucongruences_match_oracle(q):
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_ucongruences_match_partition_oracle(seed):
     alg = random_algebra(seed, 7)
-    for uq in enumerate_quantifiers(alg):
+    quantifiers = enumerate_quantifiers(alg)
+    # the identity respects every congruence, so the whole congruence
+    # lattice the quantifiers share is checked too
+    assert tuple(alg.elements) in [uq.table for uq in quantifiers]
+    for uq in quantifiers:
         assert_ucongruences_match_oracle(UMTLAlgebra(alg, uq))
 
 
@@ -333,6 +343,36 @@ def test_ucongruences_match_partition_oracle_on_every_unary_map(tag):
     alg = chain(tag)
     for table in itertools.product(alg.elements, repeat=alg.size):
         assert_ucongruences_match_oracle(unchecked_pair(alg, table))
+
+
+def boolean_16():
+    l2 = chain("L2")
+    return product_algebra(product_algebra(product_algebra(l2, l2), l2), l2)
+
+
+def test_ucongruences_do_not_depend_on_the_order_of_quantifiers():
+    # the quantifier asked first builds the shared lattice: forward and
+    # reverse order on one algebra object each, and a fresh object per
+    # quantifier, must agree
+    forward_alg, reverse_alg = boolean_16(), boolean_16()
+    tables = [uq.table for uq in enumerate_quantifiers(forward_alg)]
+    assert len(tables) == 15
+    forward = {t: enumerate_ucongruences(make_umtl(forward_alg, t)) for t in tables}
+    reverse = {t: enumerate_ucongruences(make_umtl(reverse_alg, t)) for t in tables[::-1]}
+    fresh = {t: enumerate_ucongruences(make_umtl(boolean_16(), t)) for t in tables}
+    assert reverse == forward
+    assert fresh == forward
+    assert len({len(c) for c in forward.values()}) > 1
+
+
+def test_ucongruences_share_one_congruence_lattice_per_algebra():
+    alg = product_algebra(chain("L3"), chain("G3"))
+    first, second = (make_umtl(alg, uq.table) for uq in enumerate_quantifiers(alg)[:2])
+    assert "congruences" not in alg.cache
+    enumerate_ucongruences(first)
+    lattice = alg.cache["congruences"]
+    enumerate_ucongruences(second)
+    assert alg.cache["congruences"] is lattice
 
 
 def assert_ufilters_match_oracle(q):
@@ -401,6 +441,32 @@ def test_generated_filters_match_formula(seed):
         for q in pairs:
             got = flt.generated_ufilter(q, s).members
             assert got == oracles.generated_ufilter_formula(q, s)
+
+
+def assert_quotients_match_validated(q):
+    """The quotient by every proper U-filter, built by collapsing tables,
+    equals the one `core.validate` and `validate_quantifier` build from
+    its odot, arrow and quantifier tables."""
+    for u in flt.enumerate_ufilters(q):
+        if not u.is_proper():
+            continue
+        got = flt.quotient(q, u.members).quotient
+        alg = got.algebra
+        want = validate(alg.size, alg.odot, alg.arrow, alg.top, alg.names)
+        assert (alg, alg.leq, alg.meet, alg.join) == (want, want.leq, want.meet, want.join)
+        assert got.quantifier == validate_quantifier(want, got.forall)
+
+
+def test_quotients_match_validated_build_on_corpus(corpus_entries):
+    for q in corpus_pairs(corpus_entries):
+        assert_quotients_match_validated(q)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_quotients_match_validated_build(seed):
+    alg = random_algebra(seed, 10)
+    for uq in enumerate_quantifiers(alg):
+        assert_quotients_match_validated(UMTLAlgebra(alg, uq))
 
 
 def random_formula(rnd: random.Random, depth: int, k: int):
@@ -490,17 +556,30 @@ def test_eval_formula_matches_tree_walk(formula_pool, larger_pool):
             f = random_formula(rnd, 5, k)
             valuation = {v: rnd.randrange(q.algebra.size) for v in range(k)}
             assert eval_formula(q, valuation, f) == oracles.eval_formula_tree(q, valuation, f)
-            # one variable short: the same value, or the same error
+            # one variable short or out of the carrier: the same value, or
+            # the same error
             missing = dict(valuation)
             del missing[rnd.randrange(k)]
+            outside = dict(valuation)
+            outside[rnd.randrange(k)] = rnd.choice([-1, q.algebra.size, 99, None])
+            for broken in (missing, outside):
 
-            def outcome(evaluate):
-                try:
-                    return evaluate(q, missing, f)
-                except ValueError as exc:
-                    return str(exc)
+                def outcome(evaluate):
+                    try:
+                        return evaluate(q, broken, f)
+                    except ValueError as exc:
+                        return str(exc)
 
-            assert outcome(eval_formula) == outcome(oracles.eval_formula_tree)
+                assert outcome(eval_formula) == outcome(oracles.eval_formula_tree)
+
+
+@pytest.mark.parametrize("text, value", [("p0", 99), ("box p0", -1), ("p0 -> p0", 99)])
+def test_tree_walk_rejects_values_outside_the_carrier(text, value):
+    q = make_umtl(chain("L2"), (0, 1), name="boolean-2+01")
+    message = f"valuation gives p0 the value {value}, not an element of 0..1"
+    for evaluate in (eval_formula, oracles.eval_formula_tree):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(q, {0: value}, parse_formula(text))
 
 
 @pytest.mark.parametrize("seed", range(4))
