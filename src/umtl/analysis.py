@@ -3,7 +3,10 @@
 Every "equivalence" claimed by the source theory is audited as agreement
 of independently computed booleans; the audit never aborts on a
 disagreement, it records a witness.  Verdicts are pure functions of the
-input pair.
+input pair.  Every equational condition (representability by equation
+and by join-implication, the minimal-prime form, strongness, finite
+order) is a named check whose least witness `core.first_witnesses`
+finds; each report keeps the witnesses and derives its booleans from them.
 
 Filters come from the one filter closure system, `filters.filter_table`,
 through `core.closure` and `core.closed_masks`; the image-simplicity
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FiniteMTLAlgebra, classify, closure
+from .core import FiniteMTLAlgebra, classify, closure, first_witnesses
 from .quantifier import (
     InvalidQuantifierError,
     UMTLAlgebra,
@@ -31,19 +34,30 @@ from . import filters as flt
 
 @dataclass(frozen=True)
 class RepresentabilityReport:
-    """The three finite representability conditions and their agreement.
+    """The three finite representability conditions and their agreement,
+    each held as its least witness, None when it holds.
 
     The headline verdict is the pure equation scan (condition 2); the
     join-implication form (3) and the minimal-prime form (4) are audit
-    companions.
+    companions.  The join-implication form is also the algebra-side
+    condition for the disjunction form of the box rule.
     """
 
-    by_equation: bool
     equation_witness: tuple[int, int] | None
-    by_join_implication: bool
     join_witness: tuple[int, int] | None
-    by_minimal_primes: bool
     offending_prime: tuple[int, ...] | None
+
+    @property
+    def by_equation(self) -> bool:
+        return self.equation_witness is None
+
+    @property
+    def by_join_implication(self) -> bool:
+        return self.join_witness is None
+
+    @property
+    def by_minimal_primes(self) -> bool:
+        return self.offending_prime is None
 
     @property
     def representable(self) -> bool:
@@ -54,60 +68,53 @@ class RepresentabilityReport:
         return self.by_equation == self.by_join_implication == self.by_minimal_primes
 
 
-def join_implication_witness(q: UMTLAlgebra) -> tuple[int, int] | None:
-    """The least (x, y) with x join y = top but x join forall y below top."""
-    alg, f, top = q.algebra, q.forall, q.algebra.top
-    return next(
-        (
-            (x, y)
-            for x in alg.elements
-            for y in alg.elements
-            if alg.join[x][y] == top and alg.join[x][f[y]] != top
-        ),
-        None,
-    )
-
-
 def is_representable(q: UMTLAlgebra) -> RepresentabilityReport:
     alg, f = q.algebra, q.forall
     rng = range(alg.size)
-    top = alg.top
-    eq_witness = next(
+    top, join, arrow = alg.top, alg.join, alg.arrow
+    checks = (
         (
-            (x, y)
-            for x in rng
-            for y in rng
-            if alg.join[f[alg.arrow[x][y]]][alg.arrow[y][x]] != top
+            "equation",
+            (
+                (x, y)
+                for x in rng
+                for y in rng
+                if join[f[arrow[x][y]]][arrow[y][x]] != top
+            ),
         ),
-        None,
-    )
-    join_witness = join_implication_witness(q)
-    offending = next(
         (
-            p.sorted_members()
-            for p in flt.minimal_primes(alg).by_inclusion
-            if not flt.is_ufilter(alg, f, p.members)
+            "join-implication",
+            (
+                (x, y)
+                for x in rng
+                for y in rng
+                if join[x][y] == top and join[x][f[y]] != top
+            ),
         ),
-        None,
+        (
+            "minimal-primes",
+            (
+                p.sorted_members()
+                for p in flt.minimal_primes(alg).by_inclusion
+                if not flt.is_ufilter(alg, f, p.members)
+            ),
+        ),
     )
-    return RepresentabilityReport(
-        by_equation=eq_witness is None,
-        equation_witness=eq_witness,
-        by_join_implication=join_witness is None,
-        join_witness=join_witness,
-        by_minimal_primes=offending is None,
-        offending_prime=offending,
-    )
+    return RepresentabilityReport(*(v.witness for v in first_witnesses(checks)))
 
 
 @dataclass(frozen=True)
 class StrongReport:
-    """Join-distributivity of the quantifier, with the representability
-    comparison attached (the two are claimed equivalent)."""
+    """Join-distributivity of the quantifier, held as its least witness,
+    with the representability comparison attached (the two are claimed
+    equivalent)."""
 
-    strong: bool
     witness: tuple[int, int] | None
     representable: bool
+
+    @property
+    def strong(self) -> bool:
+        return self.witness is None
 
     @property
     def agree(self) -> bool:
@@ -117,20 +124,10 @@ class StrongReport:
 def is_strong(q: UMTLAlgebra) -> StrongReport:
     alg, f = q.algebra, q.forall
     rng = range(alg.size)
-    witness = next(
-        (
-            (x, y)
-            for x in rng
-            for y in rng
-            if f[alg.join[x][y]] != alg.join[f[x]][f[y]]
-        ),
-        None,
-    )
-    return StrongReport(
-        strong=witness is None,
-        witness=witness,
-        representable=is_representable(q).representable,
-    )
+    join = alg.join
+    witnesses = ((x, y) for x in rng for y in rng if f[join[x][y]] != join[f[x]][f[y]])
+    (strong,) = first_witnesses([("strong", witnesses)])
+    return StrongReport(strong.witness, is_representable(q).representable)
 
 
 @dataclass(frozen=True)
@@ -141,8 +138,12 @@ class SimplicityReport:
     image_simple: bool                        # fixpoint subalgebra has 2 filters
     fixpoints_two_element: bool               # fixpoints == {bottom, top}
     unique_proper_ufilter: bool               # {top} is the only proper one
-    finite_order_outside_top: bool            # x != top implies forall x nilpotent
-    finite_order_witness: int | None
+    # least x != top with forall x not nilpotent; None when there is none
+    finite_order_witness: tuple[int] | None
+
+    @property
+    def finite_order_outside_top(self) -> bool:
+        return self.finite_order_witness is None
 
     def conditions(self) -> tuple[bool, ...]:
         return (
@@ -189,17 +190,16 @@ def is_simple(q: UMTLAlgebra) -> SimplicityReport:
     all_ufilters = flt.enumerate_ufilters(q)
     trivial = {frozenset({top}), frozenset(alg.elements)}
     image = frozenset(f)
-    witness = next(
-        (x for x in alg.elements if x != top and alg.ord_of(f[x]) is None),
-        None,
+    infinite_order = (
+        (x,) for x in alg.elements if x != top and alg.ord_of(f[x]) is None
     )
+    (finite_order,) = first_witnesses([("finite-order", infinite_order)])
     return SimplicityReport(
         ufilters_trivial={u.members for u in all_ufilters} == trivial,
         image_simple=_subalgebra_filters_trivial(alg, image),
         fixpoints_two_element=image == frozenset({bot, top}),
         unique_proper_ufilter=[u.members for u in proper] == [frozenset({top})],
-        finite_order_outside_top=witness is None,
-        finite_order_witness=witness,
+        finite_order_witness=finite_order.witness,
     )
 
 
@@ -287,15 +287,13 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
     reports the offending prime otherwise; mode="max-ufilters" succeeds
     exactly on semisimple inputs, with factors verified simple.
     """
-    alg, f = q.algebra, q.forall
+    alg = q.algebra
     if mode == "min-primes":
         family = flt.minimal_primes(alg).by_inclusion
-        bad = next(
-            (p for p in family if not flt.is_ufilter(alg, f, p.members)), None
-        )
+        bad = is_representable(q).offending_prime
         if bad is not None:
             return DecompositionResult(
-                mode, None, "minimal prime is not a U-filter", bad.sorted_members()
+                mode, None, "minimal prime is not a U-filter", bad
             )
     elif mode == "max-ufilters":
         family = flt.maximal_ufilters(q)
@@ -379,13 +377,18 @@ def audit_minimal_primes(alg: FiniteMTLAlgebra, subject: str) -> AuditEntry:
     )
 
 
-def audit_prop_3_4(q: UMTLAlgebra) -> AuditEntry:
-    checks = properties_suite(q)
-    failures = [
-        {"item": c.item, "witness": list(c.witness or ())}
-        for c in checks
+def property_failures(q: UMTLAlgebra) -> list[dict]:
+    """The failed items of `properties_suite` with their witnesses, as
+    report data."""
+    return [
+        {"item": c.name, "witness": list(c.witness)}
+        for c in properties_suite(q)
         if not c.passed
     ]
+
+
+def audit_prop_3_4(q: UMTLAlgebra) -> AuditEntry:
+    failures = property_failures(q)
     return AuditEntry(
         "quantifier-property-suite",
         q.label(),
@@ -395,36 +398,19 @@ def audit_prop_3_4(q: UMTLAlgebra) -> AuditEntry:
 
 
 def audit_term_equivalences(q: UMTLAlgebra) -> list[AuditEntry]:
-    out = []
     profile = classify(q.algebra)
-    if profile.mv:
-        rep = check_umv_axioms(q)
-        out.append(
-            AuditEntry(
-                "quantified-mv-term-equivalence",
-                q.label(),
-                rep.all_pass,
-                {
-                    "verdicts": {
-                        v.axiom: v.passed for v in rep.verdicts
-                    }
-                },
+    term_equivalences = (
+        (profile.mv, "quantified-mv-term-equivalence", check_umv_axioms),
+        (profile.boolean, "monadic-boolean-term-equivalence", check_mba_axioms),
+    )
+    out = []
+    for applies, check_id, check_axioms in term_equivalences:
+        if applies:
+            rep = check_axioms(q)
+            verdicts = {v.name: v.passed for v in rep.verdicts}
+            out.append(
+                AuditEntry(check_id, q.label(), rep.all_pass, {"verdicts": verdicts})
             )
-        )
-    if profile.boolean:
-        rep = check_mba_axioms(q)
-        out.append(
-            AuditEntry(
-                "monadic-boolean-term-equivalence",
-                q.label(),
-                rep.all_pass,
-                {
-                    "verdicts": {
-                        v.axiom: v.passed for v in rep.verdicts
-                    }
-                },
-            )
-        )
     return out
 
 

@@ -22,7 +22,6 @@ from .logic.semantics import (
     Countermodel,
     RuleInstance,
     SoundnessReport,
-    check_semilinearity_condition,
     countermodel_search,
     is_valid,
     soundness_audit,
@@ -137,8 +136,8 @@ def fixture_audits(
             )
         )
         join_d_forall_c = six.join[4][q_block.forall[3]]
-        semi_block, _ = check_semilinearity_condition(q_block)
-        semi_delta, delta_witness = check_semilinearity_condition(q_delta)
+        rep_block = ana.is_representable(q_block)
+        rep_delta = ana.is_representable(q_delta)
         out.append(
             AuditEntry(
                 "disjunction-rule-on-six-element",
@@ -147,12 +146,14 @@ def fixture_audits(
                 {
                     "under_block": {
                         "join(d, forall c)": six.name_of(join_d_forall_c),
-                        "satisfies_rule_semantically": semi_block,
-                        "representable": ana.is_representable(q_block).representable,
+                        "satisfies_rule_semantically": rep_block.by_join_implication,
+                        "representable": rep_block.representable,
                     },
                     "under_delta": {
-                        "satisfies_rule_semantically": semi_delta,
-                        "witness": [six.name_of(i) for i in delta_witness or ()],
+                        "satisfies_rule_semantically": rep_delta.by_join_implication,
+                        "witness": [
+                            six.name_of(i) for i in rep_delta.join_witness or ()
+                        ],
                     },
                 },
             )

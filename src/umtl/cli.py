@@ -42,7 +42,6 @@ from .quantifier import (
     enumerate_quantifiers,
     identity_table,
     make_umtl,
-    properties_suite,
     quantifier_violations,
 )
 
@@ -235,13 +234,8 @@ def cmd_quantifiers(run: Run, args) -> int:
             return PROPERTY_FAILS
         run.say(f"{doc.name}: valid universal quantifier")
         q = make_umtl(alg, table, args.u2_parse, doc.name)
-        failures = [c for c in properties_suite(q) if not c.passed]
-        run.check(
-            "quantifier-property-suite",
-            doc.name,
-            not failures,
-            failures=[{"item": c.item, "witness": list(c.witness or ())} for c in failures],
-        )
+        failures = ana.property_failures(q)
+        run.check("quantifier-property-suite", doc.name, not failures, failures=failures)
         return OK
     quantifiers = enumerate_quantifiers(alg, args.u2_parse)
     run.check(
@@ -357,15 +351,24 @@ def cmd_analyze(run: Run, args) -> int:
     return OK if all_good else PROPERTY_FAILS
 
 
-def cmd_audit(run: Run, args) -> int:
-    directory = Path(args.corpus_dir) if args.corpus_dir else corpus_dir()
-    paths = sorted(directory.glob("*.alg"))
+def _load_corpus(run: Run, path: Path) -> list[CorpusEntry]:
+    """The validated algebras of a directory's `.alg` files, in name
+    order, or of the one file `path`."""
+    paths = sorted(path.glob("*.alg")) if path.is_dir() else [path]
     if not paths:
-        raise CommandError(f"no .alg files under {directory}")
+        raise CommandError(f"no .alg files under {path}")
     entries = []
     for p in paths:
         alg, doc = _validated_algebra(run, str(p))
         entries.append(CorpusEntry(doc.name, alg, doc.forall))
+    return entries
+
+
+def cmd_audit(run: Run, args) -> int:
+    directory = Path(args.corpus_dir) if args.corpus_dir else corpus_dir()
+    if not directory.is_dir():
+        raise CommandError(f"no .alg files under {directory}")
+    entries = _load_corpus(run, directory)
     bundle = run_corpus_audit(entries, args.u2_parse)
     for chk in bundle.as_checks():
         run.checks.append(chk)
@@ -432,21 +435,6 @@ def cmd_prove(run: Run, args) -> int:
     return OK if recheck.ok else PROPERTY_FAILS
 
 
-def _load_pool(run: Run, pool_arg: str, u2_parse: str):
-    path = Path(pool_arg) if pool_arg else corpus_dir()
-    if path.is_dir():
-        paths = sorted(path.glob("*.alg"))
-    else:
-        paths = [path]
-    if not paths:
-        raise CommandError(f"no .alg files under {path}")
-    entries = []
-    for p in paths:
-        alg, doc = _validated_algebra(run, str(p))
-        entries.append(CorpusEntry(doc.name, alg, doc.forall))
-    return corpus_pairs(entries, u2_parse)
-
-
 def cmd_logic(run: Run, args) -> int:
     try:
         goal = parse_formula(args.formula) if args.formula else None
@@ -466,7 +454,8 @@ def cmd_logic(run: Run, args) -> int:
         )
     if goal is None:
         raise CommandError("no formula or rule given")
-    pool = _load_pool(run, args.pool, args.u2_parse)
+    pool_path = Path(args.pool) if args.pool else corpus_dir()
+    pool = corpus_pairs(_load_corpus(run, pool_path), args.u2_parse)
     if args.mode == "valid":
         if isinstance(goal, RuleInstance):
             raise CommandError("validity mode expects a formula, not a rule")

@@ -132,20 +132,35 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """A named check with its least failing witness, None when it holds.
+
+    The name is an axiom or condition name, or a property's item number.
+    """
+
+    name: str | int
+    witness: tuple[int, ...] | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
+
 def first_witnesses(checks):
-    """Each (key, witnesses) pair's key with its first witness, or None
-    when it has none, in order; each witness iterable runs only until its
-    first item."""
-    for key, witnesses in checks:
-        yield key, next(iter(witnesses), None)
+    """The verdict of each (name, witnesses) pair, in order: the witnesses
+    are listed least first, and each iterable runs only until its first
+    item."""
+    for name, witnesses in checks:
+        yield Verdict(name, next(iter(witnesses), None))
 
 
 def first_violations(checks):
     """A violation with the first witness of each (axiom, witnesses) pair
     that has one, in order."""
-    for axiom, w in first_witnesses(checks):
-        if w is not None:
-            yield Violation(axiom, w)
+    for v in first_witnesses(checks):
+        if not v.passed:
+            yield Violation(v.name, v.witness)
 
 
 def closure(forced, seed, mask: int = 0, members=None, floor: int = 0) -> int | None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteMTLAlgebra, closed_masks, closure, lower_covers
+from .core import FiniteMTLAlgebra, closed_masks, closure, first_witnesses, lower_covers
 from .quantifier import UMTLAlgebra, UniversalQuantifier
 
 
@@ -244,11 +244,16 @@ def maximal_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
 
 @dataclass(frozen=True)
 class MaximalityVerdict:
-    """Maximality decided by definition and by the power-negation test."""
+    """Maximality decided by definition and by the power-negation test,
+    held as its least witness: an a outside the filter with no power of
+    forall a whose negation is inside."""
 
     by_definition: bool
-    by_criterion: bool
-    witness: int | None = None
+    witness: tuple[int] | None = None
+
+    @property
+    def by_criterion(self) -> bool:
+        return self.witness is None
 
     @property
     def agree(self) -> bool:
@@ -261,17 +266,14 @@ def is_maximal_ufilter(q: UMTLAlgebra, members) -> MaximalityVerdict:
     if not is_ufilter(alg, f, s) or len(s) == alg.size:
         raise ValueError("argument must be a proper U-filter")
     by_def = s in {m.members for m in maximal_ufilters(q)}
-    witness = None
-    for a in alg.elements:
-        if a in s:
-            continue
-        fa = f[a]
-        if not any(
-            alg.neg(alg.power(fa, k)) in s for k in range(1, alg.size + 1)
-        ):
-            witness = a
-            break
-    return MaximalityVerdict(by_def, witness is None, witness)
+    witnesses = (
+        (a,)
+        for a in alg.elements
+        if a not in s
+        and not any(alg.neg(alg.power(f[a], k)) in s for k in range(1, alg.size + 1))
+    )
+    (criterion,) = first_witnesses([("criterion", witnesses)])
+    return MaximalityVerdict(by_def, criterion.witness)
 
 
 @dataclass(frozen=True)
@@ -436,10 +438,13 @@ def _mtl_congruences(alg: FiniteMTLAlgebra):
     giving each element's least class member.
     """
     n = alg.size
-    arrow = alg.arrow
-    # odot, meet and join are commutative, so their rows suffice; arrow
-    # needs its columns too
-    rows = (alg.odot, arrow, alg.meet, alg.join)
+    # odot, meet and join are commutative, so their rows suffice.  So do
+    # arrow's, whose column images z -> a ~ z -> b follow: the classes of
+    # a lattice congruence are convex and hold a meet b and a join b, so
+    # take a <= b.  Then b -> a ~ a -> a = top, so (z -> b) odot (b -> a)
+    # ~ z -> b, and z -> a lies between them:
+    # (z -> b) odot (b -> a) <= z -> a <= z -> b.
+    rows = (alg.odot, alg.arrow, alg.meet, alg.join)
 
     def principal(a: int, b: int) -> tuple[int, ...]:
         # cls[x] names x's class; a merge relabels the smaller class, and
@@ -459,7 +464,6 @@ def _mtl_congruences(alg: FiniteMTLAlgebra):
             members[keep] += members[drop]
             for op in rows:
                 pending += zip(op[x], op[y])  # op(x, z) ~ op(y, z)
-            pending += ((row[x], row[y]) for row in arrow)  # z -> x ~ z -> y
         least = {c: min(members[c]) for c in set(cls)}
         return tuple(least[c] for c in cls)
 

@@ -1,46 +1,40 @@
 """Hasse-diagram DOT export for element orders and U-filter lattices.
 
 Only the cover relation is drawn; edges point upward (rankdir=BT).  Nodes
-and edges are emitted in sorted order so output is reproducible.
+and edges are emitted in sorted order so output is reproducible.  Every
+name and label is a DOT quoted string, with backslash and double quote
+escaped.
 """
 
 from __future__ import annotations
 
-from .core import FiniteMTLAlgebra
+from .core import FiniteMTLAlgebra, lower_covers
 from .filters import FilterSet
 
 
-def _covers(n: int, leq) -> list[tuple[int, int]]:
-    out = []
-    for x in range(n):
-        for y in range(n):
-            if x == y or not leq(x, y):
-                continue
-            if any(z != x and z != y and leq(x, z) and leq(z, y) for z in range(n)):
-                continue
-            out.append((x, y))
-    return sorted(out)
+def _quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot(name: str, prefix: str, labels: list[str], leq) -> str:
+    """A digraph with node `prefix`i labelled labels[i] and an edge from
+    each element to each element covering it under the table `leq`."""
+    lines = [f"digraph {_quoted(name)} {{", "  rankdir=BT;"]
+    for i, label in enumerate(labels):
+        lines.append(f"  {prefix}{i} [label={_quoted(label)}];")
+    covers = sorted((c, d) for d, cs in enumerate(lower_covers(leq)) for c in cs)
+    for c, d in covers:
+        lines.append(f"  {prefix}{c} -> {prefix}{d};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def order_dot(alg: FiniteMTLAlgebra, name: str = "order") -> str:
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
-    for x in alg.elements:
-        lines.append(f'  n{x} [label="{alg.name_of(x)}"];')
-    for x, y in _covers(alg.size, lambda a, b: bool(alg.leq[a][b])):
-        lines.append(f"  n{x} -> n{y};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(name, "n", list(alg.names), alg.leq)
 
 
 def filter_lattice_dot(filtersets: list[FilterSet], name: str = "filters") -> str:
     """Inclusion order on a family of element subsets."""
     family = sorted(filtersets, key=lambda f: f.mask)
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
-    for i, f in enumerate(family):
-        label = f.label().replace('"', "'")
-        lines.append(f'  f{i} [label="{label}"];')
-    leq = lambda i, j: family[i].members <= family[j].members
-    for i, j in _covers(len(family), leq):
-        lines.append(f"  f{i} -> f{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    leq = [[a.members <= b.members for b in family] for a in family]
+    return _dot(name, "f", [f.label() for f in family], leq)

@@ -36,7 +36,6 @@ from .semantics import (
     consequence,
     countermodel_search,
     RuleInstance,
-    check_semilinearity_condition,
     soundness_audit,
     VariableBudgetError,
 )

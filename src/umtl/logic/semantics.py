@@ -18,6 +18,10 @@ each premise's mask of top.  The least rank is the lowest set bit, and a
 search stops at the first block with a hit, so first witnesses are
 deterministic: a countermodel search returns the hit with the least (pool
 index, valuation rank).
+
+This module evaluates formulas only.  The algebra-side condition for the
+disjunction form of the box rule (a join b = top implies a join forall b =
+top) is the join-implication condition of `analysis.is_representable`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 
 from ..quantifier import UMTLAlgebra
 from ..core import classify
-from ..analysis import join_implication_witness
 from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var
 from .schemas import A, B, SchemaCatalog
 
@@ -285,13 +288,6 @@ def countermodel_search(
             return Countermodel(index, q.label(), tuple(sorted(valuation.items())), value)
     checked = sum(q.algebra.size ** len(variables) for q in pool)
     return SearchExhausted(len(pool), checked)
-
-
-def check_semilinearity_condition(q: UMTLAlgebra):
-    """Algebra-side validity of the disjunction form of the box rule:
-    a join b = top implies a join forall b = top."""
-    witness = join_implication_witness(q)
-    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .core import (
     FiniteMTLAlgebra,
+    Verdict,
     Violation,
     classify,
     closed_masks,
@@ -63,11 +64,11 @@ class UMTLAlgebra:
 def quantifier_violations(
     alg: FiniteMTLAlgebra, table, u2_parse: str = "standard"
 ) -> list[Violation]:
-    """All U1-U3 failures (least witnesses), plus derived-property failures.
+    """All U1-U3 failures, each with its least witness.
 
-    The derived checks (fixed bounds, idempotence, monotonicity) are
-    consequences of U1-U3 and are scanned defensively; they can only fire
-    on tables that already fail an axiom.
+    A table with none also passes items 1-4 of `properties_suite` (fixed
+    bounds, idempotence, monotonicity): they follow from U1-U3, so they
+    are not scanned here.
     """
     return list(_violations(alg, table, u2_parse))
 
@@ -77,7 +78,7 @@ def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
     caller that needs only a yes/no answer stops at the first."""
     if u2_parse not in U2_PARSES:
         raise ValueError(f"unknown u2 parse: {u2_parse!r}")
-    n, top = alg.size, alg.top
+    n = alg.size
     if len(table) != n:
         yield Violation("forall-wrong-length", (len(table),), shape=True)
         return
@@ -114,29 +115,7 @@ def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
             ),
         ),
     )
-    failed = False
-    for v in first_violations(axioms):
-        failed = True
-        yield v
-    if failed:
-        return
-    if q[0] != 0:
-        yield Violation("derived-bottom-fixed", (0,))
-    if q[top] != top:
-        yield Violation("derived-top-fixed", (top,))
-    derived = (
-        ("derived-idempotent", ((x,) for x in range(n) if q[q[x]] != q[x])),
-        (
-            "derived-monotone",
-            (
-                (x, y)
-                for x in range(n)
-                for y in range(n)
-                if alg.leq[x][y] and not alg.leq[q[x]][q[y]]
-            ),
-        ),
-    )
-    yield from first_violations(derived)
+    yield from first_violations(axioms)
 
 
 def validate_quantifier(
@@ -334,16 +313,9 @@ def enumerate_quantifiers(
     return [validate_quantifier(alg, t, u2_parse) for t in sorted(valid)]
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
-    item: int
-    description: str
-    passed: bool
-    witness: tuple[int, ...] | None = None
-
-
-def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
-    """The fourteen structural properties every quantifier must satisfy.
+def properties_suite(q: UMTLAlgebra) -> list[Verdict]:
+    """The fourteen structural properties every quantifier must satisfy,
+    as verdicts named by item number.
 
     Failures are reported rather than raised: the suite doubles as a
     theorem audit.
@@ -368,15 +340,20 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
             yield (bot,)
 
     checks = [
-        ((1, "forall bottom = bottom"), [(bot,)] if f[bot] != bot else ()),
-        ((2, "forall top = top"), [(top,)] if f[top] != top else ()),
-        ((3, "idempotent"), ((x,) for x in rng if f[f[x]] != f[x])),
+        # forall bottom = bottom
+        (1, [(bot,)] if f[bot] != bot else ()),
+        # forall top = top
+        (2, [(top,)] if f[top] != top else ()),
+        # idempotent
+        (3, ((x,) for x in rng if f[f[x]] != f[x])),
+        # monotone
         (
-            (4, "monotone"),
+            4,
             ((x, y) for x in rng for y in rng if leq[x][y] and not leq[f[x]][f[y]]),
         ),
+        # forall(x->y) <= forall x -> forall y (and negation case)
         (
-            (5, "forall(x->y) <= forall x -> forall y (and negation case)"),
+            5,
             (
                 (x, y)
                 for x in rng
@@ -385,8 +362,9 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 or (y == bot and not leq[f[arrow[x][bot]]][arrow[f[x]][bot]])
             ),
         ),
+        # forall x <= y iff forall x <= forall y
         (
-            (6, "forall x <= y iff forall x <= forall y"),
+            6,
             (
                 (x, y)
                 for x in rng
@@ -394,8 +372,9 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if bool(leq[f[x]][y]) != bool(leq[f[x]][f[y]])
             ),
         ),
+        # forall(forall x -> forall y) = forall x -> forall y
         (
-            (7, "forall(forall x -> forall y) = forall x -> forall y"),
+            7,
             (
                 (x, y)
                 for x in rng
@@ -403,16 +382,19 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if f[arrow[f[x]][f[y]]] != arrow[f[x]][f[y]]
             ),
         ),
+        # forall neg forall x = neg forall x
         (
-            (8, "forall neg forall x = neg forall x"),
+            8,
             ((x,) for x in rng if f[arrow[f[x]][bot]] != arrow[f[x]][bot]),
         ),
+        # forall(x meet y) = forall x meet forall y
         (
-            (9, "forall(x meet y) = forall x meet forall y"),
+            9,
             ((x, y) for x in rng for y in rng if f[meet[x][y]] != meet[f[x]][f[y]]),
         ),
+        # forall(forall x join forall y) = forall x join forall y
         (
-            (10, "forall(forall x join forall y) = forall x join forall y"),
+            10,
             (
                 (x, y)
                 for x in rng
@@ -420,8 +402,9 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if f[join[f[x]][f[y]]] != join[f[x]][f[y]]
             ),
         ),
+        # forall(x odot y) >= forall x odot forall y
         (
-            (11, "forall(x odot y) >= forall x odot forall y"),
+            11,
             (
                 (x, y)
                 for x in rng
@@ -429,8 +412,9 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if not leq[odot[f[x]][f[y]]][f[odot[x][y]]]
             ),
         ),
+        # forall(forall x odot forall y) = forall x odot forall y
         (
-            (12, "forall(forall x odot forall y) = forall x odot forall y"),
+            12,
             (
                 (x, y)
                 for x in rng
@@ -438,33 +422,19 @@ def properties_suite(q: UMTLAlgebra) -> list[PropertyCheck]:
                 if f[odot[f[x]][f[y]]] != odot[f[x]][f[y]]
             ),
         ),
-        ((13, "image equals fixpoint set"), [tuple(image)] if image != fixed else ()),
-        ((14, "image is a subalgebra"), subalgebra_witnesses()),
+        # image equals fixpoint set
+        (13, [tuple(image)] if image != fixed else ()),
+        # image is a subalgebra
+        (14, subalgebra_witnesses()),
     ]
-    return [
-        PropertyCheck(item, desc, w is None, w)
-        for (item, desc), w in first_witnesses(checks)
-    ]
-
-
-@dataclass(frozen=True)
-class AxiomVerdict:
-    axiom: str
-    passed: bool
-    witness: tuple[int, ...] | None = None
-
-
-def _axiom_verdict(axiom: str, witnesses) -> AxiomVerdict:
-    """The verdict on an axiom from its first failing witness, if any."""
-    w = next(witnesses, None)
-    return AxiomVerdict(axiom, w is None, w)
+    return list(first_witnesses(checks))
 
 
 @dataclass(frozen=True)
 class SubvarietyAxiomReport:
     variety: str
     precondition_ok: bool
-    verdicts: tuple[AxiomVerdict, ...]
+    verdicts: tuple[Verdict, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -475,14 +445,14 @@ def check_umv_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
     """Verify the five quantified-MV axioms; meaningful on MV bases."""
     alg = q.algebra
     f = q.forall
-    n, top, bot = alg.size, alg.top, alg.bottom
+    n, top = alg.size, alg.top
     rng = range(n)
     arrow, join, leq = alg.arrow, alg.join, alg.leq
     pre = classify(alg).mv
-    verdicts = (
-        AxiomVerdict("forall1", f[top] == top, None if f[top] == top else (top,)),
-        _axiom_verdict("forall2", ((x,) for x in rng if not leq[f[x]][x])),
-        _axiom_verdict(
+    checks = (
+        ("forall1", [(top,)] if f[top] != top else ()),
+        ("forall2", ((x,) for x in rng if not leq[f[x]][x])),
+        (
             "forall3",
             (
                 (x, y)
@@ -491,7 +461,7 @@ def check_umv_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
                 if f[join[x][f[y]]] != join[f[x]][f[y]]
             ),
         ),
-        _axiom_verdict(
+        (
             "forall4",
             (
                 (x, y)
@@ -500,7 +470,7 @@ def check_umv_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
                 if arrow[f[arrow[x][y]]][arrow[f[x]][f[y]]] != top
             ),
         ),
-        _axiom_verdict(
+        (
             "forall5",
             (
                 (x, y)
@@ -510,7 +480,7 @@ def check_umv_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
             ),
         ),
     )
-    return SubvarietyAxiomReport("UMV", pre, verdicts)
+    return SubvarietyAxiomReport("UMV", pre, tuple(first_witnesses(checks)))
 
 
 def check_mba_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
@@ -522,10 +492,10 @@ def check_mba_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
     meet, leq = alg.meet, alg.leq
     pre = classify(alg).boolean
     ex = tuple(alg.neg(f[alg.neg(x)]) for x in rng)
-    verdicts = (
-        AxiomVerdict("exists1", ex[bot] == bot, None if ex[bot] == bot else (bot,)),
-        _axiom_verdict("exists2", ((x,) for x in rng if not leq[x][ex[x]])),
-        _axiom_verdict(
+    checks = (
+        ("exists1", [(bot,)] if ex[bot] != bot else ()),
+        ("exists2", ((x,) for x in rng if not leq[x][ex[x]])),
+        (
             "exists3",
             (
                 (x, y)
@@ -535,4 +505,4 @@ def check_mba_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
             ),
         ),
     )
-    return SubvarietyAxiomReport("MBA", pre, verdicts)
+    return SubvarietyAxiomReport("MBA", pre, tuple(first_witnesses(checks)))

@@ -39,7 +39,6 @@ from umtl.logic.semantics import (
     Countermodel,
     RuleInstance,
     countermodel_search,
-    check_semilinearity_condition,
     soundness_audit,
 )
 from umtl.logic.transform import deduction_transform
@@ -245,11 +244,11 @@ def test_c7_logic_fixtures(pairs):
 def test_c8_semilinearity(pairs, six_delta, corpus_entries):
     with verdict("C8", "disjunction-rule semantics match representability"):
         for q in pairs:
-            if ana.is_representable(q).representable:
-                ok, _ = check_semilinearity_condition(q)
-                assert ok, q.label()
-        ok, witness = check_semilinearity_condition(six_delta)
-        assert not ok and witness == (2, 4)  # b, d
+            rep = ana.is_representable(q)
+            if rep.representable:
+                assert rep.by_join_implication, q.label()
+        rep = ana.is_representable(six_delta)
+        assert not rep.by_join_implication and rep.join_witness == (2, 4)  # b, d
         premises, conclusion = RULE_SHAPES["disj-box"]
         binding = {"alpha": Var(0), "beta": Var(1)}
         rule = RuleInstance(

@@ -3,8 +3,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,30 @@ def test_export_dot(tmp_path, capsys):
     assert "digraph" in text and "rankdir=BT" in text
     assert run_cli("export", "dot", SIX_BLOCK, "--what", "ufilters", "-o", str(out)) == 0
     assert "{d,1}" in out.read_text()
+
+
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_export_dot_escapes_names(tmp_path):
+    # every quoted string must be well formed and carry its name back
+    path = tmp_path / "quoted.alg"
+    text = Path(SIX_BLOCK).read_text().replace("algebra ", 'algebra q"', 1)
+    path.write_text(text.replace("names 0 a b ", 'names 0 a"b b\\ ', 1))
+    names = ["0", 'a"b', "b\\", "c", "d", "1"]
+    for what in ("order", "filters", "ufilters"):
+        out = tmp_path / f"{what}.gv"
+        assert run_cli("export", "dot", str(path), "--what", what, "-o", str(out)) == 0
+        strings = []
+        for line in out.read_text().splitlines():
+            assert '"' not in DOT_STRING.sub("", line), line
+            for quoted in DOT_STRING.findall(line):
+                strings.append(re.sub(r"\\(.)", r"\1", quoted[1:-1]))
+        assert strings[0].startswith('q"example-3-2-block')
+        if what == "order":
+            assert strings[1:] == names
+        else:
+            assert "{" + ",".join(names) + "}" in strings
 
 
 def test_missing_forall_is_input_error(capsys):

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from umtl import chain_algebra, enumerate_quantifiers, make_umtl
+from umtl.analysis import is_representable
 from umtl.quantifier import delta_table
 from umtl.logic.formulas import Impl, Var, parse_formula
 from umtl.logic.schemas import RULE_SHAPES, A, SchemaCatalog, instantiate
@@ -13,7 +14,6 @@ from umtl.logic.semantics import (
     RuleInstance,
     SearchExhausted,
     VariableBudgetError,
-    check_semilinearity_condition,
     consequence,
     countermodel_search,
     eval_formula,
@@ -155,10 +155,10 @@ def test_countermodel_search_jobs_deterministic(corpus_entries):
 
 
 def test_semilinearity(six_delta, six_block, corpus_entries):
-    ok, witness = check_semilinearity_condition(six_delta)
-    assert not ok and witness == (2, 4)
-    ok, witness = check_semilinearity_condition(six_block)
-    assert ok and witness is None
+    rep = is_representable(six_delta)
+    assert not rep.by_join_implication and rep.join_witness == (2, 4)
+    rep = is_representable(six_block)
+    assert rep.by_join_implication and rep.join_witness is None
     for entry in corpus_entries:
         if entry.forall is not None:
             continue
@@ -166,10 +166,8 @@ def test_semilinearity(six_delta, six_block, corpus_entries):
 
         if classify(entry.algebra).linear:
             for q in enumerate_quantifiers(entry.algebra):
-                ok, _ = check_semilinearity_condition(
-                    make_umtl(entry.algebra, q.table)
-                )
-                assert ok
+                rep = is_representable(make_umtl(entry.algebra, q.table))
+                assert rep.by_join_implication
 
 
 def test_soundness_audit(corpus_entries):

@@ -40,10 +40,12 @@ expands.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -643,3 +645,36 @@ def test_or_chains_match_tree_walk(formula_pool, links):
                     q, {0: x, 1: y}, f
                 )
     assert_searches_match_tree_walk(formula_pool, (), f)
+
+
+def _imported_modules(path: Path, package: str) -> set[str]:
+    """The absolute names of the modules that a source file in `package`
+    imports, `from m import name` counted as importing m and m.name."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(m for m in (base, node.module) if m)
+            out.add(module)
+            out.update(f"{module}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_package_modules_do_not_import_the_oracles():
+    # the oracles are test-only, and the fast paths must stay independent
+    # of them; the formula evaluator does not depend on the analysis either
+    root = Path(oracles.__file__).parent
+    imports = {}
+    for path in root.rglob("*.py"):
+        name = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        name = name.removesuffix(".__init__")
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        imports[name] = _imported_modules(path, package)
+    assert "umtl.quantifier" in imports["umtl.analysis"]  # relative imports resolve
+    assert "umtl.analysis" in imports["umtl.cli"]  # so do `from . import m` ones
+    users = sorted(m for m, found in imports.items() if "umtl.oracles" in found)
+    assert users == []
+    semantics_imports = imports["umtl.logic.semantics"]
+    assert not any(m.startswith("umtl.analysis") for m in semantics_imports)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from umtl import (
@@ -18,8 +20,9 @@ from umtl import (
     unchecked_pair,
     validate_quantifier,
 )
-from umtl.core import boolean_2
+from umtl.core import CHAIN_KINDS, boolean_2
 from umtl.corpus import SIX_BLOCKY, SIX_DELTA
+from umtl.quantifier import U2_PARSES
 
 
 def test_delta_is_valid_on_fixture(six):
@@ -169,20 +172,20 @@ def test_properties_suite_on_forced_invalid_table(goedel3):
     # particular table: the suite reports exactly that (scanned, not assumed)
     q = unchecked_pair(goedel3, delta_table(goedel3))
     assert quantifier_violations(goedel3, q.forall)  # U2 really is broken
-    failed = {c.item for c in properties_suite(q) if not c.passed}
+    failed = {c.name for c in properties_suite(q) if not c.passed}
     assert failed == set()
 
 
 def test_properties_suite_reports_failures_with_witnesses(goedel3):
     # a junk table exercises the failure path: bounds and monotonicity break
     q = unchecked_pair(goedel3, (1, 0, 2))
-    checks = {c.item: c for c in properties_suite(q)}
+    checks = {c.name: c for c in properties_suite(q)}
     assert not checks[1].passed
     assert not checks[4].passed and checks[4].witness is not None
 
 
 def test_image_equals_fixpoints_and_closed(six_block):
-    checks = {c.item: c for c in properties_suite(six_block)}
+    checks = {c.name: c for c in properties_suite(six_block)}
     assert checks[13].passed and checks[14].passed
 
 
@@ -230,3 +233,20 @@ def test_delta_valid_on_involutive_corpus(corpus_entries):
         alg = entry.algebra
         if classify(alg).imtl:
             assert quantifier_violations(alg, delta_table(alg)) == []
+
+
+@pytest.mark.parametrize("u2_parse", U2_PARSES)
+def test_axioms_imply_the_first_four_properties(six, u2_parse):
+    # U1-U3 imply items 1-4 of the suite (bounds fixed, idempotent,
+    # monotone), which is why `quantifier_violations` does not scan them:
+    # checked on every unary map of the small chains and the fixture
+    algebras = [six] + [chain_algebra(k, n) for k in CHAIN_KINDS for n in range(2, 6)]
+    for alg in algebras:
+        found = 0
+        for table in itertools.product(alg.elements, repeat=alg.size):
+            if not quantifier_violations(alg, table, u2_parse):
+                found += 1
+                checks = properties_suite(unchecked_pair(alg, table))[:4]
+                assert [c.name for c in checks] == [1, 2, 3, 4]
+                assert all(c.passed for c in checks), (alg, table, checks)
+        assert found == len(enumerate_quantifiers(alg, u2_parse))
