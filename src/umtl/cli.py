@@ -365,10 +365,8 @@ def _load_corpus(run: Run, path: Path) -> list[CorpusEntry]:
 
 
 def cmd_audit(run: Run, args) -> int:
-    directory = Path(args.corpus_dir) if args.corpus_dir else corpus_dir()
-    if not directory.is_dir():
-        raise CommandError(f"no .alg files under {directory}")
-    entries = _load_corpus(run, directory)
+    path = Path(args.corpus_dir) if args.corpus_dir else corpus_dir()
+    entries = _load_corpus(run, path)
     bundle = run_corpus_audit(entries, args.u2_parse)
     for chk in bundle.as_checks():
         run.checks.append(chk)
@@ -629,7 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forall", help="file|delta|identity|<ints>")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("audit", help="run the full audit over a corpus directory")
+    p = sub.add_parser(
+        "audit", help="run the full audit over a corpus directory or one .alg file"
+    )
     p.add_argument("corpus_dir", nargs="?", help="defaults to the bundled corpus")
     p.set_defaults(func=cmd_audit)
 

@@ -83,13 +83,19 @@ class FiniteMTLAlgebra:
     join: Table = field(compare=False)
 
     bottom: int = 0
-    # derived families (filters, U-filters, ...) keyed by family name and,
-    # for U-filter families, by the quantifier table
+    # derived values (the profile, filter families, quotients, ...) keyed
+    # by name and, for those that read a quantifier, by its table
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def elements(self) -> range:
         return range(self.size)
+
+    def cached(self, key, compute):
+        """`self.cache[key]`, computed on first use."""
+        if key not in self.cache:
+            self.cache[key] = compute()
+        return self.cache[key]
 
     def neg(self, x: int) -> int:
         return self.arrow[x][self.bottom]
@@ -424,7 +430,12 @@ def validate(
 
 
 def classify(alg: FiniteMTLAlgebra) -> SubvarietyProfile:
-    """Decide the subvariety identities by exhaustive scan."""
+    """Decide the subvariety identities by exhaustive scan, once per
+    algebra object (kept in `alg.cache`)."""
+    return alg.cached("profile", lambda: _profile(alg))
+
+
+def _profile(alg: FiniteMTLAlgebra) -> SubvarietyProfile:
     n, top = alg.size, alg.top
     rng = range(n)
     inv = all(alg.neg(alg.neg(x)) == x for x in rng)

@@ -124,13 +124,6 @@ def generated_ufilter(q: UMTLAlgebra, seed) -> FilterSet:
     return _generated(q.algebra, q.forall, seed)
 
 
-def _cached(alg: FiniteMTLAlgebra, key, compute):
-    """`alg.cache[key]`, computed on first use."""
-    if key not in alg.cache:
-        alg.cache[key] = compute()
-    return alg.cache[key]
-
-
 def _closed_filters(alg: FiniteMTLAlgebra, forall) -> tuple[FilterSet, ...]:
     """All filters, closed under the table `forall` unless it is None,
     sorted by bitmask: the closed sets of `filter_table` that contain top."""
@@ -144,7 +137,7 @@ def enumerate_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
     Found by close-by-one search over the closure system of filters, with
     no 2^n scan and no pairwise join of filters.
     """
-    return _cached(alg, "filters", lambda: _closed_filters(alg, None))
+    return alg.cached("filters", lambda: _closed_filters(alg, None))
 
 
 def enumerate_filters_subset_oracle(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
@@ -160,7 +153,7 @@ def enumerate_filters_subset_oracle(alg: FiniteMTLAlgebra) -> tuple[FilterSet, .
 def enumerate_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
     """All quantifier-closed filters, improper one included, by bitmask."""
     alg, f = q.algebra, q.forall
-    return _cached(alg, ("ufilters", f), lambda: _closed_filters(alg, f))
+    return alg.cached(("ufilters", f), lambda: _closed_filters(alg, f))
 
 
 def enumerate_ufilters_subset_oracle(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
@@ -199,7 +192,7 @@ def prime_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
 def minimal_primes(alg: FiniteMTLAlgebra) -> MinimalPrimesResult:
     """Minimal primes two ways: inclusion-minimality vs the co-annihilator
     union characterization (their agreement is a theorem audit)."""
-    return _cached(alg, "minimal_primes", lambda: _minimal_primes(alg))
+    return alg.cached("minimal_primes", lambda: _minimal_primes(alg))
 
 
 def _minimal_primes(alg: FiniteMTLAlgebra) -> MinimalPrimesResult:
@@ -235,8 +228,7 @@ def maximal_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
 
 
 def maximal_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
-    return _cached(
-        q.algebra,
+    return q.algebra.cached(
         ("maximal_ufilters", q.forall),
         lambda: _maximal_proper(enumerate_ufilters(q)),
     )
@@ -285,9 +277,16 @@ class QuotientResult:
 
 def congruence_of_filter(q: UMTLAlgebra, members) -> tuple[frozenset[int], ...]:
     """Blocks of x ~ y iff x->y and y->x both lie in the filter, ordered by
-    least element."""
-    alg = q.algebra
-    s = set(members)
+    least element.  They read only the algebra, so they are kept in
+    `alg.cache` per filter."""
+    return _filter_congruence(q.algebra, frozenset(members))
+
+
+def _filter_congruence(alg: FiniteMTLAlgebra, s: frozenset[int]):
+    return alg.cached(("congruence", s), lambda: _blocks_of_filter(alg, s))
+
+
+def _blocks_of_filter(alg: FiniteMTLAlgebra, s: frozenset[int]):
     blocks: list[set[int]] = []
     for x in alg.elements:
         for b in blocks:
@@ -309,6 +308,17 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
     satisfies every MTL equation and U1-U3 with no re-scan: its meet and
     join are the parent's, collapsed, and its order is read off the
     collapsed arrow table (x <= y iff x -> y is the top class).
+
+    The MTL part (the classes, the class map and the collapsed odot,
+    arrow, meet and join with their checks) reads only the algebra and
+    the filter, so it is built once per filter and kept in `alg.cache`.
+    Equal filters of different quantifiers thus share one quotient
+    algebra object and its caches, whose quantifier-dependent entries are
+    keyed by the quantifier table.  Only the collapse of forall and its
+    check run per call.  A shared value is a function of the algebra and
+    the filter alone, so sharing cannot make one side of an audit follow
+    from the other.  The MTL checks run before the quantifier's; they
+    cannot fail, since a filter's relation is a congruence of the algebra.
     """
     alg, f = q.algebra, q.forall
     s = frozenset(members)
@@ -323,12 +333,35 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
             f"member but forall maps it to {alg.name_of(f[bad])}",
             witness=(bad, f[bad]),
         )
-    classes = congruence_of_filter(q, s)
+    classes, class_map, alg_q = alg.cached(
+        ("quotient", s), lambda: _mtl_quotient(alg, s)
+    )
+    forall_vals = []
+    for block in classes:
+        vals = {class_map[f[x]] for x in block}
+        if len(vals) != 1:
+            raise QuotientError(
+                "forall not well defined on classes", witness=(min(block),)
+            )
+        forall_vals.append(vals.pop())
+    forall_q = tuple(forall_vals)
+    fixpoints = frozenset(i for i in range(alg_q.size) if forall_q[i] == i)
+    quant_q = UniversalQuantifier(alg_q, forall_q, fixpoints)
+    filter_label = FilterSet(alg, s).label()
+    return QuotientResult(
+        quotient=UMTLAlgebra(alg_q, quant_q, name=q.label() + "/" + filter_label),
+        class_map=class_map,
+        classes=classes,
+    )
+
+
+def _mtl_quotient(alg: FiniteMTLAlgebra, s: frozenset[int]):
+    """(classes, class map, quotient algebra) of the filter `s`."""
+    classes = _filter_congruence(alg, s)
     class_map = [0] * alg.size
     for idx, block in enumerate(classes):
         for x in block:
             class_map[x] = idx
-    k = len(classes)
 
     def collapse(op_name: str, table) -> tuple[tuple[int, ...], ...]:
         rows = []
@@ -347,17 +380,9 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
 
     odot_q = collapse("odot", alg.odot)
     arrow_q = collapse("arrow", alg.arrow)
-    forall_vals = []
-    for block in classes:
-        vals = {class_map[f[x]] for x in block}
-        if len(vals) != 1:
-            raise QuotientError(
-                "forall not well defined on classes", witness=(min(block),)
-            )
-        forall_vals.append(vals.pop())
     top_q = class_map[alg.top]
     alg_q = FiniteMTLAlgebra(
-        size=k,
+        size=len(classes),
         odot=odot_q,
         arrow=arrow_q,
         top=top_q,
@@ -366,15 +391,7 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
         meet=collapse("meet", alg.meet),
         join=collapse("join", alg.join),
     )
-    forall_q = tuple(forall_vals)
-    fixpoints = frozenset(i for i in range(k) if forall_q[i] == i)
-    quant_q = UniversalQuantifier(alg_q, forall_q, fixpoints)
-    filter_label = FilterSet(alg, s).label()
-    return QuotientResult(
-        quotient=UMTLAlgebra(alg_q, quant_q, name=q.label() + "/" + filter_label),
-        class_map=tuple(class_map),
-        classes=classes,
-    )
+    return classes, tuple(class_map), alg_q
 
 
 @dataclass(frozen=True)
@@ -415,7 +432,7 @@ def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
     alg, f = q.algebra, q.forall
     return [
         blocks
-        for c, blocks in _cached(alg, "congruences", lambda: _mtl_congruences(alg))
+        for c, blocks in alg.cached("congruences", lambda: _mtl_congruences(alg))
         if all(c[f[x]] == c[f[cx]] for x, cx in enumerate(c))
     ]
 

@@ -38,8 +38,71 @@ class Bot(Formula):
         return "bot"
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class Impl(Formula):
+class _Connective(Formula):
+    """A node with children.
+
+    Its hash is computed on first use, from its children's cached
+    hashes, and kept in a slot that is no dataclass field, so a copy or a
+    pickle recomputes it; it equals the dataclass hash of the children
+    tuple.  Equality returns early on the same object or on two cached
+    hashes that differ, and otherwise walks the two trees iteratively,
+    visiting each pair of node objects once.  The sugared `a | b` holds
+    each side two or three times, so a recursive walk of a `|` chain
+    would take time exponential in its length; these take time linear in
+    its distinct nodes.  Neither computes a hash it does not need: most
+    formulas are built, printed and evaluated, never hashed."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(_children(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        try:
+            if self._hash != other._hash:
+                return False
+        except AttributeError:  # a hash not computed yet
+            pass
+        return _same_tree(self, other)
+
+
+def _same_tree(f: Formula, g: Formula) -> bool:
+    seen: set[tuple[int, int]] = set()  # by id(): f and g keep every node alive
+    stack = [(f, g)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        if cls is Box:
+            key = (id(x), id(y))
+            if key not in seen:
+                seen.add(key)
+                stack.append((x.arg, y.arg))
+        elif cls in _BINARY:
+            key = (id(x), id(y))
+            if key not in seen:
+                seen.add(key)
+                stack.append((x.left, y.left))
+                stack.append((x.right, y.right))
+        elif x != y:
+            return False
+    return True
+
+
+@dataclass(frozen=True, repr=False, eq=False, slots=True)
+class Impl(_Connective):
     left: Formula
     right: Formula
 
@@ -47,8 +110,8 @@ class Impl(Formula):
         return f"({self.left!r} -> {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class And(Formula):
+@dataclass(frozen=True, repr=False, eq=False, slots=True)
+class And(_Connective):
     left: Formula
     right: Formula
 
@@ -56,8 +119,8 @@ class And(Formula):
         return f"({self.left!r} & {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class Min(Formula):
+@dataclass(frozen=True, repr=False, eq=False, slots=True)
+class Min(_Connective):
     left: Formula
     right: Formula
 
@@ -65,8 +128,8 @@ class Min(Formula):
         return f"({self.left!r} ^ {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class Box(Formula):
+@dataclass(frozen=True, repr=False, eq=False, slots=True)
+class Box(_Connective):
     arg: Formula
 
     def __repr__(self):
@@ -81,6 +144,9 @@ class MetaVar(Formula):
 
     def __repr__(self):
         return f"<{self.label}>"
+
+
+_BINARY = (Impl, And, Min)
 
 
 def top() -> Formula:

@@ -2,9 +2,8 @@
 
 Formulas are compiled once into a `Program`: straight-line code over their
 distinct node objects in post-order, children first.  Nodes are keyed by
-`id`, never by value, because frozen-dataclass hashing and equality recurse
-into the children, and the sugared `a | b` holds each side three times, so
-a flat `|` chain is exponential as a tree but linear as a program.  Equal
+`id`: the sugared `a | b` holds each side three times, so a flat `|` chain
+is exponential as a tree but linear as a program.  Equal
 instructions over equal slots also share one slot, so every leaf (a
 variable index, a metavariable label, or bot) gets exactly one.
 
@@ -75,6 +74,12 @@ class Program:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(k for k in self.leaves if isinstance(k, str))
+
+    @property
+    def reads_forall(self) -> bool:
+        """Whether some step reads the quantifier table; a program with
+        none computes the same masks for every quantifier on an algebra."""
+        return any(op == "forall" for op, *_ in self.code)
 
     def masks(self, q: UMTLAlgebra, leaf_masks, full: int) -> list[list[int]]:
         """The value masks of each root, from each leaf's value masks;
@@ -344,12 +349,33 @@ def soundness_audit(
 ) -> SoundnessReport:
     """Schema validity plus pointwise rule preservation on every corpus
     member.  Extension schemas are audited only on bases in the matching
-    subvariety."""
+    subvariety.
+
+    A program with no `forall` step (the MTL axioms, the extensions and
+    modus ponens) reads only the algebra's tables, so its verdict and
+    witness are computed once per algebra object and copied into the
+    entry of every pair on it; the modal schemas and necessitation run
+    per pair.  The entries stay per pair, in corpus order.  A shared
+    verdict is a function of the algebra alone, never of a quantifier or
+    of another check's result, so sharing cannot make one side of an
+    audit follow from the other.
+    """
     programs = [
         (schema_id, _EXTENSION_GUARDS.get(schema_id), compile_formulas((pattern,)))
         for schema_id, pattern in catalog.schemas
     ]
     mp, nec = (compile_formulas((c, *premises)) for c, premises in (_MP, _NEC))
+    shared: dict[tuple[int, int], tuple[bool, tuple | None]] = {}
+
+    def verdict(q: UMTLAlgebra, program: Program) -> tuple[bool, tuple | None]:
+        if program.reads_forall:
+            return _schema_instance_valid(q, program)
+        # by id(): the corpus keeps every algebra alive, this call every program
+        key = (id(q.algebra), id(program))
+        if key not in shared:
+            shared[key] = _schema_instance_valid(q, program)
+        return shared[key]
+
     entries = []
     mp_ok = True
     nec_ok = True
@@ -358,10 +384,10 @@ def soundness_audit(
         for schema_id, guard, program in programs:
             if guard is not None and not guard(profile):
                 continue
-            valid, witness = _schema_instance_valid(q, program)
+            valid, witness = verdict(q, program)
             entries.append(
                 SchemaSoundness(schema_id, q.label(), valid, witness)
             )
-        mp_ok = mp_ok and _schema_instance_valid(q, mp)[0]
-        nec_ok = nec_ok and _schema_instance_valid(q, nec)[0]
+        mp_ok = mp_ok and verdict(q, mp)[0]
+        nec_ok = nec_ok and verdict(q, nec)[0]
     return SoundnessReport(tuple(entries), mp_ok, nec_ok)

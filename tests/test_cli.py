@@ -150,6 +150,39 @@ def test_audit_exit_code(capsys):
     assert "schema soundness: pass" in out
 
 
+def test_audit_takes_one_alg_file(tmp_path, capsys):
+    # the same report as a directory that holds only that file
+    one = CORPUS / "goedel-3.alg"
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    (directory / one.name).write_text(one.read_text())
+    reports = [tmp_path / "file.json", tmp_path / "dir.json"]
+    for report, path in zip(reports, (one, directory)):
+        assert main(["--json", str(report), "audit", str(path)]) == 1
+    assert "audited 1 pairs over 1 algebras" in capsys.readouterr().out
+    file_report, dir_report = (json.loads(r.read_text())["report"] for r in reports)
+    assert file_report["checks"] == dir_report["checks"]
+
+
+def test_audit_of_a_missing_path_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.alg"
+    assert run_cli("audit", str(missing)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+
+
+def test_prove_check_accepts_a_step_on_a_long_or_chain(tmp_path, capsys):
+    # the checker compares the step with the instantiated schema; a flat
+    # chain of 30 `|` links is exponential as a tree
+    chain = " | ".join(f"p{i % 3}" for i in range(31))
+    src = tmp_path / "chain.prf"
+    src.write_text(
+        f"step 1: ({chain}) & p1 -> ({chain}) ; axiom A2 [alpha:={chain}, beta:=p1]\n"
+    )
+    assert run_cli("prove", "check", str(src)) == 0
+    assert "proof accepted" in capsys.readouterr().out
+
+
 def test_prove_check_and_deduce(tmp_path, capsys):
     proof = sorted(proofs_dir().glob("*.prf"))[0]
     assert run_cli("prove", "check", str(proof)) == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,22 @@ def test_lor_expansion():
     p, q = Var(0), Var(1)
     expected = Min(Impl(Impl(p, q), q), Impl(Impl(q, p), p))
     assert parse_formula("p0 | p1") == expected == lor(p, q)
+
+
+def test_or_chains_hash_and_compare_in_linear_time():
+    # `a | b` holds each side two or three times, so a recursive hash or
+    # equality walk of a flat chain of `|` is exponential in its links
+    text = " | ".join(f"p{i % 3}" for i in range(31))
+    start = time.perf_counter()
+    f, g = parse_formula(text), parse_formula(text)
+    assert f is not g and hash(f) == hash(g) and f == g
+    assert f != parse_formula(text[:-2] + "p4")
+    # equal children give Impl and And equal hashes, so the walk must
+    # tell the node types apart below the root
+    p, q = Var(0), Var(1)
+    assert hash(lor(Impl(p, q), f)) == hash(lor(And(p, q), g))
+    assert lor(Impl(p, q), f) != lor(And(p, q), g)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_top_and_neg_and_iff_expansion():

@@ -28,6 +28,14 @@ check them, and `core.closure` itself must give the least closed set of
 the search that holds the seed, on the filter, U-filter and subalgebra
 tables.
 
+Both audits share every value that reads only the algebra, or the
+algebra and a filter, across the pairs of one algebra object: the
+subvariety profile, the verdicts of the soundness programs with no
+`forall` step, and the MTL part of each quotient.  The same pairs, each
+rebuilt on its own copy of the algebra so that nothing is shared, must
+give the same entries, on the corpus and on the random algebras, under
+both U2 parses.
+
 Formulas are compiled once and evaluated a block of valuations at a time,
 one bit per valuation (`logic.semantics`); the recursive tree walk
 `oracles.eval_formula_tree` and the hand-ranked
@@ -41,6 +49,7 @@ expands.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import itertools
 import math
 import random
@@ -76,6 +85,7 @@ from umtl.logic.formulas import (
     parse_formula,
     variables_of,
 )
+from umtl.logic.schemas import SchemaCatalog
 from umtl.logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -83,6 +93,7 @@ from umtl.logic.semantics import (
     consequence,
     countermodel_search,
     eval_formula,
+    soundness_audit,
 )
 from umtl.quantifier import (
     UMTLAlgebra,
@@ -469,6 +480,47 @@ def test_quotients_match_validated_build(seed):
     alg = random_algebra(seed, 10)
     for uq in enumerate_quantifiers(alg):
         assert_quotients_match_validated(UMTLAlgebra(alg, uq))
+
+
+def on_own_copy(q: UMTLAlgebra) -> UMTLAlgebra:
+    """`q` on a copy of its algebra that starts with an empty cache."""
+    alg = dataclasses.replace(q.algebra, cache={})
+    return UMTLAlgebra(alg, dataclasses.replace(q.quantifier, base=alg), q.name)
+
+
+def assert_sharing_changes_no_entry(pairs, u2_parse):
+    alone = [on_own_copy(q) for q in pairs]
+    assert len({id(q.algebra) for q in alone}) == len(pairs)
+    shared = ana.theorem_audit(pairs, u2_parse)
+    assert [e.as_dict() for e in shared] == [
+        e.as_dict() for e in ana.theorem_audit(alone, u2_parse)
+    ]
+    # the constant maps are no quantifiers: they fail M2b or M1, which
+    # every quantifier passes, so a modal verdict shared between the
+    # tables of one algebra shows
+    pool = list(pairs)
+    for alg in {id(q.algebra): q.algebra for q in pairs}.values():
+        pool += [unchecked_pair(alg, (x,) * alg.size) for x in (alg.bottom, alg.top)]
+    catalog = SchemaCatalog.mmtl(u2_parse, extensions=("INV", "WNM", "MV", "EM"))
+    report = soundness_audit(pool, catalog)
+    assert not report.all_valid
+    assert report == soundness_audit([on_own_copy(q) for q in pool], catalog)
+
+
+# The pairs are the quantifiers of the standard parse, since no table
+# validates under the alternative one; audited under that parse, the
+# modal schema M2a fails on every pair.
+@pytest.mark.parametrize("u2_parse", ["standard", "alt"])
+def test_shared_audits_match_unshared_on_corpus(corpus_entries, u2_parse):
+    assert_sharing_changes_no_entry(corpus_pairs(corpus_entries), u2_parse)
+
+
+@pytest.mark.parametrize("u2_parse", ["standard", "alt"])
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_shared_audits_match_unshared(seed, u2_parse):
+    alg = random_algebra(seed, 8)
+    pairs = [UMTLAlgebra(alg, uq) for uq in enumerate_quantifiers(alg)]
+    assert_sharing_changes_no_entry(pairs, u2_parse)
 
 
 def random_formula(rnd: random.Random, depth: int, k: int):

@@ -1,0 +1,99 @@
+"""Work counts that pin what the audits share across the pairs of one
+algebra object on the bundled corpus: 25 pairs over 13 algebra objects.
+
+Each shared value reads only the algebra, or the algebra and a filter:
+the verdicts of the soundness programs with no `forall` step, the MTL
+part of a quotient, and the subvariety profile.  `test_oracles.py`
+compares the shared entries with a run that shares nothing.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from umtl import analysis as ana
+from umtl import core
+from umtl import filters as flt
+from umtl import quantifier
+from umtl.audit import corpus_pairs
+from umtl.corpus import bundled_corpus
+from umtl.logic import semantics
+from umtl.logic.schemas import SchemaCatalog
+
+EXTENSIONS = ("INV", "WNM", "MV", "EM")
+
+
+@pytest.fixture
+def pairs():
+    """The corpus pairs on freshly built algebras, with empty caches."""
+    pairs = corpus_pairs(bundled_corpus())
+    assert len(pairs) == 25
+    assert len({id(q.algebra) for q in pairs}) == 13
+    return pairs
+
+
+def test_forall_free_soundness_programs_run_once_per_algebra(pairs, monkeypatch):
+    calls = Counter()
+    refutations = semantics._refutations
+
+    def counting(q, program, leaves):
+        modal = any(op == "forall" for op, *_ in program.code)
+        calls[modal, id(program), id(q.algebra)] += 1
+        return refutations(q, program, leaves)
+
+    monkeypatch.setattr(semantics, "_refutations", counting)
+    semantics.soundness_audit(pairs, SchemaCatalog.mmtl(extensions=EXTENSIONS))
+    plain = {key: n for key, n in calls.items() if not key[0]}
+    # A1-A10 and modus ponens on every algebra, the extensions on some
+    assert len({program for _, program, _ in plain}) == 15
+    assert set(plain.values()) == {1}
+    assert len({alg for _, _, alg in plain}) == 13
+    modal = Counter(program for modal, program, _ in calls.elements() if modal)
+    # M1-M3b and necessitation on every pair
+    assert sorted(modal.values()) == [25] * 6
+
+
+def test_quotient_mtl_part_is_built_once_per_filter(pairs, monkeypatch):
+    asked = []  # the algebras stay referenced, so their ids stay distinct
+    built = []
+    quotient, algebra = flt.quotient, flt.FiniteMTLAlgebra
+
+    def recording(q, members):
+        asked.append((q.algebra, frozenset(members)))
+        return quotient(q, members)
+
+    def counting(**kwargs):
+        built.append(algebra(**kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(flt, "quotient", recording)
+    monkeypatch.setattr(flt, "FiniteMTLAlgebra", counting)
+    ana.theorem_audit(pairs)
+    distinct = {(id(alg), members) for alg, members in asked}
+    assert len(asked) > len(distinct)
+    assert len(built) == len(distinct)
+
+
+def test_classify_scans_once_per_algebra_object(pairs, monkeypatch):
+    asked = []  # the algebras stay referenced, so their ids stay distinct
+    scans = []
+    profile = core.SubvarietyProfile
+
+    def recording(alg):
+        asked.append(alg)
+        return core.classify(alg)
+
+    def counting(**flags):
+        scans.append(flags)
+        return profile(**flags)
+
+    for module in (ana, quantifier, semantics):
+        monkeypatch.setattr(module, "classify", recording)
+    monkeypatch.setattr(core, "SubvarietyProfile", counting)
+    ana.theorem_audit(pairs)
+    semantics.soundness_audit(pairs, SchemaCatalog.mmtl(extensions=EXTENSIONS))
+    distinct = {id(alg) for alg in asked}
+    assert len(asked) > len(distinct)
+    assert len(scans) == len(distinct)
