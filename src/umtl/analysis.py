@@ -222,14 +222,24 @@ def is_u_homomorphism(mapping, q1: UMTLAlgebra, q2: UMTLAlgebra):
 
     Returns (True, None) or (False, first failing description tuple).
     """
-    a1, a2 = q1.algebra, q2.algebra
     m = tuple(mapping)
+    witness = _mtl_homomorphism_witness(m, q1.algebra, q2.algebra)
+    if witness is None:
+        witness = _forall_witness(m, q1, q2)
+    return witness is None, witness
+
+
+def _mtl_homomorphism_witness(
+    m: tuple[int, ...], a1: FiniteMTLAlgebra, a2: FiniteMTLAlgebra
+) -> tuple | None:
+    """The first failure of `m` to map the carrier of `a1` into that of
+    `a2` preserving bottom, top, odot, arrow, meet and join, or None."""
     if len(m) != a1.size or any(not (0 <= v < a2.size) for v in m):
-        return False, ("domain",)
+        return ("domain",)
     if m[a1.bottom] != a2.bottom:
-        return False, ("bottom", a1.bottom)
+        return ("bottom", a1.bottom)
     if m[a1.top] != a2.top:
-        return False, ("top", a1.top)
+        return ("top", a1.top)
     pairs = [
         ("odot", a1.odot, a2.odot),
         ("arrow", a1.arrow, a2.arrow),
@@ -240,12 +250,19 @@ def is_u_homomorphism(mapping, q1: UMTLAlgebra, q2: UMTLAlgebra):
         for x in a1.elements:
             for y in a1.elements:
                 if m[t1[x][y]] != t2[m[x]][m[y]]:
-                    return False, (name, x, y)
+                    return (name, x, y)
+    return None
+
+
+def _forall_witness(
+    m: tuple[int, ...], q1: UMTLAlgebra, q2: UMTLAlgebra
+) -> tuple | None:
+    """The first x whose quantifier image `m` does not preserve, or None."""
     f1, f2 = q1.forall, q2.forall
-    for x in a1.elements:
+    for x in q1.algebra.elements:
         if m[f1[x]] != f2[m[x]]:
-            return False, ("forall", x)
-    return True, None
+            return ("forall", x)
+    return None
 
 
 @dataclass(frozen=True)
@@ -320,8 +337,17 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
         len({res.class_map[x] for x in alg.elements}) == res.quotient.algebra.size
         for res in quotients
     )
+    # the MTL half of each check reads only the algebra and the filter (the
+    # class map and the quotient algebra are shared per filter), so it runs
+    # once per filter; the quantifier half runs for every pair
     u_homomorphic = tuple(
-        is_u_homomorphism(res.class_map, q, res.quotient)[0] for res in quotients
+        alg.cached(
+            ("class-map-homomorphism", fs.members),
+            lambda: _mtl_homomorphism_witness(res.class_map, alg, res.quotient.algebra),
+        )
+        is None
+        and _forall_witness(res.class_map, q, res.quotient) is None
+        for fs, res in zip(family, quotients)
     )
     emb = SubdirectEmbedding(
         factors=tuple(res.quotient for res in quotients),

@@ -12,6 +12,16 @@ Parsing rejects a formula whose tree is more than MAX_DEPTH nodes deep, or
 whose text nests parentheses, prefixes and implications more than
 MAX_DEPTH levels deep, so the recursive evaluator, printer and proof
 checker stay within Python's default recursion limit.
+
+The parse is one pass: one regex scan yields the tokens, a list index
+walks them, and each tier returns its node with its tree depth, computed
+from its children's depths as it is built.  Token positions are recovered
+by a second scan only when a syntax error is raised.  An error is located
+at the index of the token it names (the end of the text for a formula cut
+short); a character that no token starts with is reported first, at its
+own index.  The earlier parser, which tokenized first and derived each
+depth by a walk over the new node's children, is kept as the test oracle
+`umtl.oracles.parse_formula_reference`.
 """
 
 from __future__ import annotations
@@ -199,23 +209,15 @@ class FormulaSyntaxError(ValueError):
 
 
 MAX_DEPTH = 100
+_TOO_DEEP = f"formula nested more than {MAX_DEPTH} levels deep"
 
-_TOKEN_RE = re.compile(r"\s*(->|<->|[&^|()]|[A-Za-z][A-Za-z0-9]*)")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or not m.group(1):
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise FormulaSyntaxError(f"unexpected character {rest[0]!r}", pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+_TOKEN = r"->|<->|[&^|()]|[A-Za-z][A-Za-z0-9]*"
+# the tokens, and any other non-space character alone, which no tier accepts
+_TOKEN_RE = re.compile(_TOKEN + r"|\S")
+# the longest prefix of tokens and whitespace, which ends at the first
+# character that starts no token
+_READABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
+_VAR_RE = re.compile(r"p(\d+)")
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
@@ -226,124 +228,122 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, int]], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-        self.nesting = 0
-        # tree depths keyed by id(): every node stays referenced by the tree
-        # under construction, and the sugar shares subtrees, so this also
-        # keeps the depth computation linear
-        self.depths: dict[int, int] = {}
+class _Stop(Exception):
+    """A syntax error (message, token index); `parse_formula` locates it."""
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def here(self) -> int:
-        return (
-            self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.length
-        )
+def _parse(tokens: list[str]) -> Formula:
+    """The formula that `tokens`, ended by the sentinel "", spell.
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of formula", self.length)
-        self.pos += 1
-        return tok
+    Each tier returns its node with its tree depth, from the children's
+    depths: the sugar adds levels (`neg` 1, `<->` 2, `|` 3, `top` is 2
+    deep).  `nesting` counts the open parentheses, prefixes and
+    implications."""
+    i = 0
+    nesting = 0
 
-    def too_deep(self) -> FormulaSyntaxError:
-        return FormulaSyntaxError(
-            f"formula nested more than {MAX_DEPTH} levels deep", self.here()
-        )
+    def formula():  # -> and <->, right-associative
+        nonlocal i, nesting
+        nesting += 1
+        if nesting > MAX_DEPTH:
+            raise _Stop(_TOO_DEEP, i)
+        left, d = lattice()
+        tok = tokens[i]
+        if tok == "->" or tok == "<->":
+            i += 1
+            right, e = formula()
+            if tok == "->":
+                left, d = Impl(left, right), (d if d > e else e) + 1
+            else:
+                left, d = iff(left, right), (d if d > e else e) + 2
+            if d > MAX_DEPTH:
+                raise _Stop(_TOO_DEEP, i)
+        nesting -= 1
+        return left, d
 
-    def descend(self) -> None:
-        """Enter one level of parser recursion."""
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise self.too_deep()
+    def lattice():  # ^ and |, left-associative
+        nonlocal i
+        acc, d = conjunction()
+        tok = tokens[i]
+        while tok == "^" or tok == "|":
+            i += 1
+            rhs, e = conjunction()
+            if tok == "^":
+                acc, d = Min(acc, rhs), (d if d > e else e) + 1
+            else:
+                acc, d = lor(acc, rhs), (d if d > e else e) + 3
+            if d > MAX_DEPTH:
+                raise _Stop(_TOO_DEEP, i)
+            tok = tokens[i]
+        return acc, d
 
-    def depth(self, f: Formula) -> int:
-        d = self.depths.get(id(f))
-        if d is None:
-            d = 1 + max((self.depth(c) for c in _children(f)), default=0)
-            self.depths[id(f)] = d
-        return d
+    def conjunction():  # &, left-associative
+        nonlocal i
+        acc, d = unary()
+        while tokens[i] == "&":
+            i += 1
+            rhs, e = unary()
+            acc, d = And(acc, rhs), (d if d > e else e) + 1
+            if d > MAX_DEPTH:
+                raise _Stop(_TOO_DEEP, i)
+        return acc, d
 
-    def built(self, f: Formula) -> Formula:
-        """`f`, once its tree is known to be at most MAX_DEPTH deep."""
-        if self.depth(f) > MAX_DEPTH:
-            raise self.too_deep()
-        return f
-
-    def formula(self) -> Formula:
-        self.descend()
-        left = self.lattice_tier()
-        tok = self.peek()
-        if tok in ("->", "<->"):
-            self.take()
-            right = self.formula()
-            left = self.built(Impl(left, right) if tok == "->" else iff(left, right))
-        self.nesting -= 1
-        return left
-
-    def lattice_tier(self) -> Formula:
-        acc = self.conj_tier()
-        while self.peek() in ("^", "|"):
-            op = self.take()
-            rhs = self.conj_tier()
-            acc = self.built(Min(acc, rhs) if op == "^" else lor(acc, rhs))
-        return acc
-
-    def conj_tier(self) -> Formula:
-        acc = self.unary_tier()
-        while self.peek() == "&":
-            self.take()
-            acc = self.built(And(acc, self.unary_tier()))
-        return acc
-
-    def unary_tier(self) -> Formula:
-        tok = self.peek()
-        if tok not in ("box", "neg"):
-            return self.atom()
-        self.take()
-        self.descend()
-        arg = self.unary_tier()
-        self.nesting -= 1
-        return self.built(Box(arg) if tok == "box" else neg(arg))
-
-    def atom(self) -> Formula:
-        where = self.here()
-        tok = self.take()
+    def unary():  # box and neg prefixes, then an atom
+        nonlocal i, nesting
+        tok = tokens[i]
+        i += 1
+        if tok == "box" or tok == "neg":
+            nesting += 1
+            if nesting > MAX_DEPTH:
+                raise _Stop(_TOO_DEEP, i)
+            arg, d = unary()
+            nesting -= 1
+            if d + 1 > MAX_DEPTH:
+                raise _Stop(_TOO_DEEP, i)
+            return (Box(arg) if tok == "box" else neg(arg)), d + 1
+        m = _VAR_RE.fullmatch(tok)
+        if m:
+            return Var(int(m[1])), 1
         if tok == "(":
-            inner = self.formula()
-            if self.peek() != ")":
-                raise FormulaSyntaxError("expected ')'", self.here())
-            self.take()
+            inner = formula()
+            if tokens[i] != ")":
+                raise _Stop("expected ')'", i)
+            i += 1
             return inner
         if tok == "bot":
-            return Bot()
+            return Bot(), 1
         if tok == "top":
-            return top()
-        m = re.fullmatch(r"p(\d+)", tok)
-        if m:
-            return Var(int(m.group(1)))
-        raise FormulaSyntaxError(f"unknown identifier {tok!r}", where)
+            return top(), 2
+        if not tok:
+            raise _Stop("unexpected end of formula", i - 1)
+        if tok[0].isalpha():
+            raise _Stop(f"unknown identifier {tok!r}", i - 1)
+        raise _Stop(f"unexpected token {tok!r}", i - 1)
+
+    f, _ = formula()
+    if tokens[i]:
+        raise _Stop(f"unexpected token {tokens[i]!r}", i)
+    return f
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(_tokenize(text), len(text))
-    f = parser.formula()
-    if parser.peek() is not None:
-        raise FormulaSyntaxError(
-            f"unexpected token {parser.peek()!r}", parser.here()
-        )
-    return f
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    try:
+        return _parse(tokens)
+    except _Stop as stop:
+        message, index = stop.args
+    # a character that starts no token is reported first, wherever it is
+    bad = _READABLE_RE.match(text).end()
+    if bad < len(text):
+        raise FormulaSyntaxError(f"unexpected character {text[bad]!r}", bad)
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    raise FormulaSyntaxError(message, (starts + [len(text)])[index])
 
 
 # printer tiers: 1 implication, 2 lattice, 3 strong conjunction, 4 unary/atom
 def _sugar_view(f: Formula):
-    if isinstance(f, Impl) and f.left == Bot() and f.right == Bot():
+    if isinstance(f, Impl) and type(f.left) is Bot and type(f.right) is Bot:
         return ("top",)
     if isinstance(f, Min):
         l, r = f.left, f.right
@@ -371,7 +371,7 @@ def _sugar_view(f: Formula):
             return ("iff", l.left, l.right)
         return ("and", l, r)
     if isinstance(f, Impl):
-        if f.right == Bot() and f.left != Bot():
+        if type(f.right) is Bot and type(f.left) is not Bot:
             return ("neg", f.left)
         return ("impl", f.left, f.right)
     if isinstance(f, Box):

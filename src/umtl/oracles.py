@@ -32,13 +32,34 @@ particular none of them calls the filter closure system
 - `eval_formula_tree` evaluates a formula by a recursive walk over its
   tree, one valuation at a time, and `first_refutation_tree_walk` ranks
   the valuations by hand with it, for the compiled column evaluator and
-  the searches of `logic.semantics`.
+  the searches of `logic.semantics`;
+- `parse_formula_reference` is the recursive-descent parser that
+  tokenizes the whole text first and derives each node's depth by a walk
+  over its children, for the one-pass `logic.formulas.parse_formula`.
 """
 
 from __future__ import annotations
 
+import re
+
 from .core import FiniteMTLAlgebra
-from .logic.formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var, variables_of
+from .logic.formulas import (
+    MAX_DEPTH,
+    And,
+    Bot,
+    Box,
+    Formula,
+    FormulaSyntaxError,
+    Impl,
+    MetaVar,
+    Min,
+    Var,
+    iff,
+    lor,
+    neg,
+    top,
+    variables_of,
+)
 from .quantifier import UMTLAlgebra, quantifier_violations, relativization_table
 
 
@@ -305,3 +326,150 @@ def first_refutation_tree_walk(pool, premises, conclusion: Formula):
             if value != top:
                 return index, valuation, value
     return None
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(->|<->|[&^|()]|[A-Za-z][A-Za-z0-9]*)")
+
+
+def _tokenize_reference(text: str) -> list[tuple[str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None or not m.group(1):
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            # the character's own index, past the whitespace before it
+            raise FormulaSyntaxError(
+                f"unexpected character {rest[0]!r}", len(text) - len(rest)
+            )
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[tuple[str, int]], length: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.length = length
+        self.nesting = 0
+        # tree depths keyed by id(): every node stays referenced by the tree
+        # under construction, and the sugar shares subtrees, so this also
+        # keeps the depth computation linear
+        self.depths: dict[int, int] = {}
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def here(self) -> int:
+        return (
+            self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.length
+        )
+
+    def take(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of formula", self.length)
+        self.pos += 1
+        return tok
+
+    def too_deep(self) -> FormulaSyntaxError:
+        return FormulaSyntaxError(
+            f"formula nested more than {MAX_DEPTH} levels deep", self.here()
+        )
+
+    def descend(self) -> None:
+        """Enter one level of parser recursion."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.too_deep()
+
+    def depth(self, f: Formula) -> int:
+        d = self.depths.get(id(f))
+        if d is None:
+            if isinstance(f, (Impl, And, Min)):
+                children = (f.left, f.right)
+            elif isinstance(f, Box):
+                children = (f.arg,)
+            else:
+                children = ()
+            d = 1 + max((self.depth(c) for c in children), default=0)
+            self.depths[id(f)] = d
+        return d
+
+    def built(self, f: Formula) -> Formula:
+        """`f`, once its tree is known to be at most MAX_DEPTH deep."""
+        if self.depth(f) > MAX_DEPTH:
+            raise self.too_deep()
+        return f
+
+    def formula(self) -> Formula:
+        self.descend()
+        left = self.lattice_tier()
+        tok = self.peek()
+        if tok in ("->", "<->"):
+            self.take()
+            right = self.formula()
+            left = self.built(Impl(left, right) if tok == "->" else iff(left, right))
+        self.nesting -= 1
+        return left
+
+    def lattice_tier(self) -> Formula:
+        acc = self.conj_tier()
+        while self.peek() in ("^", "|"):
+            op = self.take()
+            rhs = self.conj_tier()
+            acc = self.built(Min(acc, rhs) if op == "^" else lor(acc, rhs))
+        return acc
+
+    def conj_tier(self) -> Formula:
+        acc = self.unary_tier()
+        while self.peek() == "&":
+            self.take()
+            acc = self.built(And(acc, self.unary_tier()))
+        return acc
+
+    def unary_tier(self) -> Formula:
+        tok = self.peek()
+        if tok not in ("box", "neg"):
+            return self.atom()
+        self.take()
+        self.descend()
+        arg = self.unary_tier()
+        self.nesting -= 1
+        return self.built(Box(arg) if tok == "box" else neg(arg))
+
+    def atom(self) -> Formula:
+        where = self.here()
+        tok = self.take()
+        if tok == "(":
+            inner = self.formula()
+            if self.peek() != ")":
+                raise FormulaSyntaxError("expected ')'", self.here())
+            self.take()
+            return inner
+        if tok == "bot":
+            return Bot()
+        if tok == "top":
+            return top()
+        m = re.fullmatch(r"p(\d+)", tok)
+        if m:
+            return Var(int(m.group(1)))
+        if tok[0].isalpha():
+            raise FormulaSyntaxError(f"unknown identifier {tok!r}", where)
+        raise FormulaSyntaxError(f"unexpected token {tok!r}", where)
+
+
+def parse_formula_reference(text: str) -> Formula:
+    """The recursive-descent parse of `text`: tokenized in full first, one
+    anchored match per token, each node's depth derived from its children
+    by a walk memoized on node identity."""
+    parser = _ReferenceParser(_tokenize_reference(text), len(text))
+    f = parser.formula()
+    if parser.peek() is not None:
+        raise FormulaSyntaxError(
+            f"unexpected token {parser.peek()!r}", parser.here()
+        )
+    return f

@@ -365,6 +365,12 @@ def test_duplicate_element_names_are_input_errors(tmp_path, capsys):
     assert all("duplicate element name 'a' (line 3)" in line for line in err)
 
 
+def test_misplaced_operator_is_one_line_input_error(capsys):
+    assert run_cli("logic", "valid", "p0 & & p1") == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["error: unexpected token '&' (at position 5)"]
+
+
 @pytest.mark.parametrize(
     "formula",
     ["(" * 3000 + "p0" + ")" * 3000, "box " * 5000 + "p0", "p0 & " * 3000 + "p0"],

@@ -83,6 +83,34 @@ def test_syntax_errors_carry_positions():
         parse_formula("p0 p1")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("-", 0), ("p0-", 2), ("p0    -", 6), ("   -", 3), ("p0 -> \t@ p1", 7)],
+)
+def test_a_bad_character_is_reported_at_its_own_index(text, position):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    bad = text[position]
+    assert str(err.value) == f"unexpected character {bad!r} (at position {position})"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p0 & & p1", "unexpected token '&' (at position 5)"),
+        ("(p0 -> ) p1", "unexpected token ')' (at position 7)"),
+        ("-> p0", "unexpected token '->' (at position 0)"),
+        ("p0 & P0", "unknown identifier 'P0' (at position 5)"),
+        ("box q", "unknown identifier 'q' (at position 4)"),
+        ("p0 &", "unexpected end of formula (at position 4)"),
+    ],
+)
+def test_misplaced_operators_are_not_called_identifiers(text, message):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
 def test_variables_of():
     f = parse_formula("box p3 -> (p0 & p3)")
     assert variables_of(f) == (0, 3)

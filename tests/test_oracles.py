@@ -44,6 +44,13 @@ first refutation, on the corpus pairs and on products and ordinal sums of
 8 to 16 elements, also with small blocks, across the boundary of a real
 block, and on sugared `|` chains, whose shared subtrees the tree walk
 expands.
+
+Formulas are parsed in one pass, each node's depth carried up from its
+children's; `oracles.parse_formula_reference`, which tokenizes first and
+derives depths by a walk, must give the same tree with the same shared
+node objects, or the same message at the same position, on random token
+strings, on each nesting shape around the depth bound, on the bundled
+proofs and on printed random formulas.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from pathlib import Path
 import pytest
 
 from umtl import analysis as ana
-from umtl import core
+from umtl import core, corpus
 from umtl import filters as flt
 from umtl import oracles
 from umtl.audit import corpus_pairs
@@ -72,17 +79,22 @@ from umtl.core import (
     validate,
 )
 from umtl.filters import enumerate_ucongruences
-from umtl.logic import semantics
+from umtl.logic import proofs, semantics
 from umtl.logic.formulas import (
+    MAX_DEPTH,
     And,
     Bot,
     Box,
+    FormulaSyntaxError,
     Impl,
     Min,
     Var,
+    iff,
     lor,
     neg,
     parse_formula,
+    print_formula,
+    top,
     variables_of,
 )
 from umtl.logic.schemas import SchemaCatalog
@@ -697,6 +709,170 @@ def test_or_chains_match_tree_walk(formula_pool, links):
                     q, {0: x, 1: y}, f
                 )
     assert_searches_match_tree_walk(formula_pool, (), f)
+
+
+def dag_shape(f):
+    """The distinct node objects of `f`, numbered in post-order, each with
+    its class and its children's numbers, or its own repr for a leaf: two
+    trees have the same shape iff they are equal and share the same
+    subtrees."""
+    number = {}  # by id(): `f` keeps every node alive
+    rows = []
+
+    def visit(g):
+        if id(g) not in number:
+            if isinstance(g, Box):
+                kids = (visit(g.arg),)
+            elif isinstance(g, (Impl, And, Min)):
+                kids = (visit(g.left), visit(g.right))
+            else:
+                kids = repr(g)
+            rows.append((type(g).__name__, kids))
+            number[id(g)] = len(rows) - 1
+        return number[id(g)]
+
+    visit(f)
+    return tuple(rows)
+
+
+def parse_outcome(parse, text):
+    try:
+        return dag_shape(parse(text))
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.position
+
+
+def assert_parsers_agree(text):
+    expected = parse_outcome(oracles.parse_formula_reference, text)
+    assert parse_outcome(parse_formula, text) == expected, text
+    return expected
+
+
+# words, operators, characters no token starts with (rarer) and gaps;
+# pieces with no gap between them can merge, as `p0p1` or `->`
+PARSE_PIECES = (
+    ["p0", "p1", "p17", "bot", "top", "box", "neg", "P0", "q", "p"]
+    + ["(", ")", "(", ")", "&", "^", "|", "->", "<->", "-", ">", "<"]
+)
+PARSE_BAD = ["@", "0", "é", "!", "~"]
+PARSE_GAPS = ["", " ", " ", " ", "  ", "\t", "\u00a0"]
+
+
+def random_token_text(rnd: random.Random) -> str:
+    pieces = []
+    for _ in range(rnd.randrange(14)):
+        pieces.append(rnd.choice(PARSE_GAPS))
+        pieces.append(rnd.choice(PARSE_BAD if rnd.random() < 0.03 else PARSE_PIECES))
+    return "".join(pieces) + rnd.choice(PARSE_GAPS)
+
+
+def random_sugared_formula(rnd: random.Random, depth: int):
+    """A formula built with every constructor the printer re-sugars."""
+    if depth == 0 or rnd.random() < 0.2:
+        return rnd.choice([Var(rnd.randrange(4)), Var(rnd.randrange(4)), Bot(), top()])
+    kind = rnd.randrange(8)
+    if kind < 2:
+        return (Box, neg)[kind](random_sugared_formula(rnd, depth - 1))
+    left, right = (random_sugared_formula(rnd, depth - 1) for _ in range(2))
+    return (Impl, And, Min, lor, iff, Impl)[kind - 2](left, right)
+
+
+def test_parser_matches_reference_on_random_token_strings():
+    rnd = random.Random(2024)
+    texts = [random_token_text(rnd) for _ in range(3000)]
+    # printed formulas, some with one token dropped, doubled or replaced
+    for _ in range(1000):
+        printed = print_formula(random_sugared_formula(rnd, 4))
+        words = re.findall(r"<->|->|[&^|()]|\w+", printed)
+        at = rnd.randrange(len(words))
+        edit = rnd.randrange(4)
+        if edit == 0:
+            del words[at]
+        elif edit == 1:
+            words.insert(at, words[at])
+        elif edit == 2:
+            words[at] = rnd.choice(PARSE_PIECES)
+        texts.append(" ".join(words))
+    outcomes = [assert_parsers_agree(text) for text in texts]
+    errors = [o[0] for o in outcomes if isinstance(o[0], str)]
+    for kind in (
+        "unexpected character",
+        "unexpected token",
+        "unknown identifier",
+        "unexpected end of formula",
+        "expected ')'",
+    ):
+        assert any(e.startswith(kind) for e in errors), kind
+    assert len(outcomes) - len(errors) > 300
+
+
+# each shape as a function of its unit count, with the levels one unit adds
+# to the tree depth or to the nesting of parentheses, prefixes and
+# implications
+DEPTH_SHAPES = {
+    "(": (lambda k: "(" * k + "p0" + ")" * k, 1),
+    "box": (lambda k: "box " * k + "p0", 1),
+    "neg": (lambda k: "neg " * k + "p0", 1),
+    "&": (lambda k: "p0 & " * k + "p0", 1),
+    "->": (lambda k: "p0 -> " * k + "p0", 1),
+    "<->": (lambda k: "p0 <-> " * k + "p0", 2),
+    "|": (lambda k: "p0 | " * k + "p0", 3),
+}
+
+
+def depth_shape_text(shape: str, levels: int) -> str:
+    """The shape `levels` levels deep: whole units, with box prefixes for
+    the remainder."""
+    build, per_unit = DEPTH_SHAPES[shape]
+    units, rest = divmod(levels - 1, per_unit)
+    return "box " * rest + "(" * (rest > 0) + build(units) + ")" * (rest > 0)
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+def test_parser_matches_reference_around_the_depth_bound(shape):
+    for levels in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1):
+        outcome = assert_parsers_agree(depth_shape_text(shape, levels))
+        too_deep = isinstance(outcome[0], str)
+        assert too_deep == (levels > MAX_DEPTH)
+        if too_deep:
+            assert outcome[0].startswith(f"formula nested more than {MAX_DEPTH} levels")
+
+
+def test_parser_matches_reference_on_bundled_proofs(monkeypatch):
+    texts = []
+    parse = proofs.parse_formula
+
+    def recording(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(proofs, "parse_formula", recording)
+    for path in sorted(corpus.proofs_dir().glob("*.prf")):
+        proofs.parse_proof_text(path.read_text(encoding="utf-8"))
+    assert len(texts) > 100
+    for text in texts:
+        assert isinstance(assert_parsers_agree(text)[0], tuple)
+
+
+def test_parser_matches_reference_on_printed_formulas():
+    rnd = random.Random(7)
+    for _ in range(200):
+        f = random_sugared_formula(rnd, 5)
+        shape = assert_parsers_agree(print_formula(f))
+        assert parse_formula(print_formula(f)) == f
+        assert isinstance(shape[0], tuple)
+
+
+def test_or_sides_are_shared_objects():
+    f = parse_formula("p0 | box p1")
+    # Min(Impl(Impl(a, b), b), Impl(Impl(b, a), a))
+    (ab, b), (ba, a) = (f.left.left, f.left.right), (f.right.left, f.right.right)
+    assert ab.left is ba.right is a and ab.right is ba.left is b
+    # so each link of a flat chain adds six node objects: its right side
+    # and five connectives
+    links = 30
+    distinct = len(dag_shape(parse_formula(" | ".join(["p0"] * (links + 1)))))
+    assert distinct == 6 * links + 1
 
 
 def _imported_modules(path: Path, package: str) -> set[str]:

@@ -3,7 +3,8 @@ algebra object on the bundled corpus: 25 pairs over 13 algebra objects.
 
 Each shared value reads only the algebra, or the algebra and a filter:
 the verdicts of the soundness programs with no `forall` step, the MTL
-part of a quotient, and the subvariety profile.  `test_oracles.py`
+part of a quotient and of the check that its class map is a
+homomorphism, and the subvariety profile.  `test_oracles.py`
 compares the shared entries with a run that shares nothing.
 """
 
@@ -97,3 +98,25 @@ def test_classify_scans_once_per_algebra_object(pairs, monkeypatch):
     distinct = {id(alg) for alg in asked}
     assert len(asked) > len(distinct)
     assert len(scans) == len(distinct)
+
+
+def test_class_map_mtl_check_runs_once_per_filter(pairs, monkeypatch):
+    mtl_checks = Counter()
+    forall_checks = Counter()
+    mtl_witness, forall_witness = ana._mtl_homomorphism_witness, ana._forall_witness
+
+    def counting_mtl(m, a1, a2):
+        mtl_checks[id(a1), id(a2)] += 1
+        return mtl_witness(m, a1, a2)
+
+    def counting_forall(m, q1, q2):
+        forall_checks[id(q1.algebra), id(q2.algebra)] += 1
+        return forall_witness(m, q1, q2)
+
+    monkeypatch.setattr(ana, "_mtl_homomorphism_witness", counting_mtl)
+    monkeypatch.setattr(ana, "_forall_witness", counting_forall)
+    ana.theorem_audit(pairs)
+    # one quotient algebra object per (algebra, filter), checked once
+    assert set(mtl_checks.values()) == {1}
+    assert set(forall_checks) == set(mtl_checks)
+    assert sum(forall_checks.values()) > len(mtl_checks)
