@@ -16,7 +16,7 @@ modulo comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 from pathlib import Path
 
 from .core import FiniteMTLAlgebra, default_names
@@ -29,8 +29,7 @@ class AlgebraFileError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(NamedTuple):
     """Parsed, not yet validated, algebra data."""
 
     name: str

@@ -17,7 +17,7 @@ these independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import FiniteMTLAlgebra, classify, closure, first_witnesses
 from .quantifier import (
@@ -32,8 +32,7 @@ from .quantifier import (
 from . import filters as flt
 
 
-@dataclass(frozen=True)
-class RepresentabilityReport:
+class RepresentabilityReport(NamedTuple):
     """The three finite representability conditions and their agreement,
     each held as its least witness, None when it holds.
 
@@ -103,8 +102,7 @@ def is_representable(q: UMTLAlgebra) -> RepresentabilityReport:
     return RepresentabilityReport(*(v.witness for v in first_witnesses(checks)))
 
 
-@dataclass(frozen=True)
-class StrongReport:
+class StrongReport(NamedTuple):
     """Join-distributivity of the quantifier, held as its least witness,
     with the representability comparison attached (the two are claimed
     equivalent)."""
@@ -130,8 +128,7 @@ def is_strong(q: UMTLAlgebra) -> StrongReport:
     return StrongReport(strong.witness, is_representable(q).representable)
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(NamedTuple):
     """Five simplicity conditions, each independently computed."""
 
     ufilters_trivial: bool                    # exactly {top} and L
@@ -203,8 +200,7 @@ def is_simple(q: UMTLAlgebra) -> SimplicityReport:
     )
 
 
-@dataclass(frozen=True)
-class SemisimplicityReport:
+class SemisimplicityReport(NamedTuple):
     semisimple: bool
     radical_members: tuple[int, ...]
 
@@ -265,8 +261,7 @@ def _forall_witness(
     return None
 
 
-@dataclass(frozen=True)
-class SubdirectEmbedding:
+class SubdirectEmbedding(NamedTuple):
     factors: tuple[UMTLAlgebra, ...]
     factor_filters: tuple[tuple[int, ...], ...]
     embedding: tuple[tuple[int, ...], ...]
@@ -285,8 +280,7 @@ class SubdirectEmbedding:
         )
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     mode: str
     embedding: SubdirectEmbedding | None
     failure: str | None
@@ -370,12 +364,24 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
 # audit harness
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
+    """One audit verdict; `details` stays out of equality and the hash."""
+
     check: str
     subject: str
     agrees: bool
-    details: dict = field(compare=False, default_factory=dict)
+    details: dict
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):  # tuple's own != would read `details`
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
     def as_dict(self) -> dict:
         return {

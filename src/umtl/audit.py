@@ -8,7 +8,7 @@ reports are self-describing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import analysis as ana
 from . import filters as flt
@@ -227,8 +227,7 @@ def _deduction_exponent_entry(u2_parse: str) -> AuditEntry:
     )
 
 
-@dataclass(frozen=True)
-class AuditBundle:
+class AuditBundle(NamedTuple):
     pairs: tuple[UMTLAlgebra, ...]
     entries: tuple[AuditEntry, ...]
     soundness: SoundnessReport

@@ -9,7 +9,7 @@ admit inconsistent inputs, so we never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -24,17 +24,24 @@ class InvalidAlgebraError(ValueError):
         super().__init__(f"not an MTL-algebra: {lines}{more}")
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A failed axiom together with its lexicographically least witness.
+# the axioms whose witness counts sizes or lengths, not elements
+_SHAPE_AXIOMS = frozenset(
+    ("degenerate-size", "top-out-of-range", "odot-non-square",
+     "arrow-non-square", "forall-wrong-length")
+)
 
-    A `shape` witness counts sizes or lengths, not elements, so it is
-    never rendered through element names.
-    """
+
+class Violation(NamedTuple):
+    """A failed axiom together with its lexicographically least witness."""
 
     axiom: str
     witness: tuple[int, ...]
-    shape: bool = field(default=False, compare=False)
+
+    @property
+    def shape(self) -> bool:
+        """Whether the witness counts sizes or lengths, not elements, so
+        it is never rendered through element names."""
+        return self.axiom in _SHAPE_AXIOMS
 
     def _witness(self, names: tuple[str, ...] | None) -> list:
         if names is None or self.shape:
@@ -49,8 +56,7 @@ class Violation:
         return {"axiom": self.axiom, "witness": self._witness(names)}
 
 
-@dataclass(frozen=True)
-class SubvarietyProfile:
+class SubvarietyProfile(NamedTuple):
     """Which of the standard subvariety identities hold."""
 
     imtl: bool
@@ -69,23 +75,58 @@ class SubvarietyProfile:
         }
 
 
-@dataclass(frozen=True)
 class FiniteMTLAlgebra:
-    """A validated finite MTL-algebra with cached order/meet/join."""
+    """A validated finite MTL-algebra with cached order/meet/join.
 
-    size: int
-    odot: Table
-    arrow: Table
-    top: int
-    names: tuple[str, ...]
-    leq: Table = field(compare=False)
-    meet: Table = field(compare=False)
-    join: Table = field(compare=False)
+    Immutable.  Equality and the hash read the given tables (size, odot,
+    arrow, top, names, bottom), not the derived leq/meet/join tables nor
+    the cache; a copy or a pickle starts with an empty cache.
+    """
 
-    bottom: int = 0
-    # derived values (the profile, filter families, quotients, ...) keyed
-    # by name and, for those that read a quantifier, by its table
-    cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # `cache` holds derived values (the profile, filter families,
+    # quotients, ...) keyed by name and, for those that read a quantifier,
+    # by its table
+    __slots__ = (
+        "size", "odot", "arrow", "top", "names", "leq", "meet", "join", "bottom", "cache"
+    )
+
+    def __init__(
+        self,
+        size: int,
+        odot: Table,
+        arrow: Table,
+        top: int,
+        names: tuple[str, ...],
+        leq: Table,
+        meet: Table,
+        join: Table,
+        bottom: int = 0,
+        cache: dict | None = None,
+    ):
+        values = (size, odot, arrow, top, names, leq, meet, join, bottom)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "cache", {} if cache is None else cache)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.size, self.odot, self.arrow, self.top, self.names, self.bottom)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, k) for k in self.__slots__ if k != "cache")
 
     @property
     def elements(self) -> range:
@@ -138,8 +179,7 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A named check with its least failing witness, None when it holds.
 
     The name is an axiom or condition name, or a property's item number.
@@ -249,20 +289,20 @@ def lower_covers(leq: Table) -> list[list[int]]:
 def _shape_violations(size: int, odot, arrow, top: int) -> list[Violation]:
     out: list[Violation] = []
     if size < 2:
-        out.append(Violation("degenerate-size", (size,), shape=True))
+        out.append(Violation("degenerate-size", (size,)))
         return out
     if not (0 <= top < size):
-        out.append(Violation("top-out-of-range", (top,), shape=True))
+        out.append(Violation("top-out-of-range", (top,)))
         return out
     if top == 0:
         out.append(Violation("top-equals-bottom", (0,)))
     for tag, table in (("odot", odot), ("arrow", arrow)):
         if len(table) != size:
-            out.append(Violation(f"{tag}-non-square", (len(table),), shape=True))
+            out.append(Violation(f"{tag}-non-square", (len(table),)))
             continue
         for i, row in enumerate(table):
             if len(row) != size:
-                out.append(Violation(f"{tag}-non-square", (i, len(row)), shape=True))
+                out.append(Violation(f"{tag}-non-square", (i, len(row))))
                 break
             bad = next((j for j, v in enumerate(row) if not (0 <= v < size)), None)
             if bad is not None:

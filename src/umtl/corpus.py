@@ -9,7 +9,7 @@ monoid table contradict commutativity/residuation and are corrected here
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 from importlib import resources
 from pathlib import Path
 
@@ -46,8 +46,7 @@ def example_3_2() -> FiniteMTLAlgebra:
     return validate(6, SIX_ODOT, SIX_ARROW, top=5, names=SIX_NAMES)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     algebra: FiniteMTLAlgebra
     forall: tuple[int, ...] | None = None

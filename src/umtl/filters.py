@@ -12,7 +12,7 @@ the algebra's `cache`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import FiniteMTLAlgebra, closed_masks, closure, first_witnesses, lower_covers
 from .quantifier import UMTLAlgebra, UniversalQuantifier
@@ -32,8 +32,7 @@ class QuotientError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class FilterSet:
+class FilterSet(NamedTuple):
     """An element subset of an algebra; `forall` is carried by U-filters."""
 
     algebra: FiniteMTLAlgebra
@@ -171,8 +170,7 @@ def a_perp(alg: FiniteMTLAlgebra, a: int) -> frozenset[int]:
     return frozenset(x for x in alg.elements if alg.join[a][x] == alg.top)
 
 
-@dataclass(frozen=True)
-class MinimalPrimesResult:
+class MinimalPrimesResult(NamedTuple):
     by_inclusion: tuple[FilterSet, ...]
     by_perp: tuple[FilterSet, ...]
 
@@ -234,8 +232,7 @@ def maximal_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
     )
 
 
-@dataclass(frozen=True)
-class MaximalityVerdict:
+class MaximalityVerdict(NamedTuple):
     """Maximality decided by definition and by the power-negation test,
     held as its least witness: an a outside the filter with no power of
     forall a whose negation is inside."""
@@ -268,8 +265,7 @@ def is_maximal_ufilter(q: UMTLAlgebra, members) -> MaximalityVerdict:
     return MaximalityVerdict(by_def, criterion.witness)
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     quotient: UMTLAlgebra
     class_map: tuple[int, ...]
     classes: tuple[frozenset[int], ...]
@@ -309,9 +305,10 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
     join are the parent's, collapsed, and its order is read off the
     collapsed arrow table (x <= y iff x -> y is the top class).
 
-    The MTL part (the classes, the class map and the collapsed odot,
-    arrow, meet and join with their checks) reads only the algebra and
-    the filter, so it is built once per filter and kept in `alg.cache`.
+    The filter test and the MTL part (the classes, the class map and the
+    collapsed odot, arrow, meet and join with their checks) read only the
+    algebra and the filter, so each is computed once per filter and kept
+    in `alg.cache`.
     Equal filters of different quantifiers thus share one quotient
     algebra object and its caches, whose quantifier-dependent entries are
     keyed by the quantifier table.  Only the collapse of forall and its
@@ -322,7 +319,7 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
     """
     alg, f = q.algebra, q.forall
     s = frozenset(members)
-    if not is_filter_by_implication(alg, s):
+    if not alg.cached(("is_filter", s), lambda: is_filter_by_implication(alg, s)):
         raise QuotientError("not a filter")
     if len(s) == alg.size:
         raise QuotientError("improper filter")
@@ -394,8 +391,7 @@ def _mtl_quotient(alg: FiniteMTLAlgebra, s: frozenset[int]):
     return classes, tuple(class_map), alg_q
 
 
-@dataclass(frozen=True)
-class RadicalResult:
+class RadicalResult(NamedTuple):
     filterset: FilterSet
 
     @property

@@ -27,40 +27,95 @@ depth by a walk over the new node's children, is kept as the test oracle
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+# sets a slot of a node past its read-only `__setattr__`
+_set = object.__setattr__
 
 
 class Formula:
+    """A formula node: immutable, compared and hashed by its fields.
+
+    A copy or a pickle is rebuilt from the fields alone."""
+
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True, repr=False, slots=True)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, k) for k in self.__match_args__)
+
+
 class Var(Formula):
-    index: int
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def __repr__(self):
         return f"p{self.index}"
 
 
-@dataclass(frozen=True, repr=False, slots=True)
 class Bot(Formula):
+    __slots__ = __match_args__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
+
     def __repr__(self):
         return "bot"
+
+
+class MetaVar(Formula):
+    """Schema metavariable; appears only in axiom patterns."""
+
+    __slots__ = __match_args__ = ("label",)
+
+    def __init__(self, label: str):
+        _set(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label
+
+    def __hash__(self):
+        return hash((self.label,))
+
+    def __repr__(self):
+        return f"<{self.label}>"
 
 
 class _Connective(Formula):
     """A node with children.
 
     Its hash is computed on first use, from its children's cached
-    hashes, and kept in a slot that is no dataclass field, so a copy or a
-    pickle recomputes it; it equals the dataclass hash of the children
-    tuple.  Equality returns early on the same object or on two cached
-    hashes that differ, and otherwise walks the two trees iteratively,
-    visiting each pair of node objects once.  The sugared `a | b` holds
-    each side two or three times, so a recursive walk of a `|` chain
-    would take time exponential in its length; these take time linear in
-    its distinct nodes.  Neither computes a hash it does not need: most
-    formulas are built, printed and evaluated, never hashed."""
+    hashes, and kept in a slot that is no field, so a copy or a pickle
+    recomputes it; it equals the hash of the children tuple.  Equality
+    returns early on the same object or on two cached hashes that
+    differ, and otherwise walks the two trees iteratively, visiting each
+    pair of node objects once.  The sugared `a | b` holds each side two
+    or three times, so a recursive walk of a `|` chain would take time
+    exponential in its length; these, and the repr (the printed
+    formula), take time linear in its distinct nodes.  Neither computes
+    a hash it does not need: most formulas are built, printed and
+    evaluated, never hashed."""
 
     __slots__ = ("_hash",)
 
@@ -69,7 +124,7 @@ class _Connective(Formula):
             return self._hash
         except AttributeError:
             h = hash(_children(self))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
             return h
 
     def __eq__(self, other):
@@ -83,6 +138,9 @@ class _Connective(Formula):
         except AttributeError:  # a hash not computed yet
             pass
         return _same_tree(self, other)
+
+    def __repr__(self):
+        return print_formula(self)
 
 
 def _same_tree(f: Formula, g: Formula) -> bool:
@@ -111,49 +169,31 @@ def _same_tree(f: Formula, g: Formula) -> bool:
     return True
 
 
-@dataclass(frozen=True, repr=False, eq=False, slots=True)
-class Impl(_Connective):
-    left: Formula
-    right: Formula
+class _Binary(_Connective):
+    __slots__ = __match_args__ = ("left", "right")
 
-    def __repr__(self):
-        return f"({self.left!r} -> {self.right!r})"
-
-
-@dataclass(frozen=True, repr=False, eq=False, slots=True)
-class And(_Connective):
-    left: Formula
-    right: Formula
-
-    def __repr__(self):
-        return f"({self.left!r} & {self.right!r})"
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, repr=False, eq=False, slots=True)
-class Min(_Connective):
-    left: Formula
-    right: Formula
-
-    def __repr__(self):
-        return f"({self.left!r} ^ {self.right!r})"
+class Impl(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False, eq=False, slots=True)
+class And(_Binary):
+    __slots__ = ()
+
+
+class Min(_Binary):
+    __slots__ = ()
+
+
 class Box(_Connective):
-    arg: Formula
+    __slots__ = __match_args__ = ("arg",)
 
-    def __repr__(self):
-        return f"box {self.arg!r}"
-
-
-@dataclass(frozen=True, repr=False, slots=True)
-class MetaVar(Formula):
-    """Schema metavariable; appears only in axiom patterns."""
-
-    label: str
-
-    def __repr__(self):
-        return f"<{self.label}>"
+    def __init__(self, arg: Formula):
+        _set(self, "arg", arg)
 
 
 _BINARY = (Impl, And, Min)
@@ -221,7 +261,7 @@ _VAR_RE = re.compile(r"p(\d+)")
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Impl, And, Min)):
+    if isinstance(f, _Binary):
         return (f.left, f.right)
     if isinstance(f, Box):
         return (f.arg,)

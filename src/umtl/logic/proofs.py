@@ -19,14 +19,13 @@ File format (line-oriented, '#' comments):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .formulas import Box, Formula, Impl, parse_formula, print_formula
 from .schemas import SchemaCatalog, instantiate, match_schema, metavars_of
 
 
-@dataclass(frozen=True)
-class AxiomStep:
+class AxiomStep(NamedTuple):
     schema_id: str
     binding: tuple[tuple[str, Formula], ...] | None = None
 
@@ -39,16 +38,14 @@ class AxiomStep:
         return f"axiom {self.schema_id} [{parts}]"
 
 
-@dataclass(frozen=True)
-class HypStep:
+class HypStep(NamedTuple):
     name: str
 
     def describe(self) -> str:
         return f"hyp {self.name}"
 
 
-@dataclass(frozen=True)
-class MPStep:
+class MPStep(NamedTuple):
     premise: int
     implication: int
 
@@ -56,8 +53,7 @@ class MPStep:
         return f"mp {self.premise} {self.implication}"
 
 
-@dataclass(frozen=True)
-class NecStep:
+class NecStep(NamedTuple):
     premise: int
 
     def describe(self) -> str:
@@ -67,17 +63,36 @@ class NecStep:
 Justification = AxiomStep | HypStep | MPStep | NecStep
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     formula: Formula
     justification: Justification
 
 
-@dataclass
 class Proof:
-    theory: list[tuple[str, Formula]] = field(default_factory=list)
-    steps: list[ProofStep] = field(default_factory=list)
-    name: str = ""
+    """Named hypotheses and justified steps.  Mutable: the parser and the
+    builder append to its lists."""
+
+    __slots__ = ("theory", "steps", "name")
+
+    def __init__(
+        self,
+        theory: list[tuple[str, Formula]] | None = None,
+        steps: list[ProofStep] | None = None,
+        name: str = "",
+    ):
+        self.theory = [] if theory is None else theory
+        self.steps = [] if steps is None else steps
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.theory, self.steps, self.name) == (other.theory, other.steps, other.name)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Proof(theory={self.theory!r}, steps={self.steps!r}, name={self.name!r})"
 
     def conclusion(self) -> Formula:
         if not self.steps:
@@ -91,8 +106,7 @@ class Proof:
         return None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     failed_step: int | None = None
     reason: str = ""

@@ -8,7 +8,7 @@ substitution, not unification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formulas import (
     And,
@@ -73,8 +73,7 @@ RULE_SHAPES: dict[str, tuple[tuple[Formula, ...], Formula]] = {
 }
 
 
-@dataclass(frozen=True)
-class SchemaCatalog:
+class SchemaCatalog(NamedTuple):
     """MTL axioms plus the modal schemas, with optional extensions."""
 
     schemas: tuple[tuple[str, Formula], ...]

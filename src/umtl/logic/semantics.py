@@ -25,7 +25,7 @@ top) is the join-implication condition of `analysis.is_representable`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..quantifier import UMTLAlgebra
 from ..core import classify
@@ -47,8 +47,7 @@ def _leaf_name(key) -> str:
     return f"p{key}" if isinstance(key, int) else key
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """Straight-line code computing some formulas over their distinct nodes.
 
     `code[s]` computes slot `s` from earlier slots: ("leaf", key), ("bot",),
@@ -171,8 +170,7 @@ def eval_formula(q: UMTLAlgebra, valuation, f: Formula) -> int:
     return program.masks(q, leaf_masks, 1)[0].index(1)
 
 
-@dataclass(frozen=True)
-class ValidityResult:
+class ValidityResult(NamedTuple):
     valid: bool
     countervaluation: dict[int, int] | None = None
     value: int | None = None
@@ -248,14 +246,12 @@ def consequence(
     return ValidityResult(True) if hit is None else ValidityResult(False, *hit)
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     premises: tuple[Formula, ...]
     conclusion: Formula
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(NamedTuple):
     pool_index: int
     algebra_label: str
     valuation: tuple[tuple[int, int], ...]
@@ -265,8 +261,7 @@ class Countermodel:
         return dict(self.valuation)
 
 
-@dataclass(frozen=True)
-class SearchExhausted:
+class SearchExhausted(NamedTuple):
     pool_size: int
     valuations_checked: int
 
@@ -299,16 +294,14 @@ def countermodel_search(
 # soundness audit
 
 
-@dataclass(frozen=True)
-class SchemaSoundness:
+class SchemaSoundness(NamedTuple):
     schema_id: str
     algebra_label: str
     valid: bool
     countervaluation: tuple[tuple[str, int], ...] | None = None
 
 
-@dataclass(frozen=True)
-class SoundnessReport:
+class SoundnessReport(NamedTuple):
     entries: tuple[SchemaSoundness, ...]
     mp_preserves: bool
     nec_preserves: bool

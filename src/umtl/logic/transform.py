@@ -13,7 +13,7 @@ sound calculus can collapse the power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .builder import ProofBuilder, power
 from .formulas import Box, Formula, Impl, print_formula
@@ -28,8 +28,7 @@ from .proofs import (
 from .schemas import SchemaCatalog, match_schema
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class TransformResult(NamedTuple):
     proof: Proof
     exponent: int
     discharged: Formula

@@ -10,7 +10,7 @@ audit comparisons.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     FiniteMTLAlgebra,
@@ -33,8 +33,7 @@ class InvalidQuantifierError(ValueError):
         super().__init__(f"not a universal quantifier: {lines}")
 
 
-@dataclass(frozen=True)
-class UniversalQuantifier:
+class UniversalQuantifier(NamedTuple):
     """A validated unary table together with its fixpoint set."""
 
     base: FiniteMTLAlgebra
@@ -42,8 +41,7 @@ class UniversalQuantifier:
     fixpoints: frozenset[int]
 
 
-@dataclass(frozen=True)
-class UMTLAlgebra:
+class UMTLAlgebra(NamedTuple):
     """An algebra paired with a validated quantifier on it."""
 
     algebra: FiniteMTLAlgebra
@@ -80,7 +78,7 @@ def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
         raise ValueError(f"unknown u2 parse: {u2_parse!r}")
     n = alg.size
     if len(table) != n:
-        yield Violation("forall-wrong-length", (len(table),), shape=True)
+        yield Violation("forall-wrong-length", (len(table),))
         return
     bad = next((x for x in range(n) if not (0 <= table[x] < n)), None)
     if bad is not None:
@@ -430,8 +428,7 @@ def properties_suite(q: UMTLAlgebra) -> list[Verdict]:
     return list(first_witnesses(checks))
 
 
-@dataclass(frozen=True)
-class SubvarietyAxiomReport:
+class SubvarietyAxiomReport(NamedTuple):
     variety: str
     precondition_ok: bool
     verdicts: tuple[Verdict, ...]

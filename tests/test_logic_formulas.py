@@ -54,6 +54,18 @@ def test_or_chains_hash_and_compare_in_linear_time():
     assert time.perf_counter() - start < 1.0
 
 
+def test_or_chain_repr_is_linear():
+    # the repr of a connective is the printed formula, which re-sugars
+    # each `|` once instead of walking its expanded sides
+    f = parse_formula(" | ".join(f"p{i}" for i in range(31)))
+    start = time.perf_counter()
+    text = repr(f)
+    assert time.perf_counter() - start < 1.0
+    assert parse_formula(text) == f
+    assert repr(Impl(Var(0), Bot())) == "neg p0"
+    assert [repr(Var(3)), repr(Bot())] == ["p3", "bot"]
+
+
 def test_top_and_neg_and_iff_expansion():
     assert parse_formula("top") == Impl(Bot(), Bot()) == top()
     assert parse_formula("neg p0") == Impl(Var(0), Bot()) == neg(Var(0))

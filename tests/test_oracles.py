@@ -56,7 +56,6 @@ proofs and on printed random formulas.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import itertools
 import math
 import random
@@ -496,8 +495,9 @@ def test_quotients_match_validated_build(seed):
 
 def on_own_copy(q: UMTLAlgebra) -> UMTLAlgebra:
     """`q` on a copy of its algebra that starts with an empty cache."""
-    alg = dataclasses.replace(q.algebra, cache={})
-    return UMTLAlgebra(alg, dataclasses.replace(q.quantifier, base=alg), q.name)
+    a = q.algebra
+    alg = validate(a.size, a.odot, a.arrow, a.top, a.names)
+    return UMTLAlgebra(alg, q.quantifier._replace(base=alg), q.name)
 
 
 def assert_sharing_changes_no_entry(pairs, u2_parse):

@@ -2,10 +2,11 @@
 algebra object on the bundled corpus: 25 pairs over 13 algebra objects.
 
 Each shared value reads only the algebra, or the algebra and a filter:
-the verdicts of the soundness programs with no `forall` step, the MTL
-part of a quotient and of the check that its class map is a
-homomorphism, and the subvariety profile.  `test_oracles.py`
-compares the shared entries with a run that shares nothing.
+the verdicts of the soundness programs with no `forall` step, the
+filter test and the MTL part of a quotient, the MTL part of the check
+that its class map is a homomorphism, and the subvariety profile.
+`test_oracles.py` compares the shared entries with a run that shares
+nothing.
 """
 
 from __future__ import annotations
@@ -75,6 +76,33 @@ def test_quotient_mtl_part_is_built_once_per_filter(pairs, monkeypatch):
     distinct = {(id(alg), members) for alg, members in asked}
     assert len(asked) > len(distinct)
     assert len(built) == len(distinct)
+
+
+def test_quotient_tests_each_filter_once(pairs, monkeypatch):
+    calls = 0
+    inside = []  # the quotient calls under way
+    tests = Counter()
+    quotient, is_filter = flt.quotient, flt.is_filter_by_implication
+
+    def recording(q, members):
+        nonlocal calls
+        calls += 1
+        inside.append(q)
+        try:
+            return quotient(q, members)
+        finally:
+            inside.pop()
+
+    def counting(alg, members):
+        if inside:
+            tests[id(alg), frozenset(members)] += 1
+        return is_filter(alg, members)
+
+    monkeypatch.setattr(flt, "quotient", recording)
+    monkeypatch.setattr(flt, "is_filter_by_implication", counting)
+    ana.theorem_audit(pairs)
+    assert calls > len(tests)
+    assert set(tests.values()) == {1}
 
 
 def test_classify_scans_once_per_algebra_object(pairs, monkeypatch):
