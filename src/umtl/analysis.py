@@ -92,10 +92,10 @@ def is_representable(q: UMTLAlgebra) -> RepresentabilityReport:
         ),
         (
             "minimal-primes",
-            (
+            (  # minimal primes are filters: test their closure under forall
                 p.sorted_members()
                 for p in flt.minimal_primes(alg).by_inclusion
-                if not flt.is_ufilter(alg, f, p.members)
+                if any(f[x] not in p.members for x in p.members)
             ),
         ),
     )

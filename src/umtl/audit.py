@@ -17,7 +17,7 @@ from .core import FiniteMTLAlgebra, chain_algebra
 from .corpus import SIX_BLOCKY, SIX_DELTA, CorpusEntry, example_3_2
 from .logic.formulas import And, Box, Impl, Var, parse_formula
 from .logic.proofs import check_proof
-from .logic.schemas import SchemaCatalog
+from .logic.schemas import EXTENSION_SCHEMAS, SchemaCatalog
 from .logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -258,10 +258,10 @@ class AuditBundle(NamedTuple):
 
 
 def run_corpus_audit(
-    entries: list[CorpusEntry],
-    u2_parse: str = "standard",
-    extensions: tuple[str, ...] = ("INV", "WNM", "MV", "EM"),
+    entries: list[CorpusEntry], u2_parse: str = "standard"
 ) -> AuditBundle:
+    """Every audit of the corpus pairs, with one failed entry per rejected
+    file table; the soundness sweep covers all four extension schemas."""
     pairs, rejected = corpus_pairs_with_rejects(entries, u2_parse)
     audit_entries = ana.theorem_audit(pairs, u2_parse)
     audit_entries.extend(fixture_audits(entries, pairs, u2_parse))
@@ -278,6 +278,6 @@ def run_corpus_audit(
             )
         )
     audit_entries.sort(key=lambda e: (e.check, e.subject))
-    catalog = SchemaCatalog.mmtl(u2_parse, extensions=extensions)
+    catalog = SchemaCatalog.mmtl(u2_parse, extensions=tuple(EXTENSION_SCHEMAS))
     soundness = soundness_audit(pairs, catalog)
     return AuditBundle(tuple(pairs), tuple(audit_entries), soundness)

@@ -17,7 +17,7 @@ from . import analysis as ana
 from . import filters as flt
 from . import hasse, report
 from .algfile import AlgebraFileError, load_algebra_file
-from .audit import corpus_pairs, run_corpus_audit
+from .audit import corpus_pairs_with_rejects, pair_name, run_corpus_audit
 from .core import (
     FiniteMTLAlgebra,
     InvalidAlgebraError,
@@ -101,13 +101,32 @@ def _load_document(run: Run, path: str):
     return doc
 
 
+def _invalid(what: str, violations, names) -> CommandError:
+    """The input error for `what`, listing `violations` in element names."""
+    return CommandError(f"{what}: " + "; ".join(v.describe(names) for v in violations))
+
+
+def _report_violations(
+    run: Run, check_id: str, doc, failed: str, violations, **details
+) -> bool:
+    """Record the check of `violations` on `doc` in its element names; when
+    there are any, say `failed` and one indented line each.  True when none."""
+    details["violations"] = [v.as_dict(doc.names) for v in violations]
+    run.check(check_id, doc.name, not violations, **details)
+    if violations:
+        run.say(f"{doc.name}: {failed}")
+        for v in violations:
+            run.say(f"  {v.describe(doc.names)}")
+    return not violations
+
+
 def _validated_algebra(run: Run, path: str) -> tuple[FiniteMTLAlgebra, object]:
     doc = _load_document(run, path)
     try:
         return validate(doc.size, doc.odot, doc.arrow, doc.top, doc.names), doc
     except InvalidAlgebraError as exc:
-        lines = "; ".join(v.describe(doc.names) for v in exc.violations)
-        raise CommandError(f"{path}: not an MTL-algebra: {lines}") from exc
+        what = f"{path}: not an MTL-algebra"
+        raise _invalid(what, exc.violations, doc.names) from exc
 
 
 def _resolve_forall(run: Run, alg, doc, spec: str | None) -> tuple[int, ...]:
@@ -137,8 +156,7 @@ def _pair(run: Run, alg, doc, forall_spec: str | None, u2_parse: str):
     try:
         return make_umtl(alg, table, u2_parse, name=doc.name)
     except InvalidQuantifierError as exc:
-        lines = "; ".join(v.describe(alg.names) for v in exc.violations)
-        raise CommandError(f"not a universal quantifier: {lines}") from exc
+        raise _invalid("not a universal quantifier", exc.violations, alg.names) from exc
 
 
 def _parse_members(alg, spec: str) -> frozenset[int]:
@@ -175,33 +193,13 @@ def cmd_validate(run: Run, args) -> int:
         violations = []
     except InvalidAlgebraError as exc:
         violations = exc.violations
-    ok = not violations
-    run.check(
-        "mtl-axioms",
-        doc.name,
-        ok,
-        violations=[v.as_dict(doc.names) for v in violations],
-    )
+    ok = _report_violations(run, "mtl-axioms", doc, "MTL-algebra: INVALID", violations)
     if ok:
         run.say(f"{doc.name}: MTL-algebra: valid")
-    else:
-        run.say(f"{doc.name}: MTL-algebra: INVALID")
-        for v in violations:
-            run.say(f"  {v.describe(doc.names)}")
     if ok and doc.forall is not None:
         qv = quantifier_violations(alg, doc.forall, args.u2_parse)
-        run.check(
-            "quantifier-axioms",
-            doc.name,
-            not qv,
-            violations=[v.as_dict(doc.names) for v in qv],
-        )
-        if qv:
-            run.say(f"{doc.name}: forall: INVALID")
-            for v in qv:
-                run.say(f"  {v.describe(doc.names)}")
-            ok = False
-        else:
+        ok = _report_violations(run, "quantifier-axioms", doc, "forall: INVALID", qv)
+        if ok:
             run.say(f"{doc.name}: forall: valid universal quantifier")
     return OK if ok else PROPERTY_FAILS
 
@@ -219,21 +217,18 @@ def cmd_quantifiers(run: Run, args) -> int:
     alg, doc = _validated_algebra(run, args.path)
     if args.mode == "check":
         table = _resolve_forall(run, alg, doc, args.forall)
-        violations = quantifier_violations(alg, table, args.u2_parse)
-        run.check(
-            "quantifier-axioms",
-            doc.name,
-            not violations,
-            table=list(table),
-            violations=[v.as_dict(alg.names) for v in violations],
+        try:
+            q = make_umtl(alg, table, args.u2_parse, doc.name)
+            violations = []
+        except InvalidQuantifierError as exc:
+            violations = exc.violations
+        failed = "not a universal quantifier"
+        ok = _report_violations(
+            run, "quantifier-axioms", doc, failed, violations, table=list(table)
         )
-        if violations:
-            run.say(f"{doc.name}: not a universal quantifier")
-            for v in violations:
-                run.say(f"  {v.describe(alg.names)}")
+        if not ok:
             return PROPERTY_FAILS
         run.say(f"{doc.name}: valid universal quantifier")
-        q = make_umtl(alg, table, args.u2_parse, doc.name)
         failures = ana.property_failures(q)
         run.check("quantifier-property-suite", doc.name, not failures, failures=failures)
         return OK
@@ -453,7 +448,18 @@ def cmd_logic(run: Run, args) -> int:
     if goal is None:
         raise CommandError("no formula or rule given")
     pool_path = Path(args.pool) if args.pool else corpus_dir()
-    pool = corpus_pairs(_load_corpus(run, pool_path), args.u2_parse)
+    entries = _load_corpus(run, pool_path)
+    pool, rejected = corpus_pairs_with_rejects(entries, args.u2_parse)
+    if rejected:
+        name, violations = rejected[0]
+        alg = next(
+            e.algebra
+            for e in entries
+            if e.forall is not None and pair_name(e.name, e.forall) == name
+        )
+        raise _invalid(f"{name}: not a universal quantifier", violations, alg.names)
+    if not pool:
+        raise CommandError(f"{pool_path}: the pool holds no universal quantifier")
     if args.mode == "valid":
         if isinstance(goal, RuleInstance):
             raise CommandError("validity mode expects a formula, not a rule")

@@ -252,17 +252,28 @@ class MaximalityVerdict(NamedTuple):
 def is_maximal_ufilter(q: UMTLAlgebra, members) -> MaximalityVerdict:
     alg, f = q.algebra, q.forall
     s = frozenset(members)
-    if not is_ufilter(alg, f, s) or len(s) == alg.size:
+    if len(s) == alg.size or s not in {u.members for u in enumerate_ufilters(q)}:
         raise ValueError("argument must be a proper U-filter")
     by_def = s in {m.members for m in maximal_ufilters(q)}
     witnesses = (
         (a,)
         for a in alg.elements
-        if a not in s
-        and not any(alg.neg(alg.power(f[a], k)) in s for k in range(1, alg.size + 1))
+        if a not in s and not _negates_a_power(alg, f[a], s)
     )
     (criterion,) = first_witnesses([("criterion", witnesses)])
     return MaximalityVerdict(by_def, criterion.witness)
+
+
+def _negates_a_power(alg: FiniteMTLAlgebra, x: int, s: frozenset[int]) -> bool:
+    """Whether neg(x^k) lies in `s` for some k >= 1.  The powers of x
+    weakly decrease, so once one repeats all later ones equal it."""
+    power = x
+    while alg.neg(power) not in s:
+        nxt = alg.odot[power][x]
+        if nxt == power:
+            return False
+        power = nxt
+    return True
 
 
 class QuotientResult(NamedTuple):

@@ -3,7 +3,10 @@
 Primitive signature: variables, bot, strong conjunction (&), implication
 (->), lattice meet (^), and box.  The sugared connectives (top, neg, |,
 <->) expand at parse time, and the printer re-sugars them for display, so
-parse(print(f)) == f on the primitive trees.
+parse(print(f)) == f on the primitive trees.  The printer is one recursive
+function: it dispatches once on each node's class and recognises `top`,
+`neg`, `|` and `<->` there, in place.  Every other walk takes a node's
+children from `children`, except equality (`_same_tree`), the hot path.
 
 Precedence, tightest first: box/neg, &, then ^ and | (left-associative),
 then -> and <-> (right-associative).
@@ -123,7 +126,7 @@ class _Connective(Formula):
         try:
             return self._hash
         except AttributeError:
-            h = hash(_children(self))
+            h = hash(children(self))
             _set(self, "_hash", h)
             return h
 
@@ -215,6 +218,17 @@ def iff(a: Formula, b: Formula) -> Formula:
     return And(Impl(a, b), Impl(b, a))
 
 
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of `f`, left to right; none for a leaf.
+
+    A connective is rebuilt from its children by `type(f)(*children(f))`."""
+    if isinstance(f, _Binary):
+        return (f.left, f.right)
+    if isinstance(f, Box):
+        return (f.arg,)
+    return ()
+
+
 def leaves_of(f: Formula) -> tuple[Formula, ...]:
     """The distinct leaves of `f` (variables, metavariables, bot), left to
     right in order of first occurrence.
@@ -230,7 +244,7 @@ def leaves_of(f: Formula) -> tuple[Formula, ...]:
         if id(g) in seen:
             continue
         seen.add(id(g))
-        kids = _children(g)
+        kids = children(g)
         if kids:
             stack.extend(reversed(kids))
         else:
@@ -258,14 +272,6 @@ _TOKEN_RE = re.compile(_TOKEN + r"|\S")
 # character that starts no token
 _READABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 _VAR_RE = re.compile(r"p(\d+)")
-
-
-def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, _Binary):
-        return (f.left, f.right)
-    if isinstance(f, Box):
-        return (f.arg,)
-    return ()
 
 
 class _Stop(Exception):
@@ -381,86 +387,53 @@ def parse_formula(text: str) -> Formula:
     raise FormulaSyntaxError(message, (starts + [len(text)])[index])
 
 
-# printer tiers: 1 implication, 2 lattice, 3 strong conjunction, 4 unary/atom
-def _sugar_view(f: Formula):
-    if isinstance(f, Impl) and type(f.left) is Bot and type(f.right) is Bot:
-        return ("top",)
-    if isinstance(f, Min):
-        l, r = f.left, f.right
-        if (
-            isinstance(l, Impl)
-            and isinstance(l.left, Impl)
-            and l.left.right == l.right
-            and isinstance(r, Impl)
-            and isinstance(r.left, Impl)
-            and r.left.right == r.right
-            and l.left.left == r.left.right
-            and r.left.left == l.left.right
-            and l.left.left == r.right
-        ):
-            return ("lor", l.left.left, r.left.left)
-        return ("min", l, r)
-    if isinstance(f, And):
-        l, r = f.left, f.right
-        if (
-            isinstance(l, Impl)
-            and isinstance(r, Impl)
-            and l.left == r.right
-            and l.right == r.left
-        ):
-            return ("iff", l.left, l.right)
-        return ("and", l, r)
-    if isinstance(f, Impl):
-        if type(f.right) is Bot and type(f.left) is not Bot:
-            return ("neg", f.left)
-        return ("impl", f.left, f.right)
-    if isinstance(f, Box):
-        return ("box", f.arg)
-    if isinstance(f, Var):
-        return ("var", f.index)
-    if isinstance(f, Bot):
-        return ("bot",)
-    if isinstance(f, MetaVar):
-        return ("meta", f.label)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def print_formula(f: Formula) -> str:
-    def emit(g: Formula, min_tier: int) -> str:
-        view = _sugar_view(g)
-        kind = view[0]
-        if kind == "top":
-            return "top"
-        if kind == "bot":
-            return "bot"
-        if kind == "var":
-            return f"p{view[1]}"
-        if kind == "meta":
-            return f"{view[1]}"
-        if kind == "box":
-            return _wrap("box " + emit(view[1], 4), 4, min_tier)
-        if kind == "neg":
-            return _wrap("neg " + emit(view[1], 4), 4, min_tier)
-        if kind == "and":
-            return _wrap(
-                emit(view[1], 3) + " & " + emit(view[2], 4), 3, min_tier
-            )
-        if kind in ("min", "lor"):
-            op = "^" if kind == "min" else "|"
-            return _wrap(
-                emit(view[1], 2) + f" {op} " + emit(view[2], 3), 2, min_tier
-            )
-        if kind == "impl":
-            return _wrap(
-                emit(view[1], 2) + " -> " + emit(view[2], 1), 1, min_tier
-            )
-        if kind == "iff":
-            return _wrap(
-                emit(view[1], 2) + " <-> " + emit(view[2], 1), 1, min_tier
-            )
-        raise AssertionError(kind)
+    """The text of `f`, re-sugared, with only the parentheses it needs.
 
-    def _wrap(text: str, tier: int, min_tier: int) -> str:
+    Each node sits in a tier: 1 implication and `<->`, 2 `^` and `|`,
+    3 `&`, 4 `box`, `neg` and the atoms.  A child is parenthesised when
+    its tier is below the one its place asks for."""
+
+    def emit(g: Formula, min_tier: int) -> str:
+        cls = g.__class__
+        if cls is Var:
+            return f"p{g.index}"
+        if cls is Bot:
+            return "bot"
+        if cls is MetaVar:
+            return f"{g.label}"
+        if cls is Box:
+            text, tier = "box " + emit(g.arg, 4), 4
+        elif cls is Impl:
+            a, b = g.left, g.right
+            if b.__class__ is not Bot:
+                text, tier = emit(a, 2) + " -> " + emit(b, 1), 1
+            elif a.__class__ is Bot:
+                return "top"
+            else:
+                text, tier = "neg " + emit(a, 4), 4
+        elif cls is And:
+            a, b = g.left, g.right
+            impls = a.__class__ is b.__class__ is Impl
+            if impls and a.left == b.right and a.right == b.left:  # (x -> y) & (y -> x)
+                text, tier = emit(a.left, 2) + " <-> " + emit(a.right, 1), 1
+            else:
+                text, tier = emit(a, 3) + " & " + emit(b, 4), 3
+        elif cls is Min:
+            a, b = g.left, g.right
+            tier = 2
+            # x | y is ((x -> y) -> y) ^ ((y -> x) -> x)
+            if (
+                a.__class__ is b.__class__ is Impl
+                and a.left.__class__ is b.left.__class__ is Impl
+                and a.right == a.left.right == b.left.left
+                and b.right == b.left.right == a.left.left
+            ):
+                text = emit(a.left.left, 2) + " | " + emit(a.right, 3)
+            else:
+                text = emit(a, 2) + " ^ " + emit(b, 3)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
         return text if tier >= min_tier else "(" + text + ")"
 
     return emit(f, 1)

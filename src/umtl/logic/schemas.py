@@ -18,6 +18,7 @@ from .formulas import (
     Impl,
     MetaVar,
     Min,
+    children,
     leaves_of,
     lor,
     neg,
@@ -114,11 +115,8 @@ def match_schema(pattern: Formula, target: Formula) -> dict[str, Formula] | None
             return True
         if type(p) is not type(t):
             return False
-        if isinstance(p, (Impl, And, Min)):
-            return walk(p.left, t.left) and walk(p.right, t.right)
-        if isinstance(p, Box):
-            return walk(p.arg, t.arg)
-        return p == t
+        kids = children(p)
+        return all(map(walk, kids, children(t))) if kids else p == t
 
     return binding if walk(pattern, target) else None
 
@@ -130,14 +128,7 @@ def instantiate(pattern: Formula, binding: dict[str, Formula]) -> Formula:
                 return binding[p.label]
             except KeyError as exc:
                 raise KeyError(f"no binding for metavariable {p.label}") from exc
-        if isinstance(p, Impl):
-            return Impl(walk(p.left), walk(p.right))
-        if isinstance(p, And):
-            return And(walk(p.left), walk(p.right))
-        if isinstance(p, Min):
-            return Min(walk(p.left), walk(p.right))
-        if isinstance(p, Box):
-            return Box(walk(p.arg))
-        return p
+        kids = children(p)
+        return type(p)(*map(walk, kids)) if kids else p
 
     return walk(pattern)

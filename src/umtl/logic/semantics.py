@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from ..quantifier import UMTLAlgebra
 from ..core import classify
-from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var
+from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var, children
 from .schemas import A, B, SchemaCatalog
 
 BLOCK = 1296  # valuations evaluated together, one bit each
@@ -123,7 +123,7 @@ def compile_formulas(formulas) -> Program:
             if id(g) in slot_of:
                 continue
             op = _OPS.get(type(g))
-            kids = () if op is None else (g.arg,) if op == "forall" else (g.left, g.right)
+            kids = children(g)
             if kids and not ready:
                 stack.append((g, True))
                 stack.extend((kid, False) for kid in reversed(kids))

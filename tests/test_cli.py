@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umtl import chain_algebra, core, make_umtl
+from umtl import chain_algebra, core, make_umtl, quantifier
 from umtl.algfile import load_algebra_file
 from umtl.cli import main
 from umtl.corpus import corpus_dir, proofs_dir
@@ -254,6 +254,28 @@ def test_logic_rule(capsys):
     assert "example-3-2+000005" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [("valid", "p0"), ("countermodel", "--rule", "disj-box")])
+def test_a_pool_with_a_rejected_table_is_an_input_error(tmp_path, capsys, argv):
+    bad = tmp_path / "goedel-3.alg"
+    bad.write_text((CORPUS / "goedel-3.alg").read_text() + "forall 0 0 2\n")
+    assert run_cli("logic", *argv, "--pool", str(bad)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: goedel-3+002: not a universal quantifier: U2 fails at (e1,e0)"]
+
+
+def test_an_empty_pool_is_an_input_error(capsys):
+    # no table passes U2 under the alternative reading
+    goedel3 = CORPUS / "goedel-3.alg"
+    assert run_cli("--u2-parse", "alt", "logic", "valid", "p0", "--pool", str(goedel3)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {goedel3}: the pool holds no universal quantifier"]
+    assert run_cli("--u2-parse", "alt", "logic", "valid", "p0") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: example-3-2-block+002245: not a universal quantifier: U2 fails at (0,0)"
+    ]
+
+
 def test_export_dot(tmp_path, capsys):
     out = tmp_path / "order.gv"
     assert run_cli("export", "dot", SIX, "--what", "order", "-o", str(out)) == 0
@@ -313,6 +335,18 @@ def test_bad_forall_value_is_input_error(capsys):
 def test_explicit_forall_table(capsys):
     assert run_cli("quantifiers", SIX, "check", "--forall", "0,0,2,2,4,5") == 0
     assert "valid universal quantifier" in capsys.readouterr().out
+
+
+def test_quantifiers_check_scans_the_table_once(capsys, monkeypatch):
+    scan, scans = quantifier._violations, []
+
+    def counting_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(quantifier, "_violations", counting_scan)
+    assert run_cli("quantifiers", SIX, "check", "--forall", "0,0,2,2,4,5") == 0
+    assert len(scans) == 1
 
 
 def test_alt_parse_threads_through(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 import time
 
 import pytest
@@ -12,6 +14,7 @@ from umtl.logic.formulas import (
     Box,
     FormulaSyntaxError,
     Impl,
+    MetaVar,
     Min,
     Var,
     iff,
@@ -172,3 +175,36 @@ def formulas(max_depth=4):
 @given(formulas())
 def test_print_parse_round_trip(f):
     assert parse_formula(print_formula(f)) == f
+
+
+def random_printer_input(rnd: random.Random, depth: int):
+    """A formula mixing every connective, the four sugars (nested too),
+    metavariables, and near misses of each sugar that must print plain."""
+    if depth == 0 or rnd.random() < 0.15:
+        return rnd.choice(
+            [Var(rnd.randrange(4)), Bot(), top(), MetaVar(rnd.choice(("alpha", "beta")))]
+        )
+    a, b, c = (random_printer_input(rnd, depth - 1) for _ in range(3))
+    kind = rnd.randrange(14)
+    if kind < 2:
+        return (Box, neg)[kind](a)
+    if kind < 9:
+        return (Impl, And, Min, lor, iff, Impl, Min)[kind - 2](a, b)
+    near_misses = (
+        Impl(Bot(), a),  # bot -> a, not top
+        Min(Impl(Impl(a, b), b), Impl(Impl(b, a), c)),  # one side off a | b
+        Min(Impl(Impl(a, b), c), Impl(Impl(b, a), a)),
+        And(Impl(a, b), Impl(b, c)),  # one side off a <-> b
+        Impl(Bot(), Impl(a, Bot())),
+    )
+    return near_misses[kind - 9]
+
+
+def test_printed_text_is_pinned():
+    rnd = random.Random(1915)
+    texts = [print_formula(random_printer_input(rnd, 4)) for _ in range(400)]
+    joined = "\n".join(texts)
+    for piece in ("top", "neg", " | ", " <-> ", " ^ ", " & ", " -> ", "box", "bot", "alpha"):
+        assert piece in joined
+    digest = hashlib.sha256(joined.encode()).hexdigest()
+    assert digest == "61a8ec0f940a9d1aab29369c43c9e17097ee54e59166c9310b7e12cf9e846b61"

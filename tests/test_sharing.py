@@ -148,3 +148,24 @@ def test_class_map_mtl_check_runs_once_per_filter(pairs, monkeypatch):
     assert set(mtl_checks.values()) == {1}
     assert set(forall_checks) == set(mtl_checks)
     assert sum(forall_checks.values()) > len(mtl_checks)
+
+
+def test_theorem_audit_tests_no_ufilter_and_takes_no_power(pairs, monkeypatch):
+    # maximality reads the enumerated U-filters and one running product
+    # per element; representability tests the minimal primes, which are
+    # filters already, only for closure under the quantifier
+    calls = Counter()
+    is_ufilter, power = flt.is_ufilter, core.FiniteMTLAlgebra.power
+
+    def counting_is_ufilter(*args):
+        calls["is_ufilter"] += 1
+        return is_ufilter(*args)
+
+    def counting_power(*args):
+        calls["power"] += 1
+        return power(*args)
+
+    monkeypatch.setattr(flt, "is_ufilter", counting_is_ufilter)
+    monkeypatch.setattr(core.FiniteMTLAlgebra, "power", counting_power)
+    assert ana.theorem_audit(pairs)
+    assert not calls
