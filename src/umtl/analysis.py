@@ -23,6 +23,7 @@ from .core import FiniteMTLAlgebra, classify, closure, first_witnesses
 from .quantifier import (
     InvalidQuantifierError,
     UMTLAlgebra,
+    check_u2_parse,
     delta_table,
     make_umtl,
     properties_suite,
@@ -506,13 +507,13 @@ def audit_representability(q: UMTLAlgebra) -> AuditEntry:
     return AuditEntry("representability-conditions", q.label(), rep.agree, details)
 
 
-def audit_delta_on_linear(alg: FiniteMTLAlgebra, subject: str, u2_parse: str) -> AuditEntry:
+def audit_delta_on_linear(alg: FiniteMTLAlgebra, subject: str) -> AuditEntry:
     """Whether (L, delta) is a representable quantified algebra exactly on
     the linearly ordered bases; delta can fail the U2 scan on
     non-involutive chains, which this audit records rather than assumes."""
     linear = classify(alg).linear
     try:
-        q = make_umtl(alg, delta_table(alg), u2_parse)
+        q = make_umtl(alg, delta_table(alg))
         violations = []
     except InvalidQuantifierError as exc:
         q, violations = None, exc.violations
@@ -626,8 +627,11 @@ def theorem_audit(corpus: list[UMTLAlgebra], u2_parse: str = "standard") -> list
     """Run every per-theorem agreement check over the corpus.
 
     Discrepancies are data, not failures; ordering is canonical
-    (check id, then subject label).
+    (check id, then subject label).  `u2_parse` accepts only "standard"
+    (`quantifier.check_u2_parse`); it leaves with the benchmark change of
+    ROADMAP item 6.
     """
+    check_u2_parse(u2_parse)
     entries: list[AuditEntry] = []
     seen_algebras: dict[tuple, str] = {}
     for q in corpus:
@@ -636,7 +640,7 @@ def theorem_audit(corpus: list[UMTLAlgebra], u2_parse: str = "standard") -> list
             subject = q.label().split("+")[0]
             seen_algebras[key] = subject
             entries.append(audit_minimal_primes(q.algebra, subject))
-            entries.append(audit_delta_on_linear(q.algebra, subject, u2_parse))
+            entries.append(audit_delta_on_linear(q.algebra, subject))
         entries.append(audit_prop_3_4(q))
         entries.extend(audit_term_equivalences(q))
         entries.append(audit_congruence_correspondence(q))

@@ -31,6 +31,7 @@ from .logic.builder import ProofBuilder
 from .quantifier import (
     InvalidQuantifierError,
     UMTLAlgebra,
+    check_u2_parse,
     enumerate_quantifiers,
     identity_table,
     make_umtl,
@@ -46,17 +47,22 @@ def corpus_pairs(
 ) -> list[UMTLAlgebra]:
     """One pair per file-supplied quantifier, plus every enumerated
     quantifier on files without one; duplicates (same tables) dropped,
-    first occurrence in name order wins."""
-    pairs, _ = corpus_pairs_with_rejects(entries, u2_parse)
+    first occurrence in name order wins.  `u2_parse` accepts only
+    "standard" (`quantifier.check_u2_parse`); it leaves with the
+    benchmark change of ROADMAP item 6."""
+    check_u2_parse(u2_parse)
+    pairs, _ = corpus_pairs_with_rejects(entries)
     return pairs
 
 
 def corpus_pairs_with_rejects(
     entries: list[CorpusEntry], u2_parse: str = "standard"
 ) -> tuple[list[UMTLAlgebra], list[tuple[str, list]]]:
-    """Like corpus_pairs, also returning file-supplied tables that fail
-    the quantifier scan under the selected parse (relevant for the
-    alternative reading, under which no table validates)."""
+    """Like corpus_pairs, also returning the name and the U1-U3 violations
+    of each file-supplied table that is not a quantifier.  `u2_parse`
+    accepts only "standard" (`quantifier.check_u2_parse`); it leaves with
+    the benchmark change of ROADMAP item 6."""
+    check_u2_parse(u2_parse)
     pairs: list[UMTLAlgebra] = []
     rejected: list[tuple[str, list]] = []
     seen: set[tuple] = set()
@@ -68,11 +74,11 @@ def corpus_pairs_with_rejects(
             seen.add(key)
             name = pair_name(entry.name, entry.forall)
             try:
-                pairs.append(make_umtl(entry.algebra, entry.forall, u2_parse, name))
+                pairs.append(make_umtl(entry.algebra, entry.forall, name))
             except InvalidQuantifierError as exc:
                 rejected.append((name, exc.violations))
             continue
-        for q in enumerate_quantifiers(entry.algebra, u2_parse):
+        for q in enumerate_quantifiers(entry.algebra):
             key = (entry.algebra.table_key(), q.table)
             if key in seen:
                 continue
@@ -84,21 +90,18 @@ def corpus_pairs_with_rejects(
 
 
 def _six_element_pairs(
-    entries: list[CorpusEntry], u2_parse: str
+    entries: list[CorpusEntry],
 ) -> tuple[UMTLAlgebra, UMTLAlgebra] | None:
     """The delta and block pairs on the six-element fixture, when the
-    corpus holds it and both tables validate under the parse."""
+    corpus holds it."""
     key = example_3_2().table_key()
     for entry in sorted(entries, key=lambda e: e.name):
         if entry.algebra.table_key() == key:
             six = entry.algebra
-            try:
-                return (
-                    make_umtl(six, SIX_DELTA, u2_parse, pair_name("six", SIX_DELTA)),
-                    make_umtl(six, SIX_BLOCKY, u2_parse, pair_name("six", SIX_BLOCKY)),
-                )
-            except InvalidQuantifierError:
-                return None
+            return (
+                make_umtl(six, SIX_DELTA, pair_name("six", SIX_DELTA)),
+                make_umtl(six, SIX_BLOCKY, pair_name("six", SIX_BLOCKY)),
+            )
     return None
 
 
@@ -109,10 +112,15 @@ def _family(alg: FiniteMTLAlgebra, filtersets) -> list[list[str]]:
 def fixture_audits(
     entries: list[CorpusEntry],
     pairs: list[UMTLAlgebra],
-    u2_parse: str,
+    u2_parse: str = "standard",
 ) -> list[AuditEntry]:
+    """The audits of the six-element fixture, the disjunction-rule search
+    over `pairs` and the deduction-exponent entry.  `u2_parse` accepts
+    only "standard" (`quantifier.check_u2_parse`); it leaves with the
+    benchmark change of ROADMAP item 6."""
+    check_u2_parse(u2_parse)
     out: list[AuditEntry] = []
-    six_pairs = _six_element_pairs(entries, u2_parse)
+    six_pairs = _six_element_pairs(entries)
     if six_pairs is not None:
         q_delta, q_block = six_pairs
         six = q_delta.algebra
@@ -176,16 +184,16 @@ def fixture_audits(
     else:
         details.update({"found": False, "valuations_checked": hit.valuations_checked})
     out.append(AuditEntry("disjunction-rule-search", "corpus", True, details))
-    out.append(_deduction_exponent_entry(u2_parse))
+    out.append(_deduction_exponent_entry())
     out.sort(key=lambda e: (e.check, e.subject))
     return out
 
 
-def _deduction_exponent_entry(u2_parse: str) -> AuditEntry:
+def _deduction_exponent_entry() -> AuditEntry:
     """The hypothesis-discharge transform needs guard powers: the
     exponent-1 form box a -> (a & a) already fails on the three-element
     involutive chain with the identity quantifier."""
-    catalog = SchemaCatalog.mmtl(u2_parse)
+    catalog = SchemaCatalog.mmtl()
     p = Var(0)
     builder = ProofBuilder(catalog, [("alpha", p)])
     ident = builder.identity(And(p, p))
@@ -195,19 +203,7 @@ def _deduction_exponent_entry(u2_parse: str) -> AuditEntry:
     builder.mp(h, once)
     transformed = deduction_transform(catalog, builder.proof, "alpha")
     l3 = chain_algebra("lukasiewicz", 3)
-    try:
-        qi = make_umtl(l3, identity_table(l3), u2_parse, "lukasiewicz-3+012")
-    except InvalidQuantifierError:
-        return AuditEntry(
-            "deduction-transform-exponent",
-            "corpus",
-            False,
-            {
-                "exponent_needed": transformed.exponent,
-                "output_checks": bool(check_proof(catalog, transformed.proof)),
-                "note": "semantic witness unavailable under this parse",
-            },
-        )
+    qi = make_umtl(l3, identity_table(l3), "lukasiewicz-3+012")
     plain_form = Impl(Box(p), And(p, p))
     plain_verdict = is_valid(qi, plain_form)
     powered_verdict = is_valid(qi, transformed.conclusion)
@@ -257,14 +253,12 @@ class AuditBundle(NamedTuple):
         return checks
 
 
-def run_corpus_audit(
-    entries: list[CorpusEntry], u2_parse: str = "standard"
-) -> AuditBundle:
+def run_corpus_audit(entries: list[CorpusEntry]) -> AuditBundle:
     """Every audit of the corpus pairs, with one failed entry per rejected
     file table; the soundness sweep covers all four extension schemas."""
-    pairs, rejected = corpus_pairs_with_rejects(entries, u2_parse)
-    audit_entries = ana.theorem_audit(pairs, u2_parse)
-    audit_entries.extend(fixture_audits(entries, pairs, u2_parse))
+    pairs, rejected = corpus_pairs_with_rejects(entries)
+    audit_entries = ana.theorem_audit(pairs)
+    audit_entries.extend(fixture_audits(entries, pairs))
     for name, violations in rejected:
         audit_entries.append(
             AuditEntry(
@@ -273,11 +267,11 @@ def run_corpus_audit(
                 False,
                 {
                     "violations": [v.as_dict() for v in violations],
-                    "u2_parse": u2_parse,
+                    "u2_parse": "standard",
                 },
             )
         )
     audit_entries.sort(key=lambda e: (e.check, e.subject))
-    catalog = SchemaCatalog.mmtl(u2_parse, extensions=tuple(EXTENSION_SCHEMAS))
+    catalog = SchemaCatalog.mmtl(extensions=tuple(EXTENSION_SCHEMAS))
     soundness = soundness_audit(pairs, catalog)
     return AuditBundle(tuple(pairs), tuple(audit_entries), soundness)

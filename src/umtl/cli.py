@@ -78,7 +78,7 @@ class Run:
                 timings = {"seconds": round(time.perf_counter() - self.started, 6)}
             doc = report.build_report(
                 command,
-                {"u2_parse": self.args.u2_parse},
+                {"u2_parse": "standard"},
                 self.inputs,
                 self.checks,
                 code,
@@ -151,10 +151,10 @@ def _resolve_forall(run: Run, alg, doc, spec: str | None) -> tuple[int, ...]:
     return table
 
 
-def _pair(run: Run, alg, doc, forall_spec: str | None, u2_parse: str):
+def _pair(run: Run, alg, doc, forall_spec: str | None):
     table = _resolve_forall(run, alg, doc, forall_spec)
     try:
-        return make_umtl(alg, table, u2_parse, name=doc.name)
+        return make_umtl(alg, table, doc.name)
     except InvalidQuantifierError as exc:
         raise _invalid("not a universal quantifier", exc.violations, alg.names) from exc
 
@@ -197,7 +197,7 @@ def cmd_validate(run: Run, args) -> int:
     if ok:
         run.say(f"{doc.name}: MTL-algebra: valid")
     if ok and doc.forall is not None:
-        qv = quantifier_violations(alg, doc.forall, args.u2_parse)
+        qv = quantifier_violations(alg, doc.forall)
         ok = _report_violations(run, "quantifier-axioms", doc, "forall: INVALID", qv)
         if ok:
             run.say(f"{doc.name}: forall: valid universal quantifier")
@@ -218,7 +218,7 @@ def cmd_quantifiers(run: Run, args) -> int:
     if args.mode == "check":
         table = _resolve_forall(run, alg, doc, args.forall)
         try:
-            q = make_umtl(alg, table, args.u2_parse, doc.name)
+            q = make_umtl(alg, table, doc.name)
             violations = []
         except InvalidQuantifierError as exc:
             violations = exc.violations
@@ -232,7 +232,7 @@ def cmd_quantifiers(run: Run, args) -> int:
         failures = ana.property_failures(q)
         run.check("quantifier-property-suite", doc.name, not failures, failures=failures)
         return OK
-    quantifiers = enumerate_quantifiers(alg, args.u2_parse)
+    quantifiers = enumerate_quantifiers(alg)
     run.check(
         "quantifier-enumeration",
         doc.name,
@@ -251,7 +251,7 @@ def cmd_filters(run: Run, args) -> int:
     alg, doc = _validated_algebra(run, args.path)
     kind = args.kind
     if kind in ("ufilters", "maximal-ufilters"):
-        q = _pair(run, alg, doc, args.forall, args.u2_parse)
+        q = _pair(run, alg, doc, args.forall)
         family = (
             flt.enumerate_ufilters(q)
             if kind == "ufilters"
@@ -285,7 +285,7 @@ def cmd_filters(run: Run, args) -> int:
 
 def cmd_quotient(run: Run, args) -> int:
     alg, doc = _validated_algebra(run, args.path)
-    q = _pair(run, alg, doc, args.forall, args.u2_parse)
+    q = _pair(run, alg, doc, args.forall)
     members = _parse_members(alg, args.filter)
     try:
         result = flt.quotient(q, members)
@@ -315,7 +315,7 @@ def cmd_quotient(run: Run, args) -> int:
 
 def cmd_analyze(run: Run, args) -> int:
     alg, doc = _validated_algebra(run, args.path)
-    q = _pair(run, alg, doc, args.forall, args.u2_parse)
+    q = _pair(run, alg, doc, args.forall)
     rep = ana.is_representable(q)
     strong = ana.is_strong(q)
     simple = ana.is_simple(q)
@@ -362,7 +362,7 @@ def _load_corpus(run: Run, path: Path) -> list[CorpusEntry]:
 def cmd_audit(run: Run, args) -> int:
     path = Path(args.corpus_dir) if args.corpus_dir else corpus_dir()
     entries = _load_corpus(run, path)
-    bundle = run_corpus_audit(entries, args.u2_parse)
+    bundle = run_corpus_audit(entries)
     for chk in bundle.as_checks():
         run.checks.append(chk)
     disagreements = bundle.disagreements()
@@ -383,7 +383,7 @@ def cmd_prove(run: Run, args) -> int:
     except (OSError, ProofFileError, FormulaSyntaxError) as exc:
         raise CommandError(f"{args.proof_path}: {exc}") from exc
     run.inputs.append(args.proof_path)
-    catalog = SchemaCatalog.mmtl(args.u2_parse, extensions=tuple(args.extensions))
+    catalog = SchemaCatalog.mmtl(extensions=tuple(args.extensions))
     if args.mode == "check":
         result = check_proof(catalog, proof)
         run.check(
@@ -447,9 +447,8 @@ def cmd_logic(run: Run, args) -> int:
         )
     if goal is None:
         raise CommandError("no formula or rule given")
-    pool_path = Path(args.pool) if args.pool else corpus_dir()
-    entries = _load_corpus(run, pool_path)
-    pool, rejected = corpus_pairs_with_rejects(entries, args.u2_parse)
+    entries = _load_corpus(run, Path(args.pool) if args.pool else corpus_dir())
+    pool, rejected = corpus_pairs_with_rejects(entries)
     if rejected:
         name, violations = rejected[0]
         alg = next(
@@ -458,8 +457,6 @@ def cmd_logic(run: Run, args) -> int:
             if e.forall is not None and pair_name(e.name, e.forall) == name
         )
         raise _invalid(f"{name}: not a universal quantifier", violations, alg.names)
-    if not pool:
-        raise CommandError(f"{pool_path}: the pool holds no universal quantifier")
     if args.mode == "valid":
         if isinstance(goal, RuleInstance):
             raise CommandError("validity mode expects a formula, not a rule")
@@ -548,7 +545,7 @@ def cmd_export(run: Run, args) -> int:
     if args.what == "order":
         text = hasse.order_dot(alg, doc.name)
     elif args.what == "ufilters":
-        q = _pair(run, alg, doc, args.forall, args.u2_parse)
+        q = _pair(run, alg, doc, args.forall)
         text = hasse.filter_lattice_dot(
             list(flt.enumerate_ufilters(q)), doc.name + "-ufilters"
         )
@@ -582,9 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--u2-parse",
-        choices=("standard", "alt"),
+        choices=("standard",),
         default="standard",
-        help="parenthesization of the second quantifier axiom",
+        help="accepted for compatibility; the second quantifier axiom has one reading",
     )
     parser.add_argument(
         "--timings", action="store_true", help="include timings in the report"

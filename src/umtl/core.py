@@ -141,14 +141,6 @@ class FiniteMTLAlgebra:
     def neg(self, x: int) -> int:
         return self.arrow[x][self.bottom]
 
-    def power(self, x: int, k: int) -> int:
-        if k < 1:
-            raise ValueError("power exponent must be >= 1")
-        acc = x
-        for _ in range(k - 1):
-            acc = self.odot[acc][x]
-        return acc
-
     def ord_of(self, x: int) -> int | None:
         """Least k with x^k = bottom, or None when no power vanishes.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ..quantifier import check_u2_parse
 from .formulas import (
     And,
     Bot,
@@ -44,13 +45,8 @@ def _mtl_schemas() -> dict[str, Formula]:
     }
 
 
-def _modal_schemas(u2_parse: str) -> dict[str, Formula]:
-    if u2_parse == "standard":
-        m2_left = Box(Impl(Impl(A, Box(B)), Box(B)))
-    elif u2_parse == "alt":
-        m2_left = Box(Impl(A, Impl(Box(B), Box(B))))
-    else:
-        raise ValueError(f"unknown u2 parse: {u2_parse!r}")
+def _modal_schemas() -> dict[str, Formula]:
+    m2_left = Box(Impl(Impl(A, Box(B)), Box(B)))
     m2_right = Impl(Impl(Box(A), Box(B)), Box(B))
     return {
         "M1": Impl(Box(A), A),
@@ -78,15 +74,17 @@ class SchemaCatalog(NamedTuple):
     """MTL axioms plus the modal schemas, with optional extensions."""
 
     schemas: tuple[tuple[str, Formula], ...]
-    u2_parse: str = "standard"
 
     @staticmethod
     def mmtl(u2_parse: str = "standard", extensions: tuple[str, ...] = ()) -> SchemaCatalog:
+        """`u2_parse` accepts only "standard" (`quantifier.check_u2_parse`);
+        it leaves with the benchmark change of ROADMAP item 6."""
+        check_u2_parse(u2_parse)
         table = _mtl_schemas()
-        table.update(_modal_schemas(u2_parse))
+        table.update(_modal_schemas())
         for name in extensions:
             table[name] = EXTENSION_SCHEMAS[name]
-        return SchemaCatalog(tuple(table.items()), u2_parse)
+        return SchemaCatalog(tuple(table.items()))
 
     def get(self, schema_id: str) -> Formula | None:
         for name, pattern in self.schemas:

@@ -82,9 +82,7 @@ def subalgebras_subset_oracle(alg: FiniteMTLAlgebra) -> list[frozenset[int]]:
     ]
 
 
-def fixpoint_subset_tables(
-    alg: FiniteMTLAlgebra, u2_parse: str = "standard"
-) -> list[tuple[int, ...]]:
+def fixpoint_subset_tables(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
     """Sorted quantifier tables found by relativizing to every subset that
     contains bottom and top (any quantifier is the floor map onto its
     fixpoint set)."""
@@ -94,7 +92,7 @@ def fixpoint_subset_tables(
             table = relativization_table(alg, subset)
         except ValueError:
             continue
-        if not quantifier_violations(alg, table, u2_parse):
+        if not quantifier_violations(alg, table):
             tables.add(table)
     return sorted(tables)
 

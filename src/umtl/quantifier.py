@@ -1,10 +1,12 @@
 """Universal quantifiers on finite MTL-algebras.
 
-A quantifier is a unary table satisfying U1-U3.  The U2 axiom is
-parenthesization-sensitive; `u2_parse` selects between the reading used
-throughout this package ("standard") and the right-associated alternative
-("alt"), which collapses the left side to a constant and is kept only for
-audit comparisons.
+A quantifier is a unary table satisfying U1-U3, with U2 read as
+forall((x -> forall y) -> forall y) = (forall x -> forall y) -> forall y.
+The right-associated reading forall(x -> (forall y -> forall y)) of the
+left side admits no quantifier on any algebra of two or more elements, so
+it is not offered: U1 gives forall bottom = bottom, that reading at
+x = bottom then forces forall top = bottom, and U3 at (top, bottom) then
+gives bottom = top.
 """
 
 from __future__ import annotations
@@ -23,7 +25,19 @@ from .core import (
     lower_covers,
 )
 
-U2_PARSES = ("standard", "alt")
+
+def check_u2_parse(u2_parse: str) -> None:
+    """Reject every U2 reading but "standard", the only one there is.
+
+    `enumerate_quantifiers`, `analysis.theorem_audit`,
+    `audit.corpus_pairs`, `audit.corpus_pairs_with_rejects`,
+    `audit.fixture_audits` and `SchemaCatalog.mmtl` keep a `u2_parse`
+    parameter only because `perfbench/ops.py` passes "standard" to them
+    positionally.  It is checked here and read nowhere else, and it leaves
+    with the benchmark change of ROADMAP item 6, as `jobs` does.
+    """
+    if u2_parse != "standard":
+        raise ValueError(f"unknown u2 parse: {u2_parse!r}")
 
 
 class InvalidQuantifierError(ValueError):
@@ -59,23 +73,19 @@ class UMTLAlgebra(NamedTuple):
         return f"size{self.algebra.size}[forall={t}]"
 
 
-def quantifier_violations(
-    alg: FiniteMTLAlgebra, table, u2_parse: str = "standard"
-) -> list[Violation]:
+def quantifier_violations(alg: FiniteMTLAlgebra, table) -> list[Violation]:
     """All U1-U3 failures, each with its least witness.
 
     A table with none also passes items 1-4 of `properties_suite` (fixed
     bounds, idempotence, monotonicity): they follow from U1-U3, so they
     are not scanned here.
     """
-    return list(_violations(alg, table, u2_parse))
+    return list(_violations(alg, table))
 
 
-def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
+def _violations(alg: FiniteMTLAlgebra, table):
     """The failures of `quantifier_violations`, one axiom at a time, so a
     caller that needs only a yes/no answer stops at the first."""
-    if u2_parse not in U2_PARSES:
-        raise ValueError(f"unknown u2 parse: {u2_parse!r}")
     n = alg.size
     if len(table) != n:
         yield Violation("forall-wrong-length", (len(table),))
@@ -86,23 +96,17 @@ def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
         return
     arrow = alg.arrow
     q = tuple(table)
-    if u2_parse == "standard":
-        u2 = (
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if q[arrow[arrow[x][q[y]]][q[y]]] != arrow[arrow[q[x]][q[y]]][q[y]]
-        )
-    else:
-        u2 = (
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if q[arrow[x][arrow[q[y]][q[y]]]] != arrow[arrow[q[x]][q[y]]][q[y]]
-        )
     axioms = (
         ("U1", ((x,) for x in range(n) if not alg.leq[q[x]][x])),
-        ("U2", u2),
+        (
+            "U2",
+            (
+                (x, y)
+                for x in range(n)
+                for y in range(n)
+                if q[arrow[arrow[x][q[y]]][q[y]]] != arrow[arrow[q[x]][q[y]]][q[y]]
+            ),
+        ),
         (
             "U3",
             (
@@ -116,10 +120,8 @@ def _violations(alg: FiniteMTLAlgebra, table, u2_parse: str):
     yield from first_violations(axioms)
 
 
-def validate_quantifier(
-    alg: FiniteMTLAlgebra, table, u2_parse: str = "standard"
-) -> UniversalQuantifier:
-    violations = quantifier_violations(alg, table, u2_parse)
+def validate_quantifier(alg: FiniteMTLAlgebra, table) -> UniversalQuantifier:
+    violations = quantifier_violations(alg, table)
     if violations:
         raise InvalidQuantifierError(violations)
     q = tuple(table)
@@ -127,10 +129,8 @@ def validate_quantifier(
     return UniversalQuantifier(base=alg, table=q, fixpoints=fix)
 
 
-def make_umtl(
-    alg: FiniteMTLAlgebra, table, u2_parse: str = "standard", name: str = ""
-) -> UMTLAlgebra:
-    return UMTLAlgebra(alg, validate_quantifier(alg, table, u2_parse), name)
+def make_umtl(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
+    return UMTLAlgebra(alg, validate_quantifier(alg, table), name)
 
 
 def unchecked_pair(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
@@ -193,16 +193,15 @@ def subalgebra_table(alg: FiniteMTLAlgebra):
     ]
 
 
-def _image_tables(alg: FiniteMTLAlgebra, u2_parse: str) -> list[tuple[int, ...]]:
+def _image_tables(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
     """The floor maps onto the subalgebras containing bottom and top that
     satisfy U2, found by one close-by-one search over the subalgebras that
     skips every subtree holding a U2 failure that no descendant can undo.
 
     For the floor map q onto a subalgebra S, U2 reads its second argument
     y only through q(y), which ranges over S and is s at y = s; so it
-    holds iff q(outer_s(x)) = (q(x) -> s) -> s for all x and all s in S,
-    where outer_s(x) is (x -> s) -> s under the standard parse and
-    x -> (s -> s) = top under "alt".
+    holds iff q(inner_s(x)) = inner_s(q(x)) for all x and all s in S,
+    where inner_s(x) = (x -> s) -> s.
 
     The search runs over the ranks of a linear extension of the order
     (elements sorted by down-set size), so everything below x ranks below
@@ -210,9 +209,8 @@ def _image_tables(alg: FiniteMTLAlgebra, u2_parse: str) -> list[tuple[int, ...]]
     add only elements of rank at least `start`, so for every x of rank
     below `start` they keep S ∩ ↓x, hence the floor value q(x); q(top) =
     top always.  Call those x frozen.  A U2 failure at (x, s) with x and
-    outer_s(x) frozen and s in S then recurs in every descendant, as each
-    still holds s: the node and its subtree are cut.  Under "alt",
-    outer_s(x) is top, so the cut holds for both parses.  The sets that
+    inner_s(x) frozen and s in S then recurs in every descendant, as each
+    still holds s: the node and its subtree are cut.  The sets that
     survive are checked against U2 in full.
     """
     n, leq, arrow = alg.size, alg.leq, alg.arrow
@@ -226,10 +224,6 @@ def _image_tables(alg: FiniteMTLAlgebra, u2_parse: str) -> list[tuple[int, ...]]
 
     join = in_ranks(lambda a, b: alg.join[a][b])
     inner = in_ranks(lambda s, x: arrow[arrow[x][s]][s])
-    if u2_parse == "standard":
-        outer = inner
-    else:
-        outer = in_ranks(lambda s, x: arrow[x][arrow[s][s]])
     covers = [[rank[c] for c in cs] for cs in lower_covers(leq)]
 
     def closure_table_in_ranks(table):
@@ -255,9 +249,9 @@ def _image_tables(alg: FiniteMTLAlgebra, u2_parse: str) -> list[tuple[int, ...]]
 
     def u2_fails(q, members, stop):
         for s in members:
-            outer_s, inner_s = outer[s], inner[s]
+            inner_s = inner[s]
             for x in range(stop):
-                z = q[outer_s[x]]
+                z = q[inner_s[x]]
                 if z is not None and z != inner_s[q[x]]:
                     return True
         return False
@@ -281,8 +275,10 @@ def enumerate_quantifiers(
 ) -> list[UniversalQuantifier]:
     """All quantifiers on the algebra, sorted by table lexicographically.
 
-    `jobs` is ignored: the search is serial.  It stays a positional
-    parameter because `perfbench/ops.py` passes it.
+    `jobs` is ignored: the search is serial.  It and `u2_parse`, which
+    accepts only "standard" (`check_u2_parse`), stay positional
+    parameters because `perfbench/ops.py` passes them; they leave with
+    the benchmark change of ROADMAP item 6.
 
     method="fixpoint" relativizes to subalgebras containing bottom and
     top: a quantifier is an interior operator, hence the floor map onto
@@ -298,17 +294,16 @@ def enumerate_quantifiers(
     method="brute" scans all n^n unary maps and is intended as an oracle
     for small n.
     """
-    if u2_parse not in U2_PARSES:
-        raise ValueError(f"unknown u2 parse: {u2_parse!r}")
+    check_u2_parse(u2_parse)
     if method == "fixpoint":
-        valid = _image_tables(alg, u2_parse)
+        valid = _image_tables(alg)
     elif method == "brute":
         candidates = itertools.product(range(alg.size), repeat=alg.size)
         # a candidate is dropped at its first failing axiom
-        valid = [t for t in candidates if next(_violations(alg, t, u2_parse), None) is None]
+        valid = [t for t in candidates if next(_violations(alg, t), None) is None]
     else:
         raise ValueError(f"unknown enumeration method: {method!r}")
-    return [validate_quantifier(alg, t, u2_parse) for t in sorted(valid)]
+    return [validate_quantifier(alg, t) for t in sorted(valid)]
 
 
 def properties_suite(q: UMTLAlgebra) -> list[Verdict]:

@@ -263,17 +263,13 @@ def test_a_pool_with_a_rejected_table_is_an_input_error(tmp_path, capsys, argv):
     assert err == ["error: goedel-3+002: not a universal quantifier: U2 fails at (e1,e0)"]
 
 
-def test_an_empty_pool_is_an_input_error(capsys):
-    # no table passes U2 under the alternative reading
-    goedel3 = CORPUS / "goedel-3.alg"
-    assert run_cli("--u2-parse", "alt", "logic", "valid", "p0", "--pool", str(goedel3)) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {goedel3}: the pool holds no universal quantifier"]
-    assert run_cli("--u2-parse", "alt", "logic", "valid", "p0") == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [
-        "error: example-3-2-block+002245: not a universal quantifier: U2 fails at (0,0)"
-    ]
+def test_an_empty_pool_is_an_input_error(tmp_path, capsys):
+    # every .alg file yields at least the identity quantifier, so only a
+    # path without one gives an empty pool
+    for argv in (("logic", "valid", "p0", "--pool", str(tmp_path)), ("audit", str(tmp_path))):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: no .alg files under {tmp_path}"]
 
 
 def test_export_dot(tmp_path, capsys):
@@ -349,12 +345,13 @@ def test_quantifiers_check_scans_the_table_once(capsys, monkeypatch):
     assert len(scans) == 1
 
 
-def test_alt_parse_threads_through(capsys):
-    assert run_cli("--u2-parse", "alt", "quantifiers", SIX, "enum") == 0
-    assert "0 universal quantifier(s)" in capsys.readouterr().out
-    assert run_cli("--u2-parse", "alt", "audit", str(CORPUS)) == 1
-    out = capsys.readouterr().out
-    assert "audited 0 pairs" in out
+def test_u2_parse_flag_accepts_only_standard(capsys):
+    # kept for compatibility, like --jobs; U2 has one reading
+    assert run_cli("--u2-parse", "standard", "validate", SIX) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--u2-parse", "alt", "validate", SIX)
+    assert exc.value.code == 2
+    assert "argument --u2-parse: invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_element_in_filter_spec(capsys):

@@ -180,15 +180,6 @@ def test_soundness_audit(corpus_entries):
     assert report.all_valid
 
 
-def test_alt_parse_m2_is_unsound(six_delta):
-    # under the right-associated reading the left schema side collapses;
-    # the audit must catch the resulting invalidity
-    report = soundness_audit([six_delta], SchemaCatalog.mmtl("alt"))
-    assert not report.all_valid
-    bad = {e.schema_id for e in report.entries if not e.valid}
-    assert "M2b" in bad or "M2a" in bad
-
-
 def test_schema_scan_equals_literal_instantiation():
     # carrier-valued metavariable scan == literal instantiation over a
     # bounded formula pool (here depth <= 1 over two variables); the

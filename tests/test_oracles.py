@@ -7,8 +7,7 @@ Quantifier enumeration only relativizes to subalgebras, so "the image is
 a subalgebra" (item 14 of `properties_suite`) holds by construction for
 every enumerated pair.  Agreement with the all-subsets scan and with the
 n^n scan is what checks that no quantifier is lost by that restriction,
-nor by the cut of the subalgebra search at persistent U2 failures, under
-both U2 parses.
+nor by the cut of the subalgebra search at persistent U2 failures.
 
 U-congruences are the congruences of the algebra that respect the
 quantifier, and the congruences are joins of the principal congruences
@@ -33,8 +32,7 @@ algebra and a filter, across the pairs of one algebra object: the
 subvariety profile, the verdicts of the soundness programs with no
 `forall` step, and the MTL part of each quotient.  The same pairs, each
 rebuilt on its own copy of the algebra so that nothing is shared, must
-give the same entries, on the corpus and on the random algebras, under
-both U2 parses.
+give the same entries, on the corpus and on the random algebras.
 
 Formulas are compiled once and evaluated a block of valuations at a time,
 one bit per valuation (`logic.semantics`); the recursive tree walk
@@ -225,8 +223,13 @@ LADDER = {
 }
 
 
-def tables(alg, u2_parse="standard", method="fixpoint"):
-    return [q.table for q in enumerate_quantifiers(alg, u2_parse, method)]
+def tables(alg, method="fixpoint"):
+    return [q.table for q in enumerate_quantifiers(alg, method=method)]
+
+
+# Case ids keep the "-standard" suffix they had while a second reading of
+# U2 was also checked, so that each case keeps its name.
+STANDARD_IDS = "{}-standard".format
 
 
 def assert_subalgebras_match_oracle(alg):
@@ -283,11 +286,10 @@ def test_enumeration_matches_fixpoint_subset_scan_on_ladder(name):
     assert_image_simple_matches_oracle(alg)
 
 
-@pytest.mark.parametrize("u2_parse", ["standard", "alt"])
-@pytest.mark.parametrize("seed", RANDOM_SEEDS)
-def test_pruned_enumeration_matches_fixpoint_subset_scan(seed, u2_parse):
+@pytest.mark.parametrize("seed", RANDOM_SEEDS, ids=STANDARD_IDS)
+def test_pruned_enumeration_matches_fixpoint_subset_scan(seed):
     alg = random_algebra(seed, 10)
-    assert tables(alg, u2_parse) == oracles.fixpoint_subset_tables(alg, u2_parse)
+    assert tables(alg) == oracles.fixpoint_subset_tables(alg)
 
 
 def test_goedel_20_search_stays_polynomial(monkeypatch):
@@ -305,19 +307,17 @@ def test_goedel_20_search_stays_polynomial(monkeypatch):
     assert 0 < len(calls) <= alg.size**2
 
 
-@pytest.mark.parametrize("u2_parse", ["standard", "alt"])
-@pytest.mark.parametrize("seed", range(8))
-def test_enumeration_matches_brute_force(seed, u2_parse):
+@pytest.mark.parametrize("seed", range(8), ids=STANDARD_IDS)
+def test_enumeration_matches_brute_force(seed):
     alg = random_algebra(seed, 5)
-    assert tables(alg, u2_parse) == tables(alg, u2_parse, "brute")
+    assert tables(alg) == tables(alg, "brute")
 
 
-@pytest.mark.parametrize("u2_parse", ["standard", "alt"])
-def test_enumeration_matches_brute_force_on_corpus(corpus_entries, u2_parse):
+def test_enumeration_matches_brute_force_on_corpus(corpus_entries):
     for entry in corpus_entries:
         alg = entry.algebra
         if alg.size <= 5:
-            assert tables(alg, u2_parse) == tables(alg, u2_parse, "brute")
+            assert tables(alg) == tables(alg, "brute")
 
 
 def test_image_simple_matches_subset_oracle_on_corpus(corpus_entries):
@@ -500,39 +500,32 @@ def on_own_copy(q: UMTLAlgebra) -> UMTLAlgebra:
     return UMTLAlgebra(alg, q.quantifier._replace(base=alg), q.name)
 
 
-def assert_sharing_changes_no_entry(pairs, u2_parse):
+def assert_sharing_changes_no_entry(pairs):
     alone = [on_own_copy(q) for q in pairs]
     assert len({id(q.algebra) for q in alone}) == len(pairs)
-    shared = ana.theorem_audit(pairs, u2_parse)
-    assert [e.as_dict() for e in shared] == [
-        e.as_dict() for e in ana.theorem_audit(alone, u2_parse)
-    ]
+    shared = ana.theorem_audit(pairs)
+    assert [e.as_dict() for e in shared] == [e.as_dict() for e in ana.theorem_audit(alone)]
     # the constant maps are no quantifiers: they fail M2b or M1, which
     # every quantifier passes, so a modal verdict shared between the
     # tables of one algebra shows
     pool = list(pairs)
     for alg in {id(q.algebra): q.algebra for q in pairs}.values():
         pool += [unchecked_pair(alg, (x,) * alg.size) for x in (alg.bottom, alg.top)]
-    catalog = SchemaCatalog.mmtl(u2_parse, extensions=("INV", "WNM", "MV", "EM"))
+    catalog = SchemaCatalog.mmtl(extensions=("INV", "WNM", "MV", "EM"))
     report = soundness_audit(pool, catalog)
     assert not report.all_valid
     assert report == soundness_audit([on_own_copy(q) for q in pool], catalog)
 
 
-# The pairs are the quantifiers of the standard parse, since no table
-# validates under the alternative one; audited under that parse, the
-# modal schema M2a fails on every pair.
-@pytest.mark.parametrize("u2_parse", ["standard", "alt"])
-def test_shared_audits_match_unshared_on_corpus(corpus_entries, u2_parse):
-    assert_sharing_changes_no_entry(corpus_pairs(corpus_entries), u2_parse)
+def test_shared_audits_match_unshared_on_corpus(corpus_entries):
+    assert_sharing_changes_no_entry(corpus_pairs(corpus_entries))
 
 
-@pytest.mark.parametrize("u2_parse", ["standard", "alt"])
-@pytest.mark.parametrize("seed", RANDOM_SEEDS)
-def test_shared_audits_match_unshared(seed, u2_parse):
+@pytest.mark.parametrize("seed", RANDOM_SEEDS, ids=STANDARD_IDS)
+def test_shared_audits_match_unshared(seed):
     alg = random_algebra(seed, 8)
     pairs = [UMTLAlgebra(alg, uq) for uq in enumerate_quantifiers(alg)]
-    assert_sharing_changes_no_entry(pairs, u2_parse)
+    assert_sharing_changes_no_entry(pairs)
 
 
 def random_formula(rnd: random.Random, depth: int, k: int):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from umtl import analysis as ana
 from umtl import (
     InvalidQuantifierError,
     chain_algebra,
@@ -20,9 +21,16 @@ from umtl import (
     unchecked_pair,
     validate_quantifier,
 )
+from umtl.audit import corpus_pairs, corpus_pairs_with_rejects, fixture_audits
 from umtl.core import CHAIN_KINDS, boolean_2
 from umtl.corpus import SIX_BLOCKY, SIX_DELTA
-from umtl.quantifier import U2_PARSES
+from umtl.logic.schemas import SchemaCatalog
+
+
+def small_algebras(six):
+    """The fixture and the 2- to 5-element chains of every kind: small
+    enough to scan every unary map."""
+    return [six] + [chain_algebra(k, n) for k in CHAIN_KINDS for n in range(2, 6)]
 
 
 def test_delta_is_valid_on_fixture(six):
@@ -58,10 +66,58 @@ def test_delta_fails_u2_on_goedel_chain(goedel3):
 
 
 def test_u2_alt_parse_rejects_everything(six):
-    # the right-associated reading collapses the left side to top
-    assert quantifier_violations(six, SIX_DELTA, u2_parse="alt")
-    assert quantifier_violations(six, identity_table(six), u2_parse="alt")
-    assert enumerate_quantifiers(six, u2_parse="alt") == []
+    # the right-associated reading of U2, forall(x -> (forall y -> forall y))
+    # = (forall x -> forall y) -> forall y, admits no quantifier: U1 gives
+    # forall 0 = 0, so at x = 0 it forces forall top = forall y = 0 for
+    # every y, and U3 at (top, 0) then gives 0 = top; which is why the
+    # package offers no such reading
+    for alg in small_algebras(six):
+        rng, arrow, leq = alg.elements, alg.arrow, alg.leq
+
+        def passes(q):
+            return (
+                all(leq[q[x]][x] for x in rng)
+                and all(
+                    q[arrow[x][arrow[q[y]][q[y]]]] == arrow[arrow[q[x]][q[y]]][q[y]]
+                    for x in rng
+                    for y in rng
+                )
+                and all(q[arrow[q[x]][y]] == arrow[q[x]][q[y]] for x in rng for y in rng)
+            )
+
+        assert not any(map(passes, itertools.product(rng, repeat=alg.size))), alg
+
+
+def test_kept_u2_parse_parameters_accept_only_standard(six, corpus_entries):
+    # `perfbench/ops.py` passes "standard" at these positions; it changes
+    # nothing, and any other reading is rejected
+    pairs = corpus_pairs(corpus_entries)
+    extensions = ("INV", "WNM", "MV", "EM")
+
+    def entries(audit):
+        return [e.as_dict() for e in audit]
+
+    calls = [
+        (lambda u2: enumerate_quantifiers(six, u2, "fixpoint", 2), enumerate_quantifiers(six)),
+        (lambda u2: entries(ana.theorem_audit(pairs, u2)), entries(ana.theorem_audit(pairs))),
+        (lambda u2: corpus_pairs(corpus_entries, u2), pairs),
+        (
+            lambda u2: corpus_pairs_with_rejects(corpus_entries, u2),
+            corpus_pairs_with_rejects(corpus_entries),
+        ),
+        (
+            lambda u2: entries(fixture_audits(corpus_entries, pairs, u2)),
+            entries(fixture_audits(corpus_entries, pairs)),
+        ),
+        (
+            lambda u2: SchemaCatalog.mmtl(u2, extensions=extensions),
+            SchemaCatalog.mmtl(extensions=extensions),
+        ),
+    ]
+    for call, without in calls:
+        assert call("standard") == without
+        with pytest.raises(ValueError, match="unknown u2 parse: 'alt'"):
+            call("alt")
 
 
 def test_delta_table_shapes(six):
@@ -235,18 +291,16 @@ def test_delta_valid_on_involutive_corpus(corpus_entries):
             assert quantifier_violations(alg, delta_table(alg)) == []
 
 
-@pytest.mark.parametrize("u2_parse", U2_PARSES)
-def test_axioms_imply_the_first_four_properties(six, u2_parse):
+def test_axioms_imply_the_first_four_properties(six):
     # U1-U3 imply items 1-4 of the suite (bounds fixed, idempotent,
     # monotone), which is why `quantifier_violations` does not scan them:
     # checked on every unary map of the small chains and the fixture
-    algebras = [six] + [chain_algebra(k, n) for k in CHAIN_KINDS for n in range(2, 6)]
-    for alg in algebras:
+    for alg in small_algebras(six):
         found = 0
         for table in itertools.product(alg.elements, repeat=alg.size):
-            if not quantifier_violations(alg, table, u2_parse):
+            if not quantifier_violations(alg, table):
                 found += 1
                 checks = properties_suite(unchecked_pair(alg, table))[:4]
                 assert [c.name for c in checks] == [1, 2, 3, 4]
                 assert all(c.passed for c in checks), (alg, table, checks)
-        assert found == len(enumerate_quantifiers(alg, u2_parse))
+        assert found == len(enumerate_quantifiers(alg))
