@@ -163,6 +163,6 @@ def document_for_algebra(name: str, alg: FiniteMTLAlgebra, forall=None) -> str:
 def load_algebra_file(path: str | Path) -> AlgebraDocument:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc}") from exc
     return parse_algebra_text(text)

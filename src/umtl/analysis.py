@@ -161,23 +161,30 @@ class SimplicityReport(NamedTuple):
         return len(set(self.conditions())) == 1
 
 
-def _subalgebra_filters_trivial(alg: FiniteMTLAlgebra, carrier: frozenset[int]) -> bool:
+def _subalgebra_filters_trivial(
+    alg: FiniteMTLAlgebra, carrier: frozenset[int], forall=None
+) -> bool:
     """Whether the subalgebra on `carrier` has only {top} and itself as
-    filters (filters computed inside the subalgebra).  `carrier` must be
-    a subalgebra, as every quantifier image is.
+    filters (filters computed inside the subalgebra), counting only the
+    filters closed under the quantifier table `forall` unless it is None.
+    `carrier` must be a subalgebra, as every quantifier image is.
 
     {top} and the carrier are always filters, and any other filter contains
     some x != top whose principal filter is then proper; so the family is
     exactly those two iff the carrier has two or more elements and every
-    x != top generates all of it: its closure under `filters.filter_table`
-    restricted to the carrier is the whole carrier.
+    x != top generates all of it.  A filter is an up-set, so it is the
+    whole carrier exactly when it holds bottom: each closure under
+    `filters.filter_table` restricted to the carrier stops as soon as it
+    forces bottom in (bottom is 0, the one element below the floor 1).
+    So at most n - 1 closures decide it, with no enumeration of the family.
     """
     if alg.top not in carrier or len(carrier) < 2:
         return False
-    table = flt.filter_table(alg, carrier=carrier)
-    whole = flt.mask_of(carrier)
+    table = flt.filter_table(alg, forall, carrier)
     return all(
-        closure(table, (alg.top, x)) == whole for x in carrier if x != alg.top
+        closure(table, (alg.top, x), floor=1) is None
+        for x in carrier
+        if x not in (alg.top, alg.bottom)
     )
 
 
@@ -581,12 +588,20 @@ def audit_simplicity(q: UMTLAlgebra) -> AuditEntry:
 
 
 def audit_quotient_simplicity(q: UMTLAlgebra) -> AuditEntry:
-    """Quotient by F is simple exactly when F is a maximal U-filter."""
+    """Quotient by F is simple exactly when F is a maximal U-filter.
+
+    A quotient is simple when its only U-filters are {top} and itself
+    (`SimplicityReport.simple`), decided on the quotient by the n - 1
+    principal U-filter closures of `_subalgebra_filters_trivial` on its
+    whole carrier; the other side, `filters.maximal_ufilters`, reads only
+    the parent."""
     proper = [u for u in flt.enumerate_ufilters(q) if u.is_proper()]
     maxes = {u.members for u in flt.maximal_ufilters(q)}
     disagreements = []
     for u in proper:
-        simple = is_simple(flt.quotient(q, u.members).quotient).simple
+        quot = flt.quotient(q, u.members).quotient
+        alg_q = quot.algebra
+        simple = _subalgebra_filters_trivial(alg_q, frozenset(alg_q.elements), quot.forall)
         if simple != (u.members in maxes):
             disagreements.append(
                 {

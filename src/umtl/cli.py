@@ -380,7 +380,7 @@ def cmd_prove(run: Run, args) -> int:
     try:
         text = Path(args.proof_path).read_text(encoding="utf-8")
         proof = parse_proof_text(text)
-    except (OSError, ProofFileError, FormulaSyntaxError) as exc:
+    except (OSError, UnicodeDecodeError, ProofFileError, FormulaSyntaxError) as exc:
         raise CommandError(f"{args.proof_path}: {exc}") from exc
     run.inputs.append(args.proof_path)
     catalog = SchemaCatalog.mmtl(extensions=tuple(args.extensions))

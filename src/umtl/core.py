@@ -9,6 +9,9 @@ admit inconsistent inputs, so we never do.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress, repeat
+from operator import eq, getitem, itemgetter, ne, or_
 from typing import NamedTuple
 
 Table = tuple[tuple[int, ...], ...]
@@ -272,10 +275,39 @@ def closed_masks(n: int, base, forced, cut=None) -> list[int]:
 
 def lower_covers(leq: Table) -> list[list[int]]:
     """For each element d, the elements c < d with nothing strictly
-    between them, in index order."""
-    n = len(leq)
-    below = [[c for c in range(n) if c != d and leq[c][d]] for d in range(n)]
-    return [[c for c in b if not any(leq[c][e] for e in b if e != c)] for b in below]
+    between them, in index order.
+
+    O(n^2) with cone bitmasks: d covers c exactly when the interval
+    up(c) & down(d) is {c, d}."""
+    up, down = _masks(leq), _masks(zip(*leq))
+    rng = range(len(up))
+    return [
+        [c for c in rng if c != d and up[c] & down_d == 1 << c | 1 << d]
+        for d, down_d in enumerate(down)
+    ]
+
+
+# a row of 0/1 bytes to ASCII digits, read as a binary numeral
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _masks(rows) -> list[int]:
+    """The bitmask of each 0/1 row: bit z is set iff row[z] is 1."""
+    return [int(bytes(row).translate(_DIGITS)[::-1], 2) for row in rows]
+
+
+def _low(mask: int) -> int:
+    """The least element of a nonempty bitmask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _least_pair(left, right) -> tuple[int, int] | None:
+    """The least (x, y) in row-major order with left[x][y] != right[x][y],
+    or None; rows are compared whole and only a differing pair is scanned."""
+    for x, (a, b) in enumerate(zip(left, right)):
+        if a != b:
+            return x, list(map(ne, a, b)).index(True)
+    return None
 
 
 def _shape_violations(size: int, odot, arrow, top: int) -> list[Violation]:
@@ -288,6 +320,7 @@ def _shape_violations(size: int, odot, arrow, top: int) -> list[Violation]:
         return out
     if top == 0:
         out.append(Violation("top-equals-bottom", (0,)))
+    carrier = set(range(size))
     for tag, table in (("odot", odot), ("arrow", arrow)):
         if len(table) != size:
             out.append(Violation(f"{tag}-non-square", (len(table),)))
@@ -296,49 +329,33 @@ def _shape_violations(size: int, odot, arrow, top: int) -> list[Violation]:
             if len(row) != size:
                 out.append(Violation(f"{tag}-non-square", (i, len(row))))
                 break
-            bad = next((j for j, v in enumerate(row) if not (0 <= v < size)), None)
-            if bad is not None:
+            if not carrier.issuperset(row):
+                bad = next(j for j, v in enumerate(row) if v not in carrier)
                 out.append(Violation(f"{tag}-entry-out-of-range", (i, bad)))
                 break
     return out
 
 
-def _extreme(cones: list[int], bounds: int) -> int | None:
-    """The element of the bitmask `bounds` whose cone is all of `bounds`,
-    if any: the meet of a pair when `cones` are the down-sets and
-    `bounds` the pair's common lower bounds, the join for up-sets and
-    upper bounds.  In a partial order at most one element qualifies."""
-    rest = bounds
-    while rest:
-        low = rest & -rest
-        z = low.bit_length() - 1
-        if cones[z] == bounds:
-            return z
-        rest ^= low
-    return None
-
-
-def _lattice(leq: Table):
+def _lattice(down: list[int], up: list[int]):
     """(meet, join, None) for a lattice order, or (None, None, (x, y))
     with the first pair in row-major order that lacks a meet or a join.
 
-    O(n) per pair: a bound is extreme exactly when its cone, a bitmask,
-    equals the set of bounds."""
-    rng = range(len(leq))
-    down = [sum(1 << z for z in rng if leq[z][x]) for x in rng]
-    up = [sum(1 << z for z in rng if leq[x][z]) for x in rng]
+    `down` and `up` are the cone bitmasks of a partial order.  The common
+    lower bounds of a pair have a greatest element exactly when they are
+    that element's down-set, and distinct elements have distinct
+    down-sets, so each meet is one dict lookup of `down[x] & down[y]`;
+    joins likewise with up-sets.  C-level maps do a whole row at once."""
+    by_down = {d: z for z, d in enumerate(down)}
+    by_up = {u: z for z, u in enumerate(up)}
     meet_rows, join_rows = [], []
-    for x in rng:
-        mrow, jrow = [], []
-        for y in rng:
-            m = _extreme(down, down[x] & down[y])
-            j = _extreme(up, up[x] & up[y])
-            if m is None or j is None:
-                return None, None, (x, y)
-            mrow.append(m)
-            jrow.append(j)
-        meet_rows.append(tuple(mrow))
-        join_rows.append(tuple(jrow))
+    for x, (down_x, up_x) in enumerate(zip(down, up)):
+        mrow = tuple(map(by_down.get, map(down_x.__and__, down)))
+        jrow = tuple(map(by_up.get, map(up_x.__and__, up)))
+        if None in mrow or None in jrow:
+            y = min(row.index(None) for row in (mrow, jrow) if None in row)
+            return None, None, (x, y)
+        meet_rows.append(mrow)
+        join_rows.append(jrow)
     return tuple(meet_rows), tuple(join_rows), None
 
 
@@ -346,90 +363,94 @@ def check_mtl_tables(size: int, odot, arrow, top: int) -> list[Violation]:
     """Scan every MTL axiom, returning all failures with least witnesses.
 
     The scan is complete for the listed axioms: it accepts exactly the
-    operation tables of finite MTL-algebras.
+    operation tables of finite MTL-algebras.  `oracles.check_mtl_tables_reference`
+    is the cell-by-cell O(n^3) scan it must agree with.
     """
     return _scan(size, odot, arrow, top)[0]
 
 
 def _scan(size: int, odot, arrow, top: int):
     """The violations of `check_mtl_tables`, with the (leq, meet, join)
-    tables derived on the way, or None when the order is no lattice."""
+    tables derived on the way, or None when the order is no lattice.
+
+    No axiom loops in Python over more than the n^2 pairs: the order
+    axioms compare cone bitmasks, the pair axioms compare a row of n
+    cells at once and the triple axioms (associativity, residuation) a
+    string of n^2 cells per x, all in C.  Only a row that differs is
+    searched for its least witness, so each witness is the least in
+    row-major order, as a cell-by-cell scan finds it.
+    """
     out = _shape_violations(size, odot, arrow, top)
     if out:
         return out, None
     rng = range(size)
-    leq = tuple(tuple(int(arrow[x][y] == top) for y in rng) for x in rng)
+    odot = tuple(map(tuple, odot))
+    arrow = tuple(map(tuple, arrow))
+    leq = tuple(tuple(bytes(map(eq, row, repeat(top)))) for row in arrow)
+    up, down = _masks(leq), _masks(zip(*leq))
+    full = (1 << size) - 1
+
+    def antisymmetric():
+        for x in rng:
+            both = up[x] & down[x] & ~(1 << x)
+            if both:
+                return x, _low(both)
+
+    def transitive():
+        # x <= y <= z with x </= z: z lies in up[y] but not in up[x]
+        for x in rng:
+            up_x = up[x]
+            if reduce(or_, compress(up, leq[x]), 0) & ~up_x:
+                y = next(y for y in rng if leq[x][y] and up[y] & ~up_x)
+                return x, y, _low(up[y] & ~up_x)
 
     order_checks = (
-        ("order-reflexive", ((x,) for x in rng if not leq[x][x])),
-        (
-            "order-antisymmetric",
-            ((x, y) for x in rng for y in rng if x != y and leq[x][y] and leq[y][x]),
-        ),
-        (
-            "order-transitive",
-            (
-                (x, y, z)
-                for x in rng
-                for y in rng
-                for z in rng
-                if leq[x][y] and leq[y][z] and not leq[x][z]
-            ),
-        ),
-        ("bottom-least", ((x,) for x in rng if not leq[0][x])),
-        ("top-greatest", ((x,) for x in rng if not leq[x][top])),
+        ("order-reflexive", next(((x,) for x in rng if not leq[x][x]), None)),
+        ("order-antisymmetric", antisymmetric()),
+        ("order-transitive", transitive()),
+        ("bottom-least", (_low(full & ~up[0]),) if up[0] != full else None),
+        ("top-greatest", (_low(full & ~down[top]),) if down[top] != full else None),
     )
-    out.extend(first_violations(order_checks))
+    out.extend(Violation(name, w) for name, w in order_checks if w is not None)
     if out:
         return out, None
 
-    meet, join, no_bound = _lattice(leq)
+    meet, join, no_bound = _lattice(down, up)
     if no_bound is not None:
         out.append(Violation("order-not-a-lattice", no_bound))
+
+    def least_triple(rows, inner):
+        # the least (x, y, z) with rows[x y][z] != rows[x][inner[y][z]]:
+        # for each x, each side is one string of n^2 characters, chr(v)
+        # for the value v at y, z; the right side is one translate
+        text = ["".join(map(chr, row)) for row in rows]
+        inner_text = "".join(["".join(map(chr, row)) for row in inner])
+        for x in rng:
+            left = "".join(itemgetter(*odot[x])(text))
+            right = inner_text.translate(text[x])
+            if left != right:
+                return (x, *divmod(list(map(ne, left, right)).index(True), size))
 
     checks = [
         (
             "monoid-unit",
-            ((x,) for x in rng if odot[x][top] != x or odot[top][x] != x),
+            next(((x,) for x in rng if odot[x][top] != x or odot[top][x] != x), None),
         ),
-        (
-            "monoid-commutative",
-            ((x, y) for x in rng for y in rng if odot[x][y] != odot[y][x]),
-        ),
-        (
-            "monoid-associative",
-            (
-                (x, y, z)
-                for x in rng
-                for y in rng
-                for z in rng
-                if odot[odot[x][y]][z] != odot[x][odot[y][z]]
-            ),
-        ),
-        (
-            "residuation",
-            (
-                (x, y, z)
-                for x in rng
-                for y in rng
-                for z in rng
-                if leq[odot[x][y]][z] != leq[x][arrow[y][z]]
-            ),
-        ),
+        ("monoid-commutative", _least_pair(odot, zip(*odot))),
+        # (x y) z = x (y z)
+        ("monoid-associative", least_triple(odot, odot)),
+        # x y <= z iff x <= y -> z
+        ("residuation", least_triple(leq, arrow)),
     ]
     if no_bound is None:
-        checks.append(
-            (
-                "prelinearity",
-                (
-                    (x, y)
-                    for x in rng
-                    for y in rng
-                    if join[arrow[x][y]][arrow[y][x]] != top
-                ),
-            )
+        # (x -> y) v (y -> x) = top: row x of join read at row x and
+        # column x of arrow
+        arrow_cols = tuple(zip(*arrow))
+        prelinear = (
+            tuple(map(getitem, itemgetter(*arrow[x])(join), arrow_cols[x])) for x in rng
         )
-    out.extend(first_violations(checks))
+        checks.append(("prelinearity", _least_pair(prelinear, repeat((top,) * size))))
+    out.extend(Violation(name, w) for name, w in checks if w is not None)
     return out, None if no_bound is not None else (leq, meet, join)
 
 

@@ -29,6 +29,12 @@ particular none of them calls the filter closure system
   test, for `filters.is_filter_by_implication`;
 - `derive_odot_from_arrow` recovers the monoid table from the residuum,
   for the tables `core.validate` accepts;
+- `check_mtl_tables_reference` scans the MTL axioms cell by cell, every
+  triple for transitivity, associativity and residuation, and finds each
+  meet and join by testing the bounds of the pair one by one, for the
+  row-at-a-time scan of `core.check_mtl_tables` and `core.validate`;
+- `lower_covers_reference` tests every element between every pair, for
+  the cone-bitmask `core.lower_covers`;
 - `eval_formula_tree` evaluates a formula by a recursive walk over its
   tree, one valuation at a time, and `first_refutation_tree_walk` ranks
   the valuations by hand with it, for the compiled column evaluator and
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import re
 
-from .core import FiniteMTLAlgebra
+from .core import FiniteMTLAlgebra, Violation, first_violations
 from .logic.formulas import (
     MAX_DEPTH,
     And,
@@ -263,6 +269,166 @@ def derive_odot_from_arrow(size: int, arrow, top: int):
             row.append(least[0])
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _shape_violations_reference(size: int, odot, arrow, top: int) -> list[Violation]:
+    out: list[Violation] = []
+    if size < 2:
+        out.append(Violation("degenerate-size", (size,)))
+        return out
+    if not (0 <= top < size):
+        out.append(Violation("top-out-of-range", (top,)))
+        return out
+    if top == 0:
+        out.append(Violation("top-equals-bottom", (0,)))
+    for tag, table in (("odot", odot), ("arrow", arrow)):
+        if len(table) != size:
+            out.append(Violation(f"{tag}-non-square", (len(table),)))
+            continue
+        for i, row in enumerate(table):
+            if len(row) != size:
+                out.append(Violation(f"{tag}-non-square", (i, len(row))))
+                break
+            bad = next((j for j, v in enumerate(row) if not (0 <= v < size)), None)
+            if bad is not None:
+                out.append(Violation(f"{tag}-entry-out-of-range", (i, bad)))
+                break
+    return out
+
+
+def _extreme_reference(cones: list[int], bounds: int) -> int | None:
+    """The element of the bitmask `bounds` whose cone is all of `bounds`,
+    if any: the meet of a pair when `cones` are the down-sets and
+    `bounds` the pair's common lower bounds, the join for up-sets and
+    upper bounds.  In a partial order at most one element qualifies."""
+    rest = bounds
+    while rest:
+        low = rest & -rest
+        z = low.bit_length() - 1
+        if cones[z] == bounds:
+            return z
+        rest ^= low
+    return None
+
+
+def _lattice_reference(leq):
+    """(meet, join, None) for a lattice order, or (None, None, (x, y))
+    with the first pair in row-major order that lacks a meet or a join,
+    testing the bounds of each pair one by one."""
+    rng = range(len(leq))
+    down = [sum(1 << z for z in rng if leq[z][x]) for x in rng]
+    up = [sum(1 << z for z in rng if leq[x][z]) for x in rng]
+    meet_rows, join_rows = [], []
+    for x in rng:
+        mrow, jrow = [], []
+        for y in rng:
+            m = _extreme_reference(down, down[x] & down[y])
+            j = _extreme_reference(up, up[x] & up[y])
+            if m is None or j is None:
+                return None, None, (x, y)
+            mrow.append(m)
+            jrow.append(j)
+        meet_rows.append(tuple(mrow))
+        join_rows.append(tuple(jrow))
+    return tuple(meet_rows), tuple(join_rows), None
+
+
+def check_mtl_tables_reference(size: int, odot, arrow, top: int):
+    """(violations, (leq, meet, join) or None), as `core._scan` returns
+    them, by scanning the axioms cell by cell: every pair, and every
+    triple for transitivity, associativity and residuation."""
+    out = _shape_violations_reference(size, odot, arrow, top)
+    if out:
+        return out, None
+    rng = range(size)
+    leq = tuple(tuple(int(arrow[x][y] == top) for y in rng) for x in rng)
+
+    order_checks = (
+        ("order-reflexive", ((x,) for x in rng if not leq[x][x])),
+        (
+            "order-antisymmetric",
+            ((x, y) for x in rng for y in rng if x != y and leq[x][y] and leq[y][x]),
+        ),
+        (
+            "order-transitive",
+            (
+                (x, y, z)
+                for x in rng
+                for y in rng
+                for z in rng
+                if leq[x][y] and leq[y][z] and not leq[x][z]
+            ),
+        ),
+        ("bottom-least", ((x,) for x in rng if not leq[0][x])),
+        ("top-greatest", ((x,) for x in rng if not leq[x][top])),
+    )
+    out.extend(first_violations(order_checks))
+    if out:
+        return out, None
+
+    meet, join, no_bound = _lattice_reference(leq)
+    if no_bound is not None:
+        out.append(Violation("order-not-a-lattice", no_bound))
+
+    checks = [
+        (
+            "monoid-unit",
+            ((x,) for x in rng if odot[x][top] != x or odot[top][x] != x),
+        ),
+        (
+            "monoid-commutative",
+            ((x, y) for x in rng for y in rng if odot[x][y] != odot[y][x]),
+        ),
+        (
+            "monoid-associative",
+            (
+                (x, y, z)
+                for x in rng
+                for y in rng
+                for z in rng
+                if odot[odot[x][y]][z] != odot[x][odot[y][z]]
+            ),
+        ),
+        (
+            "residuation",
+            (
+                (x, y, z)
+                for x in rng
+                for y in rng
+                for z in rng
+                if leq[odot[x][y]][z] != leq[x][arrow[y][z]]
+            ),
+        ),
+    ]
+    if no_bound is None:
+        checks.append(
+            (
+                "prelinearity",
+                (
+                    (x, y)
+                    for x in rng
+                    for y in rng
+                    if join[arrow[x][y]][arrow[y][x]] != top
+                ),
+            )
+        )
+    out.extend(first_violations(checks))
+    return out, None if no_bound is not None else (leq, meet, join)
+
+
+def lower_covers_reference(leq) -> list[list[int]]:
+    """For each d, the c < d with no e strictly between them, in index
+    order, by testing every e for every pair."""
+    rng = range(len(leq))
+    return [
+        [
+            c
+            for c in rng
+            if c != d and leq[c][d]
+            and not any(e not in (c, d) and leq[c][e] and leq[e][d] for e in rng)
+        ]
+        for d in rng
+    ]
 
 
 def eval_formula_tree(q: UMTLAlgebra, valuation, f: Formula) -> int:

@@ -171,6 +171,27 @@ def test_audit_of_a_missing_path_is_an_input_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "{dir}/bad.alg"),
+        ("classify", "{dir}/bad.alg"),
+        ("audit", "{dir}/bad.alg"),
+        ("audit", "{dir}"),
+        ("logic", "valid", "p0", "--pool", "{dir}"),
+        ("prove", "check", "{dir}/bad.prf"),
+    ],
+)
+def test_undecodable_input_is_an_input_error(tmp_path, capsys, argv):
+    for name in ("bad.alg", "bad.prf"):
+        (tmp_path / name).write_bytes(b"\xff\xfe\x00")
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "can't decode byte 0xff" in err[0]
+
+
 def test_prove_check_accepts_a_step_on_a_long_or_chain(tmp_path, capsys):
     # the checker compares the step with the instantiated schema; a flat
     # chain of 30 `|` links is exponential as a tree
@@ -571,7 +592,11 @@ def test_mutated_inputs_keep_the_exit_code_contract(fuzz_dir, data):
     target = fuzz_dir / data.draw(st.sampled_from(["input.alg", "input.prf"]))
     case = _alg_case if target.suffix == ".alg" else _proof_case
     text, argv = data.draw(case(target))
-    target.write_text(text, encoding="utf-8")
+    raw = text.encode("utf-8")
+    if data.draw(st.booleans()):  # splice in a byte that is no UTF-8
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    target.write_bytes(raw)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -3,6 +3,15 @@ exhaustive scans in `umtl.oracles`, on random products and ordinal sums
 of chains, on the larger constructions of the benchmark ladder and on the
 bundled corpus.
 
+The MTL axioms are checked a row at a time (`core.check_mtl_tables`,
+`core.validate`); the cell-by-cell scan
+`oracles.check_mtl_tables_reference` must give the same violations with
+the same least witnesses, and the same leq, meet and join tables, on the
+valid algebras and on 2,400 seeded corruptions of them that reach every
+axiom the scan can report.  Cone-bitmask lower covers are checked
+against the definition, and the principal U-filter closures that decide
+quotient simplicity in the theorem audit against `analysis.is_simple`.
+
 Quantifier enumeration only relativizes to subalgebras, so "the image is
 a subalgebra" (item 14 of `properties_suite`) holds by construction for
 every enumerated pair.  Agreement with the all-subsets scan and with the
@@ -253,6 +262,105 @@ def test_random_algebras_cover_both_constructions():
     assert [classify(a).linear for a in algebras] == [s % 2 == 1 for s in RANDOM_SEEDS]
 
 
+def scan_algebras(corpus_entries):
+    """The valid algebras the MTL scans are compared on: the corpus, the
+    chains of each kind, the ladder's products and ordinal sums and the
+    random algebras."""
+    chains = [chain_algebra(kind, n) for kind in KINDS.values() for n in (2, 5, 9)]
+    return [
+        *(e.algebra for e in corpus_entries),
+        *chains,
+        *(build() for build in LADDER.values()),
+        *(random_algebra(seed, 10) for seed in RANDOM_SEEDS),
+    ]
+
+
+# every axiom `core.check_mtl_tables` can report
+SCAN_AXIOMS = {
+    "degenerate-size", "top-out-of-range", "top-equals-bottom",
+    "odot-non-square", "arrow-non-square",
+    "odot-entry-out-of-range", "arrow-entry-out-of-range",
+    "order-reflexive", "order-antisymmetric", "order-transitive",
+    "bottom-least", "top-greatest", "order-not-a-lattice",
+    "monoid-unit", "monoid-commutative", "monoid-associative",
+    "residuation", "prelinearity",
+}
+
+
+def corrupted(alg, rnd: random.Random):
+    """(size, odot, arrow, top) of `alg` with one to three corruptions:
+    mostly a cell set to another element, sometimes to a value outside
+    the carrier; or a shape fault, which ends the list: another top, a
+    row or a table one short, or a degenerate size."""
+    n, top = alg.size, alg.top
+    odot, arrow = [list(row) for row in alg.odot], [list(row) for row in alg.arrow]
+    for _ in range(rnd.randint(1, 3)):
+        table, kind = rnd.choice((odot, arrow)), rnd.random()
+        if kind < 0.9:
+            table[rnd.randrange(n)][rnd.randrange(n)] = rnd.randrange(n)
+        elif kind < 0.94:
+            table[rnd.randrange(n)][rnd.randrange(n)] = rnd.choice((-1, n))
+        else:
+            if kind < 0.96:
+                top = rnd.randrange(-1, n + 1)
+            elif kind < 0.98:
+                table[rnd.randrange(n)].pop()
+            elif kind < 0.995:
+                table.pop()
+            else:
+                n = 1
+            break
+    return n, odot, arrow, top
+
+
+def assert_scan_matches_reference(size, odot, arrow, top):
+    """`check_mtl_tables` gives the cell scan's violations, and a valid
+    algebra's leq, meet and join are the cell scan's tables."""
+    want, lattice = oracles.check_mtl_tables_reference(size, odot, arrow, top)
+    got = core.check_mtl_tables(size, odot, arrow, top)
+    assert got == want
+    if not got:
+        alg = validate(size, odot, arrow, top)
+        assert (alg.leq, alg.meet, alg.join) == lattice
+    return got
+
+
+def test_mtl_scan_matches_cell_scan(corpus_entries):
+    for alg in scan_algebras(corpus_entries):
+        assert assert_scan_matches_reference(alg.size, alg.odot, alg.arrow, alg.top) == []
+
+
+def test_mtl_scan_matches_cell_scan_on_corruptions(corpus_entries):
+    algebras = [a for a in scan_algebras(corpus_entries) if a.size <= 12]
+    rnd = random.Random(2001)
+    seen = set()
+    for _ in range(2400):
+        tables = corrupted(rnd.choice(algebras), rnd)
+        seen.update(v.axiom for v in assert_scan_matches_reference(*tables))
+    assert seen == SCAN_AXIOMS
+
+
+def test_mtl_scan_matches_cell_scan_beyond_ascii():
+    # the triple axioms compare strings of chr(v); from 128 on these are
+    # not ASCII
+    alg = chain_algebra("nilpotent-minimum", 130)
+    assert assert_scan_matches_reference(alg.size, alg.odot, alg.arrow, alg.top) == []
+    odot = [list(row) for row in alg.odot]
+    odot[128][127] = odot[127][128] = 0
+    violations = assert_scan_matches_reference(alg.size, odot, alg.arrow, alg.top)
+    assert {"monoid-associative", "residuation"} <= {v.axiom for v in violations}
+
+
+def test_lower_covers_match_reference(corpus_entries):
+    orders = [a.leq for a in scan_algebras(corpus_entries)]
+    # inclusion orders on U-filter families, as `hasse` draws them
+    for q in corpus_pairs(corpus_entries):
+        family = flt.enumerate_ufilters(q)
+        orders.append([[a.members <= b.members for b in family] for a in family])
+    for leq in orders:
+        assert core.lower_covers(leq) == oracles.lower_covers_reference(leq)
+
+
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_subalgebras_match_subset_oracle(seed):
     assert_subalgebras_match_oracle(random_algebra(seed, 8))
@@ -491,6 +599,29 @@ def test_quotients_match_validated_build(seed):
     alg = random_algebra(seed, 10)
     for uq in enumerate_quantifiers(alg):
         assert_quotients_match_validated(UMTLAlgebra(alg, uq))
+
+
+def assert_quotient_simplicity_matches_is_simple(q):
+    """On every proper-U-filter quotient, the principal U-filter closures
+    that `audit_quotient_simplicity` runs decide what `is_simple` does."""
+    for u in flt.enumerate_ufilters(q):
+        if u.is_proper():
+            quot = flt.quotient(q, u.members).quotient
+            whole = frozenset(quot.algebra.elements)
+            got = ana._subalgebra_filters_trivial(quot.algebra, whole, quot.forall)
+            assert got == ana.is_simple(quot).simple
+
+
+def test_quotient_simplicity_matches_is_simple_on_corpus(corpus_entries):
+    for q in corpus_pairs(corpus_entries):
+        assert_quotient_simplicity_matches_is_simple(q)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_quotient_simplicity_matches_is_simple(seed):
+    alg = random_algebra(seed, 10)
+    for uq in enumerate_quantifiers(alg):
+        assert_quotient_simplicity_matches_is_simple(UMTLAlgebra(alg, uq))
 
 
 def on_own_copy(q: UMTLAlgebra) -> UMTLAlgebra:
