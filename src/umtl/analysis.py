@@ -191,8 +191,8 @@ def _subalgebra_filters_trivial(
 def is_simple(q: UMTLAlgebra) -> SimplicityReport:
     alg, f = q.algebra, q.forall
     top, bot = alg.top, alg.bottom
-    proper = [u for u in flt.enumerate_ufilters(q) if u.is_proper()]
     all_ufilters = flt.enumerate_ufilters(q)
+    proper = [u for u in all_ufilters if u.is_proper()]
     trivial = {frozenset({top}), frozenset(alg.elements)}
     image = frozenset(f)
     infinite_order = (
@@ -225,6 +225,9 @@ def is_u_homomorphism(mapping, q1: UMTLAlgebra, q2: UMTLAlgebra):
     """Check preservation of all operations and the quantifier.
 
     Returns (True, None) or (False, first failing description tuple).
+    On the class map of a `filters.quotient`, whose tables are read off
+    class representatives, this is the check that every operation and
+    the quantifier are well defined on the classes.
     """
     m = tuple(mapping)
     witness = _mtl_homomorphism_witness(m, q1.algebra, q2.algebra)
@@ -304,7 +307,9 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
 
     mode="min-primes" requires every minimal prime to be a U-filter and
     reports the offending prime otherwise; mode="max-ufilters" succeeds
-    exactly on semisimple inputs, with factors verified simple.
+    exactly on semisimple inputs, with factors verified simple.  Both
+    families keep the bitmask order of the filter enumerations, and so do
+    the factors.
     """
     alg = q.algebra
     if mode == "min-primes":
@@ -329,7 +334,6 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
             )
     else:
         raise ValueError(f"unknown decomposition mode: {mode!r}")
-    family = sorted(family, key=lambda fs: fs.mask)
     quotients = [flt.quotient(q, fs.members) for fs in family]
     embedding = tuple(
         tuple(res.class_map[x] for res in quotients) for x in alg.elements
@@ -339,9 +343,10 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
         len({res.class_map[x] for x in alg.elements}) == res.quotient.algebra.size
         for res in quotients
     )
-    # the MTL half of each check reads only the algebra and the filter (the
-    # class map and the quotient algebra are shared per filter), so it runs
-    # once per filter; the quantifier half runs for every pair
+    # each check is also the quotient's well-definedness check; its MTL half
+    # reads only the algebra and the filter (the class map and the quotient
+    # algebra are shared per filter), so it runs once per filter; the
+    # quantifier half runs for every pair
     u_homomorphic = tuple(
         alg.cached(
             ("class-map-homomorphism", fs.members),

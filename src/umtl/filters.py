@@ -308,25 +308,30 @@ def _blocks_of_filter(alg: FiniteMTLAlgebra, s: frozenset[int]):
 
 
 def quotient(q: UMTLAlgebra, members) -> QuotientResult:
-    """Quotient by a proper U-filter, with well-definedness of every
-    operation and the quantifier verified on every pair of classes.
+    """Quotient by a proper U-filter, each table and the quantifier read
+    off the classes' least members.
 
-    A well-defined quotient of a UMTL-algebra is a homomorphic image, so it
-    satisfies every MTL equation and U1-U3 with no re-scan: its meet and
-    join are the parent's, collapsed, and its order is read off the
-    collapsed arrow table (x <= y iff x -> y is the top class).
+    A U-filter's relation is a congruence compatible with the quantifier
+    (forall(x -> y) lies in the filter and below forall x -> forall y), so
+    the quotient is a homomorphic image.  It satisfies every MTL equation
+    and U1-U3 with no re-scan: its meet and join are the parent's,
+    collapsed, and its order is read off the collapsed arrow table
+    (x <= y iff x -> y is the top class).  Nothing here re-proves that
+    theorem: `analysis.is_u_homomorphism` on the class map is the
+    well-definedness check, since it compares the class of x op y with
+    that of rep(x) op rep(y) for every pair.
 
-    The filter test and the MTL part (the classes, the class map and the
-    collapsed odot, arrow, meet and join with their checks) read only the
-    algebra and the filter, so each is computed once per filter and kept
-    in `alg.cache`.
+    Only the input is checked, by `QuotientError`: the members must form
+    a proper filter closed under the quantifier.  The filter test and the
+    MTL part (the classes, the class map and the collapsed odot, arrow,
+    meet and join) read only the algebra and the filter, so each is
+    computed once per filter and kept in `alg.cache`.
     Equal filters of different quantifiers thus share one quotient
     algebra object and its caches, whose quantifier-dependent entries are
-    keyed by the quantifier table.  Only the collapse of forall and its
-    check run per call.  A shared value is a function of the algebra and
-    the filter alone, so sharing cannot make one side of an audit follow
-    from the other.  The MTL checks run before the quantifier's; they
-    cannot fail, since a filter's relation is a congruence of the algebra.
+    keyed by the quantifier table.  Only the collapse of forall runs per
+    call.  A shared value is a function of the algebra and the filter
+    alone, so sharing cannot make one side of an audit follow from the
+    other.
     """
     alg, f = q.algebra, q.forall
     s = frozenset(members)
@@ -344,15 +349,7 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
     classes, class_map, alg_q = alg.cached(
         ("quotient", s), lambda: _mtl_quotient(alg, s)
     )
-    forall_vals = []
-    for block in classes:
-        vals = {class_map[f[x]] for x in block}
-        if len(vals) != 1:
-            raise QuotientError(
-                "forall not well defined on classes", witness=(min(block),)
-            )
-        forall_vals.append(vals.pop())
-    forall_q = tuple(forall_vals)
+    forall_q = tuple(class_map[f[min(block)]] for block in classes)
     fixpoints = frozenset(i for i in range(alg_q.size) if forall_q[i] == i)
     quant_q = UniversalQuantifier(alg_q, forall_q, fixpoints)
     filter_label = FilterSet(alg, s).label()
@@ -364,40 +361,32 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
 
 
 def _mtl_quotient(alg: FiniteMTLAlgebra, s: frozenset[int]):
-    """(classes, class map, quotient algebra) of the filter `s`."""
+    """(classes, class map, quotient algebra) of the filter `s`, each
+    table collapsed on the classes' least members: k^2 lookups for k
+    classes."""
     classes = _filter_congruence(alg, s)
     class_map = [0] * alg.size
     for idx, block in enumerate(classes):
         for x in block:
             class_map[x] = idx
+    reps = [min(b) for b in classes]
 
-    def collapse(op_name: str, table) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for bi in classes:
-            row = []
-            for bj in classes:
-                vals = {class_map[table[x][y]] for x in bi for y in bj}
-                if len(vals) != 1:
-                    raise QuotientError(
-                        f"{op_name} not well defined on classes",
-                        witness=(min(bi), min(bj)),
-                    )
-                row.append(vals.pop())
-            rows.append(tuple(row))
-        return tuple(rows)
+    def collapse(table) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(class_map[table[r][t]] for t in reps) for r in reps
+        )
 
-    odot_q = collapse("odot", alg.odot)
-    arrow_q = collapse("arrow", alg.arrow)
+    arrow_q = collapse(alg.arrow)
     top_q = class_map[alg.top]
     alg_q = FiniteMTLAlgebra(
         size=len(classes),
-        odot=odot_q,
+        odot=collapse(alg.odot),
         arrow=arrow_q,
         top=top_q,
-        names=tuple("[" + alg.name_of(min(b)) + "]" for b in classes),
+        names=tuple("[" + alg.name_of(r) + "]" for r in reps),
         leq=tuple(tuple(int(v == top_q) for v in row) for row in arrow_q),
-        meet=collapse("meet", alg.meet),
-        join=collapse("join", alg.join),
+        meet=collapse(alg.meet),
+        join=collapse(alg.join),
     )
     return classes, tuple(class_map), alg_q
 

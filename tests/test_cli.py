@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umtl import chain_algebra, core, make_umtl, quantifier
+from umtl import analysis as ana
+from umtl import chain_algebra, core, example_3_2, make_umtl, oracles, quantifier
+from umtl import filters as flt
 from umtl.algfile import load_algebra_file
 from umtl.cli import main
-from umtl.corpus import corpus_dir, proofs_dir
+from umtl.corpus import SIX_BLOCKY, corpus_dir, proofs_dir
 from umtl.logic.formulas import MAX_DEPTH, Var, lor, parse_formula
 from umtl.logic.semantics import ValidityResult, compile_formulas, is_valid
 from umtl.quantifier import delta_table
@@ -134,6 +136,23 @@ def test_quotient(capsys):
     assert run_cli("quotient", SIX_BLOCK, "--filter", "d,1") == 0
     assert "3 classes" in capsys.readouterr().out
     assert run_cli("quotient", SIX_DELTA, "--filter", "d,1") == 1
+
+
+def test_a_partition_that_is_no_congruence_is_caught(monkeypatch, capsys):
+    # quotients read their tables off class representatives and check no
+    # pair of classes themselves; the class-map homomorphism test must
+    # catch a partition that is no congruence wherever the map is checked
+    q = make_umtl(example_3_2(), SIX_BLOCKY)
+    mutant = (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
+    assert mutant not in oracles.ucongruences_partition_oracle(q)
+    monkeypatch.setattr(flt, "_blocks_of_filter", lambda alg, s: mutant)
+    res = flt.quotient(q, {4, 5})
+    ok, witness = ana.is_u_homomorphism(res.class_map, q, res.quotient)
+    assert not ok and witness is not None
+    decomposition = ana.subdirect_decompose(q, "max-ufilters")
+    assert False in decomposition.embedding.coordinates_u_homomorphic
+    assert run_cli("quotient", SIX_BLOCK, "--filter", "d,1") == 1
+    assert "class map is a U-homomorphism: False" in capsys.readouterr().out
 
 
 def test_analyze(capsys):

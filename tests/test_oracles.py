@@ -24,8 +24,10 @@ of covering pairs, computed once per algebra object; the Bell(n)
 partition scan checks them, also on unary maps that are not quantifiers,
 since neither step relies on U1-U3, the join over all pairs checks them
 at 12 elements, and the order in which quantifiers reach the shared
-lattice must not matter.  Quotients collapse the parent's tables; the
-build by `core.validate` and `validate_quantifier` checks them.
+lattice must not matter.  Quotients collapse the parent's tables on
+class representatives; the build by `core.validate` and
+`validate_quantifier` checks them, and the class-map homomorphism test,
+the one well-definedness check, must pass on every one.
 
 Filters and U-filters come from the close-by-one search of
 `core.closed_masks` over `filters.filter_table`; the 2^n subset scans in
@@ -576,17 +578,21 @@ def test_generated_filters_match_formula(seed):
 
 
 def assert_quotients_match_validated(q):
-    """The quotient by every proper U-filter, built by collapsing tables,
-    equals the one `core.validate` and `validate_quantifier` build from
-    its odot, arrow and quantifier tables."""
+    """The quotient by every proper U-filter, built by collapsing tables on
+    class representatives, equals the one `core.validate` and
+    `validate_quantifier` build from its odot, arrow and quantifier
+    tables, and its class map is a U-homomorphism, which is what shows
+    every operation well defined on the classes."""
     for u in flt.enumerate_ufilters(q):
         if not u.is_proper():
             continue
-        got = flt.quotient(q, u.members).quotient
+        res = flt.quotient(q, u.members)
+        got = res.quotient
         alg = got.algebra
         want = validate(alg.size, alg.odot, alg.arrow, alg.top, alg.names)
         assert (alg, alg.leq, alg.meet, alg.join) == (want, want.leq, want.meet, want.join)
         assert got.quantifier == validate_quantifier(want, got.forall)
+        assert ana.is_u_homomorphism(res.class_map, q, got) == (True, None)
 
 
 def test_quotients_match_validated_build_on_corpus(corpus_entries):
@@ -597,6 +603,13 @@ def test_quotients_match_validated_build_on_corpus(corpus_entries):
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_quotients_match_validated_build(seed):
     alg = random_algebra(seed, 10)
+    for uq in enumerate_quantifiers(alg):
+        assert_quotients_match_validated(UMTLAlgebra(alg, uq))
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_quotients_match_validated_build_on_ladder(name):
+    alg = relabel(LADDER[name](), random.Random(name))
     for uq in enumerate_quantifiers(alg):
         assert_quotients_match_validated(UMTLAlgebra(alg, uq))
 
