@@ -7,16 +7,19 @@ is exponential as a tree but linear as a program.  Equal
 instructions over equal slots also share one slot, so every leaf (a
 variable index, a metavariable label, or bot) gets exactly one.
 
-Validity, consequence, countermodel search and schema soundness all ask one
-question of `_refutations`: which valuations send every premise to top and
-the conclusion below it?  Valuations are ranked in mixed-radix order over
-the leaves, last leaf fastest (the order of itertools.product), and
-evaluated BLOCK at a time, one bit each, as value masks (see `Program`).
-The hit set is the complement of the conclusion's mask of top, ANDed with
-each premise's mask of top.  The least rank is the lowest set bit, and a
-search stops at the first block with a hit, so first witnesses are
-deterministic: a countermodel search returns the hit with the least (pool
-index, valuation rank).
+Validity, consequence, countermodel search and schema soundness all ask
+one question of `_first_refutations`: for each goal, which is the least
+valuation sending every premise to top and the conclusion below it?
+Valuations are ranked in mixed-radix order over the leaves, last leaf
+fastest (the order of itertools.product), and evaluated BLOCK at a time,
+one bit each, as value masks (see `Program`).  A goal's hit set is the
+complement of its conclusion's mask of top, ANDed with each premise's mask
+of top.  Its least rank is the lowest set bit, and the goal closes at the
+first block with a hit; the sweep stops once every goal is closed, so first
+witnesses are deterministic: a countermodel search returns the hit with the
+least (pool index, valuation rank).  Validity, consequence and countermodel
+search pass one goal; the soundness audit passes every schema of a group
+that shares one program.
 
 This module evaluates formulas only.  The algebra-side condition for the
 disjunction form of the box rule (a join b = top implies a join forall b =
@@ -25,7 +28,7 @@ top) is the join-implication condition of `analysis.is_representable`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ..quantifier import UMTLAlgebra
 from ..core import classify
@@ -54,7 +57,11 @@ class Program(NamedTuple):
     ("forall", a), or (table, a, b) with table "arrow", "odot" or "meet".
     `leaves` lists the leaf keys (variable indices and metavariable labels)
     in order of first occurrence, left to right; `roots` holds the slot of
-    each compiled formula, in the order given.
+    each compiled formula, in the order given.  `variables` holds the
+    sorted variable indices among the leaves, and `reads_forall` whether
+    some step reads the quantifier table: a program with none computes the
+    same masks for every quantifier on an algebra.  Both are set once, by
+    `compile_formulas`.
 
     `masks` runs the code over a set of valuations, one bit each: a slot
     holds one value mask per carrier value v, whose bit i is set iff
@@ -65,20 +72,8 @@ class Program(NamedTuple):
     code: tuple[tuple, ...]
     leaves: tuple
     roots: tuple[int, ...]
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return tuple(sorted(k for k in self.leaves if isinstance(k, int)))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(k for k in self.leaves if isinstance(k, str))
-
-    @property
-    def reads_forall(self) -> bool:
-        """Whether some step reads the quantifier table; a program with
-        none computes the same masks for every quantifier on an algebra."""
-        return any(op == "forall" for op, *_ in self.code)
+    variables: tuple[int, ...]
+    reads_forall: bool
 
     def masks(self, q: UMTLAlgebra, leaf_masks, full: int) -> list[list[int]]:
         """The value masks of each root, from each leaf's value masks;
@@ -146,7 +141,13 @@ def compile_formulas(formulas) -> Program:
                     leaves[instr[1]] = None
             slot_of[id(g)] = slot
         roots.append(slot_of[id(f)])
-    return Program(tuple(code), tuple(leaves), tuple(roots))
+    return Program(
+        tuple(code),
+        tuple(leaves),
+        tuple(roots),
+        tuple(sorted(k for k in leaves if isinstance(k, int))),
+        any(instr[0] == "forall" for instr in code),
+    )
 
 
 def eval_formula(q: UMTLAlgebra, valuation, f: Formula) -> int:
@@ -206,30 +207,51 @@ def _leaf_masks(n: int, weight: int, start: int, size: int) -> list[int]:
     return [(pattern << v * weight >> phase) & full for v in range(n)]
 
 
-def _refutations(q: UMTLAlgebra, program: Program, leaves):
-    """Every valuation of `leaves` (variable indices or metavariable
-    labels) that sends the program's first root, the conclusion, below top
-    and every other root, the premises, to top, with the conclusion's
-    value, in rank order (mixed radix, last leaf fastest)."""
+def _first_refutations(q: UMTLAlgebra, program: Program, leaves, goals) -> list:
+    """For each goal, the least valuation of `leaves` (variable indices or
+    metavariable labels) in rank order (mixed radix, last leaf fastest)
+    that sends the goal's conclusion below top and each of its premises to
+    top, with the conclusion's value; None where no valuation does.
+
+    A goal is a pair (conclusion, premises) of positions in the program's
+    roots.  The sweep runs block by block until every goal has its hit or
+    the valuations run out.
+    """
     n, top = q.algebra.size, q.algebra.top
     weights = [n**e for e in reversed(range(len(leaves)))]
     total = n ** len(leaves)
+    first: list = [None] * len(goals)
+    pending = range(len(goals))
     for start in range(0, total, BLOCK):
         size = min(BLOCK, total - start)
         full = (1 << size) - 1
         leaf_masks = {
             leaf: _leaf_masks(n, w, start, size) for leaf, w in zip(leaves, weights)
         }
-        conclusion, *premises = program.masks(q, leaf_masks, full)
-        hits = full ^ conclusion[top]
-        for p in premises:
-            hits &= p[top]
-        while hits:
-            low = hits & -hits  # the least rank left
+        roots = program.masks(q, leaf_masks, full)
+        still = []
+        for g in pending:
+            conclusion, premises = goals[g]
+            hits = full ^ roots[conclusion][top]
+            for p in premises:
+                hits &= roots[p][top]
+            if not hits:
+                still.append(g)
+                continue
+            low = hits & -hits  # the least rank in the block
             rank = start + low.bit_length() - 1
-            value = next(v for v, m in enumerate(conclusion) if m & low)
-            yield {leaf: rank // w % n for leaf, w in zip(leaves, weights)}, value
-            hits ^= low
+            value = next(v for v, m in enumerate(roots[conclusion]) if m & low)
+            first[g] = {leaf: rank // w % n for leaf, w in zip(leaves, weights)}, value
+        if not still:
+            break
+        pending = still
+    return first
+
+
+def _rule_goals(program: Program) -> tuple:
+    """The one goal of a program whose first root is the conclusion and
+    whose other roots are the premises."""
+    return ((0, tuple(range(1, len(program.roots)))),)
 
 
 def is_valid(q: UMTLAlgebra, f: Formula, max_vars: int = 6) -> ValidityResult:
@@ -242,7 +264,7 @@ def consequence(
     """Every valuation sending the whole theory to top sends f to top."""
     program = compile_formulas((f, *theory))
     variables = _variables(program, max_vars)
-    hit = next(_refutations(q, program, variables), None)
+    [hit] = _first_refutations(q, program, variables, _rule_goals(program))
     return ValidityResult(True) if hit is None else ValidityResult(False, *hit)
 
 
@@ -281,8 +303,9 @@ def countermodel_search(
     else:
         program = compile_formulas((goal,))
     variables = _variables(program, max_vars)
+    goals = _rule_goals(program)
     for index, q in enumerate(pool):
-        hit = next(_refutations(q, program, variables), None)
+        [hit] = _first_refutations(q, program, variables, goals)
         if hit is not None:
             valuation, value = hit
             return Countermodel(index, q.label(), tuple(sorted(valuation.items())), value)
@@ -320,67 +343,105 @@ _EXTENSION_GUARDS = {
 
 
 # the two rules of the calculus over metavariables: conclusion, premises
-_MP = (B, (A, Impl(A, B)))
-_NEC = (Box(A), (A,))
+_MP = (B, A, Impl(A, B))
+_NEC = (Box(A), A)
 
 
-def _schema_instance_valid(
-    q: UMTLAlgebra, program: Program
-) -> tuple[bool, tuple | None]:
-    """Validity of a compiled schema, or of the rule from its premises to
-    it, with metavariables ranging over the carrier.
+class _Group(NamedTuple):
+    """Checks that share one program: each goal is a pair (conclusion,
+    premises) of positions in its roots; `guard` is the extension guard of
+    every member, or None."""
 
-    Substituting arbitrary formulas for metavariables only ever produces
-    carrier values, so this scan covers every instance of the schema.
-    """
-    hit = next(_refutations(q, program, program.labels), None)
-    return (True, None) if hit is None else (False, tuple(sorted(hit[0].items())))
+    guard: Callable | None
+    program: Program
+    goals: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _compile_groups(checks) -> tuple[list[_Group], list[tuple[int, int]]]:
+    """One program for each group of `checks`, each a tuple (guard,
+    conclusion, *premises), with equal guards, equal `reads_forall` and
+    equal leaves in the same order; and the (group, goal) of each check."""
+    keyed: dict[tuple, list[int]] = {}
+    for i, (guard, *formulas) in enumerate(checks):
+        alone = compile_formulas(formulas)
+        keyed.setdefault((guard, alone.reads_forall, alone.leaves), []).append(i)
+    groups: list[_Group] = []
+    at: list[tuple[int, int]] = [(0, 0)] * len(checks)
+    for (guard, _, _), members in keyed.items():
+        formulas: list[Formula] = []
+        goals = []
+        for i in members:
+            at[i] = (len(groups), len(goals))
+            conclusion, *premises = checks[i][1:]
+            k = len(formulas)
+            formulas += [conclusion, *premises]
+            goals.append((k, tuple(range(k + 1, len(formulas)))))
+        groups.append(_Group(guard, compile_formulas(formulas), tuple(goals)))
+    return groups, at
 
 
 def soundness_audit(
     corpus: list[UMTLAlgebra], catalog: SchemaCatalog
 ) -> SoundnessReport:
     """Schema validity plus pointwise rule preservation on every corpus
-    member.  Extension schemas are audited only on bases in the matching
-    subvariety.
+    member, with metavariables ranging over the carrier: substituting
+    arbitrary formulas for them only ever produces carrier values, so the
+    scan covers every instance.  Extension schemas are audited only on
+    bases in the matching subvariety.
 
-    A program with no `forall` step (the MTL axioms, the extensions and
-    modus ponens) reads only the algebra's tables, so its verdict and
-    witness are computed once per algebra object and copied into the
-    entry of every pair on it; the modal schemas and necessitation run
-    per pair.  The entries stay per pair, in corpus order.  A shared
-    verdict is a function of the algebra alone, never of a quantifier or
-    of another check's result, so sharing cannot make one side of an
-    audit follow from the other.
+    The schemas and the two rules are grouped by extension guard, by
+    whether they read the quantifier and by their leaves in order of first
+    occurrence, and each group is compiled into one program, so a
+    subformula that several members share is computed once: M2a-M3b take
+    13 steps together and 28 apart.  One sweep answers every member.
+    The members of a group rank valuations in the same mixed-radix order,
+    so each one's least refutation is its own least witness, the same as
+    when it is swept alone.
+
+    A group with no `forall` step (the MTL axioms, the extensions and
+    modus ponens) reads only the algebra's tables, so its verdicts and
+    witnesses are computed once per algebra object and copied into the
+    entries of every pair on it; the modal groups, necessitation among
+    them, run per pair.  The entries stay per pair, in corpus order and
+    catalog order.  A shared verdict is a function of the algebra alone,
+    never of a quantifier or of another check's result, so sharing cannot
+    make one side of an audit follow from the other.
     """
-    programs = [
-        (schema_id, _EXTENSION_GUARDS.get(schema_id), compile_formulas((pattern,)))
+    checks = [
+        (_EXTENSION_GUARDS.get(schema_id), pattern)
         for schema_id, pattern in catalog.schemas
     ]
-    mp, nec = (compile_formulas((c, *premises)) for c, premises in (_MP, _NEC))
-    shared: dict[tuple[int, int], tuple[bool, tuple | None]] = {}
+    checks += [(None, *_MP), (None, *_NEC)]
+    groups, at = _compile_groups(checks)
+    shared: dict[tuple[int, int], list] = {}
 
-    def verdict(q: UMTLAlgebra, program: Program) -> tuple[bool, tuple | None]:
-        if program.reads_forall:
-            return _schema_instance_valid(q, program)
-        # by id(): the corpus keeps every algebra alive, this call every program
-        key = (id(q.algebra), id(program))
-        if key not in shared:
-            shared[key] = _schema_instance_valid(q, program)
-        return shared[key]
+    def sweep(q: UMTLAlgebra, group: _Group) -> list:
+        return _first_refutations(q, group.program, group.program.leaves, group.goals)
 
     entries = []
     mp_ok = True
     nec_ok = True
     for q in corpus:
         profile = classify(q.algebra)
-        for schema_id, guard, program in programs:
-            if guard is not None and not guard(profile):
-                continue
-            valid, witness = verdict(q, program)
-            entries.append(
-                SchemaSoundness(schema_id, q.label(), valid, witness)
-            )
-        mp_ok = mp_ok and verdict(q, mp)[0]
-        nec_ok = nec_ok and verdict(q, nec)[0]
+        label = q.label()
+        hits: list = []  # per group, the first refutation of each goal
+        for index, group in enumerate(groups):
+            if group.guard is not None and not group.guard(profile):
+                hits.append(None)
+            elif group.program.reads_forall:
+                hits.append(sweep(q, group))
+            else:
+                # by id(): the corpus keeps every algebra alive
+                key = (id(q.algebra), index)
+                if key not in shared:
+                    shared[key] = sweep(q, group)
+                hits.append(shared[key])
+        for (schema_id, _), (g, goal) in zip(catalog.schemas, at):
+            if hits[g] is not None:
+                hit = hits[g][goal]
+                witness = None if hit is None else tuple(sorted(hit[0].items()))
+                entries.append(SchemaSoundness(schema_id, label, hit is None, witness))
+        (mp_group, mp_goal), (nec_group, nec_goal) = at[-2:]
+        mp_ok = mp_ok and hits[mp_group][mp_goal] is None
+        nec_ok = nec_ok and hits[nec_group][nec_goal] is None
     return SoundnessReport(tuple(entries), mp_ok, nec_ok)

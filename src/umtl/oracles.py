@@ -38,7 +38,9 @@ particular none of them calls the filter closure system
 - `eval_formula_tree` evaluates a formula by a recursive walk over its
   tree, one valuation at a time, and `first_refutation_tree_walk` ranks
   the valuations by hand with it, for the compiled column evaluator and
-  the searches of `logic.semantics`;
+  the searches of `logic.semantics`, and `soundness_audit_reference`
+  walks every valuation of each schema's metavariables alone with it, for
+  the grouped programs of `logic.semantics.soundness_audit`;
 - `parse_formula_reference` is the recursive-descent parser that
   tokenizes the whole text first and derives each node's depth by a walk
   over its children, for the one-pass `logic.formulas.parse_formula`.
@@ -46,9 +48,10 @@ particular none of them calls the filter closure system
 
 from __future__ import annotations
 
+import itertools
 import re
 
-from .core import FiniteMTLAlgebra, Violation, first_violations
+from .core import FiniteMTLAlgebra, Violation, classify, first_violations
 from .logic.formulas import (
     MAX_DEPTH,
     And,
@@ -66,6 +69,8 @@ from .logic.formulas import (
     top,
     variables_of,
 )
+from .logic.schemas import A, B, metavars_of
+from .logic.semantics import SchemaSoundness, SoundnessReport
 from .quantifier import UMTLAlgebra, quantifier_violations, relativization_table
 
 
@@ -490,6 +495,44 @@ def first_refutation_tree_walk(pool, premises, conclusion: Formula):
             if value != top:
                 return index, valuation, value
     return None
+
+
+# the subvariety flag of `core.classify` under which each extension schema
+# is audited
+_EXTENSION_FLAGS = {"INV": "imtl", "WNM": "nm", "MV": "mv", "EM": "boolean"}
+
+
+def _least_schema_witness(q: UMTLAlgebra, conclusion: Formula, *premises: Formula):
+    """The least valuation of the metavariables, in order of first
+    occurrence, that sends every premise to top and the conclusion below
+    it, as sorted (label, value) pairs, or None."""
+    labels = tuple(dict.fromkeys(m for f in (conclusion, *premises) for m in metavars_of(f)))
+    top = q.algebra.top
+    for values in itertools.product(q.algebra.elements, repeat=len(labels)):
+        valuation = dict(zip(labels, values))
+        if all(eval_formula_tree(q, valuation, p) == top for p in premises) and (
+            eval_formula_tree(q, valuation, conclusion) != top
+        ):
+            return tuple(sorted(valuation.items()))
+    return None
+
+
+def soundness_audit_reference(corpus, catalog) -> SoundnessReport:
+    """The soundness report of `logic.semantics.soundness_audit`, one
+    schema and one pair at a time, by the tree walk over every valuation
+    of the schema's metavariables in `itertools.product` order."""
+    entries = []
+    mp_ok = nec_ok = True
+    for q in corpus:
+        profile = classify(q.algebra)
+        for schema_id, pattern in catalog.schemas:
+            flag = _EXTENSION_FLAGS.get(schema_id)
+            if flag is None or getattr(profile, flag):
+                witness = _least_schema_witness(q, pattern)
+                entries.append(SchemaSoundness(schema_id, q.label(), witness is None, witness))
+        mp_ok = mp_ok and _least_schema_witness(q, B, A, Impl(A, B)) is None
+        nec_ok = nec_ok and _least_schema_witness(q, Box(A), A) is None
+    return SoundnessReport(tuple(entries), mp_ok, nec_ok)
 
 
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(->|<->|[&^|()]|[A-Za-z][A-Za-z0-9]*)")

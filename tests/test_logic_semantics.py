@@ -188,7 +188,6 @@ def test_schema_scan_equals_literal_instantiation():
 
     from umtl.logic.formulas import And, Bot, Box, Impl, Min, Var
     from umtl.logic.schemas import instantiate, metavars_of
-    from umtl.logic.semantics import _schema_instance_valid, compile_formulas
 
     nm3 = chain_algebra("nilpotent-minimum", 3)
     q = make_umtl(nm3, delta_table(nm3), name="nm-3+002")
@@ -198,10 +197,15 @@ def test_schema_scan_equals_literal_instantiation():
         pool.append(Box(a))
         for b in depth0:
             pool.extend([Impl(a, b), And(a, b), Min(a, b)])
-    for schema_id in ("A2", "A3", "M1", "M3a", "M2a"):
+    schema_ids = ("A2", "A3", "M1", "M3a", "M2a")
+    # one audit, so A2 with A3 and M3a with M2a are swept as shared programs
+    catalog = SchemaCatalog(tuple((i, CATALOG.get(i)) for i in schema_ids))
+    report = soundness_audit([q], catalog)
+    assert [e.schema_id for e in report.entries] == list(schema_ids)
+    for schema_id, entry in zip(schema_ids, report.entries):
         pattern = CATALOG.get(schema_id)
         labels = metavars_of(pattern)
-        scan_valid, _ = _schema_instance_valid(q, compile_formulas((pattern,)))
+        scan_valid = entry.valid
         literal_valid = all(
             is_valid(q, instantiate(pattern, dict(zip(labels, combo)))).valid
             for combo in itertools.product(pool, repeat=len(labels))

@@ -105,7 +105,7 @@ from umtl.logic.formulas import (
     top,
     variables_of,
 )
-from umtl.logic.schemas import SchemaCatalog
+from umtl.logic.schemas import A, B, C, SchemaCatalog
 from umtl.logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -644,6 +644,17 @@ def on_own_copy(q: UMTLAlgebra) -> UMTLAlgebra:
     return UMTLAlgebra(alg, q.quantifier._replace(base=alg), q.name)
 
 
+FULL_CATALOG = SchemaCatalog.mmtl(extensions=("INV", "WNM", "MV", "EM"))
+
+
+def with_constant_maps(pairs) -> list[UMTLAlgebra]:
+    """`pairs`, then the constant bottom and top maps on each algebra."""
+    pool = list(pairs)
+    for alg in {id(q.algebra): q.algebra for q in pairs}.values():
+        pool += [unchecked_pair(alg, (x,) * alg.size) for x in (alg.bottom, alg.top)]
+    return pool
+
+
 def assert_sharing_changes_no_entry(pairs):
     alone = [on_own_copy(q) for q in pairs]
     assert len({id(q.algebra) for q in alone}) == len(pairs)
@@ -652,13 +663,10 @@ def assert_sharing_changes_no_entry(pairs):
     # the constant maps are no quantifiers: they fail M2b or M1, which
     # every quantifier passes, so a modal verdict shared between the
     # tables of one algebra shows
-    pool = list(pairs)
-    for alg in {id(q.algebra): q.algebra for q in pairs}.values():
-        pool += [unchecked_pair(alg, (x,) * alg.size) for x in (alg.bottom, alg.top)]
-    catalog = SchemaCatalog.mmtl(extensions=("INV", "WNM", "MV", "EM"))
-    report = soundness_audit(pool, catalog)
+    pool = with_constant_maps(pairs)
+    report = soundness_audit(pool, FULL_CATALOG)
     assert not report.all_valid
-    assert report == soundness_audit([on_own_copy(q) for q in pool], catalog)
+    assert report == soundness_audit([on_own_copy(q) for q in pool], FULL_CATALOG)
 
 
 def test_shared_audits_match_unshared_on_corpus(corpus_entries):
@@ -670,6 +678,86 @@ def test_shared_audits_match_unshared(seed):
     alg = random_algebra(seed, 8)
     pairs = [UMTLAlgebra(alg, uq) for uq in enumerate_quantifiers(alg)]
     assert_sharing_changes_no_entry(pairs)
+
+
+def power(f, k: int):
+    """f & f & ... & f, k times."""
+    return f if k == 1 else And(f, power(f, k - 1))
+
+
+# Patterns that fail on most algebras, each with the extension guard,
+# `forall` reading and leaves of one schema group of the catalog, so that
+# several goals of one shared program fail, at different ranks.
+FAILING = {
+    "F-meet": Min(A, Min(B, C)),  # at rank 0, with A1 A7 A8 A9
+    "F-cut": Impl(Impl(A, B), Impl(C, B)),  # where C lies above A and B
+    "F-chain": Impl(A, Impl(B, C)),  # where A & B lies above C
+    # on L11, A & ... & A (10 times) is top at A = top and bottom below;
+    # so this fails first at rank 1298, alpha = top, beta = 8, gamma = 0
+    "F-late": Min(neg(And(power(A, 10), power(B, 4))), Impl(C, C)),
+    # with modus ponens over (beta, alpha): on a Lukasiewicz chain its
+    # least witness in that order is not the least in (alpha, beta) order
+    "F-swap": Impl(B, neg(A)),
+    "F-up": Impl(A, Box(A)),  # with M1 and necessitation
+    "F-box": Impl(Box(A), Box(B)),  # with M2a-M3b
+    "F-box-low": Min(Box(A), B),  # at rank 0, with M2a-M3b
+}
+FAILING_CATALOG = SchemaCatalog(FULL_CATALOG.schemas + tuple(FAILING.items()))
+
+
+def assert_soundness_matches_reference(pool, catalog) -> semantics.SoundnessReport:
+    report = soundness_audit(pool, catalog)
+    assert report == oracles.soundness_audit_reference(pool, catalog)
+    return report
+
+
+def test_soundness_audit_matches_reference_on_corpus(corpus_entries):
+    pool = with_constant_maps(corpus_pairs(corpus_entries))
+    assert not assert_soundness_matches_reference(pool, FULL_CATALOG).all_valid
+    assert_soundness_matches_reference(pool, FAILING_CATALOG)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_soundness_audit_matches_reference(seed):
+    alg = random_algebra(seed, 8)
+    pool = with_constant_maps([UMTLAlgebra(alg, uq) for uq in enumerate_quantifiers(alg)])
+    report = assert_soundness_matches_reference(pool, FAILING_CATALOG)
+    # goals of one group fail with different least witnesses
+    for q in pool:
+        witnesses = {
+            e.countervaluation
+            for e in report.entries
+            if e.algebra_label == q.label() and e.schema_id in ("F-meet", "F-chain")
+        }
+        assert len(witnesses) == 2
+
+
+@pytest.mark.parametrize("block", [1, 5, 7, 36])
+def test_soundness_audit_matches_reference_with_small_blocks(
+    corpus_entries, monkeypatch, block
+):
+    # goals of one program close in different blocks, and a failing goal
+    # stays closed while the sweep goes on for the valid ones
+    monkeypatch.setattr(semantics, "BLOCK", block)
+    pool = with_constant_maps(corpus_pairs(corpus_entries))[::4]
+    assert_soundness_matches_reference(pool, FAILING_CATALOG)
+
+
+def test_soundness_goals_close_in_different_blocks():
+    # 11**3 valuations span two blocks of 1296: F-meet fails in the first,
+    # F-late in the second, and the valid schemas are swept through both
+    alg = chain("L11")
+    pool = [UMTLAlgebra(alg, uq) for uq in enumerate_quantifiers(alg)][:2]
+    report = assert_soundness_matches_reference(pool, FAILING_CATALOG)
+    witnesses = {
+        e.schema_id: e.countervaluation
+        for e in report.entries
+        if e.algebra_label == pool[0].label()
+    }
+    assert witnesses["F-meet"] == (("alpha", 0), ("beta", 0), ("gamma", 0))
+    assert witnesses["F-late"] == (("alpha", 10), ("beta", 8), ("gamma", 0))
+    assert 10 * 11**2 + 8 * 11 >= semantics.BLOCK
+    assert witnesses["A1"] is None
 
 
 def random_formula(rnd: random.Random, depth: int, k: int):

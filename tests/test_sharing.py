@@ -2,7 +2,8 @@
 algebra object on the bundled corpus: 25 pairs over 13 algebra objects.
 
 Each shared value reads only the algebra, or the algebra and a filter:
-the verdicts of the soundness programs with no `forall` step, the
+the verdicts of the soundness programs with no `forall` step (one
+program per group of schemas with the same leaves), the
 filter test and the MTL part of a quotient, the MTL part of the check
 that its class map is a homomorphism, and the subvariety profile.
 `test_oracles.py` compares the shared entries with a run that shares
@@ -37,24 +38,24 @@ def pairs():
 
 
 def test_forall_free_soundness_programs_run_once_per_algebra(pairs, monkeypatch):
-    calls = Counter()
-    refutations = semantics._refutations
+    sweeps = Counter()
+    first_refutations = semantics._first_refutations
 
-    def counting(q, program, leaves):
-        modal = any(op == "forall" for op, *_ in program.code)
-        calls[modal, id(program), id(q.algebra)] += 1
-        return refutations(q, program, leaves)
+    def counting(q, program, leaves, goals):
+        sweeps[program.reads_forall, id(program), id(q.algebra)] += 1
+        return first_refutations(q, program, leaves, goals)
 
-    monkeypatch.setattr(semantics, "_refutations", counting)
+    monkeypatch.setattr(semantics, "_first_refutations", counting)
     semantics.soundness_audit(pairs, SchemaCatalog.mmtl(extensions=EXTENSIONS))
-    plain = {key: n for key, n in calls.items() if not key[0]}
-    # A1-A10 and modus ponens on every algebra, the extensions on some
-    assert len({program for _, program, _ in plain}) == 15
+    plain = {key: n for key, n in sweeps.items() if not key[0]}
+    # one program each for A1 A7 A8 A9, A2-A6, A10, modus ponens and each
+    # extension, swept once per algebra object, the extensions on some
+    assert len({program for _, program, _ in plain}) == 8
     assert set(plain.values()) == {1}
     assert len({alg for _, _, alg in plain}) == 13
-    modal = Counter(program for modal, program, _ in calls.elements() if modal)
-    # M1-M3b and necessitation on every pair
-    assert sorted(modal.values()) == [25] * 6
+    modal = Counter(program for modal, program, _ in sweeps.elements() if modal)
+    # one program for M1 and necessitation, one for M2a-M3b, on every pair
+    assert sorted(modal.values()) == [25] * 2
 
 
 def test_quotient_mtl_part_is_built_once_per_filter(pairs, monkeypatch):
