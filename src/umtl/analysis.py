@@ -8,11 +8,12 @@ and by join-implication, the minimal-prime form, strongness, finite
 order) is a named check whose least witness `core.first_witnesses`
 finds; each report keeps the witnesses and derives its booleans from them.
 
-Filters come from the one filter closure system, `filters.filter_table`,
-through `core.closure` and `core.closed_masks`; the image-simplicity
-condition takes the filters of the fixpoint subalgebra from the same
-table restricted to that carrier.  The scans in `umtl.oracles` check
-these independently.
+Filters and U-filters are the up-sets of idempotents that
+`filters.enumerate_filters` and `filters.enumerate_ufilters` list; the
+image-simplicity condition instead decides the filters of the fixpoint
+subalgebra by closures of `filters.filter_table` restricted to that
+carrier, so the two simplicity conditions that read filters are computed
+two ways.  The scans in `umtl.oracles` check these independently.
 """
 
 from __future__ import annotations
@@ -177,6 +178,12 @@ def _subalgebra_filters_trivial(
     `filters.filter_table` restricted to the carrier stops as soon as it
     forces bottom in (bottom is 0, the one element below the floor 1).
     So at most n - 1 closures decide it, with no enumeration of the family.
+
+    It stays on closures although the filters of an algebra are the
+    up-sets of its idempotents: read that way, `is_simple`'s
+    `image_simple` and `ufilters_trivial` would both read one set, the
+    idempotent quantifier fixpoints, and their agreement would prove
+    nothing.
     """
     if alg.top not in carrier or len(carrier) < 2:
         return False

@@ -2,19 +2,29 @@
 
 Element subsets use dense bitmask semantics keyed by element index; every
 listing is sorted by bitmask value so output order is reproducible.
-Filters, U-filters and the filters of a subalgebra are the closed sets of
-one closure system, given by the table `filter_table`: enumerations are
-`core.closed_masks` over it and a generated filter is `core.closure` of
-its seed.  The 2^n subset scans stay as oracles, so tests can pin their
-agreement.  Families that one call path asks for repeatedly are kept in
-the algebra's `cache`.
+
+In a finite MTL-algebra every filter is the up-set of an idempotent: a
+filter F is closed under odot, hence under meet (x odot y <= x meet y),
+so it holds its meet e, which is idempotent since e <= e odot e <= e; and
+the up-set of an idempotent e is closed under odot, since x, y >= e gives
+x odot y >= e odot e = e (Esteva and Godo, "Monoidal t-norm based logic",
+Fuzzy Sets and Systems 124, 2001).  So the filters and the U-filters are
+read off the idempotents with no search: O(n) per idempotent.
+
+A generated filter is `core.closure` of its seed under the table
+`filter_table`, which also gives the filters of a subalgebra.  The 2^n
+subset scans here and the close-by-one search over `filter_table` in
+`umtl.oracles` stay as oracles, so tests can pin their agreement.
+Families that one call path asks for repeatedly are kept in the
+algebra's `cache`.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple
 
-from .core import FiniteMTLAlgebra, closed_masks, closure, first_witnesses, lower_covers
+from .core import FiniteMTLAlgebra, closure, first_witnesses, lower_covers
 from .quantifier import UMTLAlgebra, UniversalQuantifier
 
 
@@ -68,13 +78,16 @@ def is_filter_by_implication(alg: FiniteMTLAlgebra, members) -> bool:
 
 def is_prime_filter(alg: FiniteMTLAlgebra, members) -> bool:
     s = set(members)
-    if not is_filter_by_implication(alg, s) or len(s) == alg.size:
-        return False
-    return all(
-        x in s or y in s
-        for x in alg.elements
-        for y in alg.elements
-        if alg.join[x][y] in s
+    return is_filter_by_implication(alg, s) and _is_prime(alg, s)
+
+
+def _is_prime(alg: FiniteMTLAlgebra, s) -> bool:
+    """Whether the filter `s` is proper and holds no join of two
+    non-members."""
+    outside = [x for x in alg.elements if x not in s]
+    join = alg.join
+    return bool(outside) and all(
+        join[x][y] not in s for x in outside for y in outside
     )
 
 
@@ -123,20 +136,20 @@ def generated_ufilter(q: UMTLAlgebra, seed) -> FilterSet:
     return _generated(q.algebra, q.forall, seed)
 
 
-def _closed_filters(alg: FiniteMTLAlgebra, forall) -> tuple[FilterSet, ...]:
-    """All filters, closed under the table `forall` unless it is None,
-    sorted by bitmask: the closed sets of `filter_table` that contain top."""
-    masks = sorted(closed_masks(alg.size, (alg.top,), filter_table(alg, forall)))
-    return tuple(FilterSet(alg, members_of(m, alg.size), forall) for m in masks)
-
-
 def enumerate_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
-    """All filters (the improper one included), sorted by bitmask.
+    """All filters (the improper one included), sorted by bitmask: the
+    up-sets of the idempotents."""
 
-    Found by close-by-one search over the closure system of filters, with
-    no 2^n scan and no pairwise join of filters.
-    """
-    return alg.cached("filters", lambda: _closed_filters(alg, None))
+    def compute():
+        leq, odot = alg.leq, alg.odot
+        ups = (
+            frozenset(compress(alg.elements, leq[e]))
+            for e in alg.elements
+            if odot[e][e] == e
+        )
+        return tuple(FilterSet(alg, up) for up in sorted(ups, key=mask_of))
+
+    return alg.cached("filters", compute)
 
 
 def enumerate_filters_subset_oracle(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
@@ -150,9 +163,21 @@ def enumerate_filters_subset_oracle(alg: FiniteMTLAlgebra) -> tuple[FilterSet, .
 
 
 def enumerate_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
-    """All quantifier-closed filters, improper one included, by bitmask."""
+    """All quantifier-closed filters, improper one included, by bitmask:
+    the filters that the table maps into themselves.
+
+    For a quantifier, the filter of the idempotent e is one iff f(e) = e,
+    as f is monotone and below the identity; the whole filter is tested,
+    so any unary table will do."""
     alg, f = q.algebra, q.forall
-    return alg.cached(("ufilters", f), lambda: _closed_filters(alg, f))
+    return alg.cached(
+        ("ufilters", f),
+        lambda: tuple(
+            FilterSet(alg, u.members, f)
+            for u in enumerate_filters(alg)
+            if all(f[x] in u.members for x in u.members)
+        ),
+    )
 
 
 def enumerate_ufilters_subset_oracle(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
@@ -182,9 +207,9 @@ class MinimalPrimesResult(NamedTuple):
 
 
 def prime_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
-    return tuple(
-        f for f in enumerate_filters(alg) if is_prime_filter(alg, f.members)
-    )
+    """The prime members of `enumerate_filters`, which are filters
+    already, so only the prime condition is tested."""
+    return tuple(f for f in enumerate_filters(alg) if _is_prime(alg, f.members))
 
 
 def minimal_primes(alg: FiniteMTLAlgebra) -> MinimalPrimesResult:
@@ -444,41 +469,18 @@ def _mtl_congruences(alg: FiniteMTLAlgebra):
     Universalis 59, 2008).  Covering pairs c < d suffice: classes are
     convex and a ~ b iff a meet b ~ a join b, so Cg(a, b) is the join of
     the Cg(c, d) over the covering pairs of a maximal chain from a meet b
-    to a join b, all of which lie in every congruence holding (a, b).  So
-    each Cg(c, d) is closed under the four operations by merging classes,
-    and the identity plus these principal congruences are closed under
-    join with a union-find.  A congruence is held as a canonical tuple
-    giving each element's least class member.
+    to a join b, all of which lie in every congruence holding (a, b).
+    One cover per join-irreducible label suffices too: the lattice is
+    distributive, and there a cover c < d is projective to j_* < j for the
+    one join-irreducible j with j <= d and j not <= c, where j_* is the
+    one lower cover of j; projective prime quotients generate the same
+    lattice congruence (Graetzer, "Lattice Theory: Foundation", 2011), so
+    the same algebra congruence.  So `_principal_congruence` runs once per
+    join-irreducible, and the identity plus these principal congruences
+    are closed under join with a union-find.  A congruence is held as a
+    canonical tuple giving each element's least class member.
     """
     n = alg.size
-    # odot, meet and join are commutative, so their rows suffice.  So do
-    # arrow's, whose column images z -> a ~ z -> b follow: the classes of
-    # a lattice congruence are convex and hold a meet b and a join b, so
-    # take a <= b.  Then b -> a ~ a -> a = top, so (z -> b) odot (b -> a)
-    # ~ z -> b, and z -> a lies between them:
-    # (z -> b) odot (b -> a) <= z -> a <= z -> b.
-    rows = (alg.odot, alg.arrow, alg.meet, alg.join)
-
-    def principal(a: int, b: int) -> tuple[int, ...]:
-        # cls[x] names x's class; a merge relabels the smaller class, and
-        # the images of a merged pair are queued
-        cls = list(range(n))
-        members = [[x] for x in range(n)]
-        pending = [(a, b)]
-        while pending:
-            x, y = pending.pop()
-            keep, drop = cls[x], cls[y]
-            if keep == drop:
-                continue
-            if len(members[keep]) < len(members[drop]):
-                keep, drop = drop, keep
-            for z in members[drop]:
-                cls[z] = keep
-            members[keep] += members[drop]
-            for op in rows:
-                pending += zip(op[x], op[y])  # op(x, z) ~ op(y, z)
-        least = {c: min(members[c]) for c in set(cls)}
-        return tuple(least[c] for c in cls)
 
     def find(parent: list[int], x: int) -> int:
         while parent[x] != x:
@@ -496,7 +498,11 @@ def _mtl_congruences(alg: FiniteMTLAlgebra):
         return tuple(find(parent, x) for x in range(n))
 
     covers = lower_covers(alg.leq)
-    principals = {principal(c, d) for d in range(n) for c in covers[d]}
+    principals = {
+        _principal_congruence(alg, below[0], j)
+        for j, below in enumerate(covers)
+        if len(below) == 1
+    }
     found = {tuple(range(n))} | principals
     frontier = list(found)
     while frontier:
@@ -517,6 +523,38 @@ def _mtl_congruences(alg: FiniteMTLAlgebra):
         out.append((c, tuple(frozenset(blocks[r]) for r in sorted(blocks))))
     out.sort(key=lambda pair: tuple(tuple(sorted(b)) for b in pair[1]))
     return tuple(out)
+
+
+def _principal_congruence(alg: FiniteMTLAlgebra, a: int, b: int) -> tuple[int, ...]:
+    """Cg(a, b) as a canonical tuple, by merging classes until the four
+    operations respect them."""
+    n = alg.size
+    # odot, meet and join are commutative, so their rows suffice.  So do
+    # arrow's, whose column images z -> a ~ z -> b follow: the classes of
+    # a lattice congruence are convex and hold a meet b and a join b, so
+    # take a <= b.  Then b -> a ~ a -> a = top, so (z -> b) odot (b -> a)
+    # ~ z -> b, and z -> a lies between them:
+    # (z -> b) odot (b -> a) <= z -> a <= z -> b.
+    rows = (alg.odot, alg.arrow, alg.meet, alg.join)
+    # cls[x] names x's class; a merge relabels the smaller class, and the
+    # images of a merged pair are queued
+    cls = list(range(n))
+    members = [[x] for x in range(n)]
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        keep, drop = cls[x], cls[y]
+        if keep == drop:
+            continue
+        if len(members[keep]) < len(members[drop]):
+            keep, drop = drop, keep
+        for z in members[drop]:
+            cls[z] = keep
+        members[keep] += members[drop]
+        for op in rows:
+            pending += zip(op[x], op[y])  # op(x, z) ~ op(y, z)
+    least = {c: min(members[c]) for c in set(cls)}
+    return tuple(least[c] for c in cls)
 
 
 def filter_of_congruence(q: UMTLAlgebra, blocks) -> frozenset[int]:

@@ -4,9 +4,14 @@ Nothing in the package calls these.  The scans are exponential in the
 carrier size and meant for small algebras.  Apart from
 `relativization_table` and `quantifier_violations`, which define what a
 candidate table is, they share no code with the paths they check; in
-particular none of them calls the filter closure system
-(`filters.filter_table`, `core.closure`, `core.closed_masks`):
+particular only `filters_close_by_one` calls the filter closure system
+(`filters.filter_table`, `core.closure`, `core.closed_masks`), which the
+filter and U-filter enumerations do not read:
 
+- `filters_close_by_one` is the close-by-one search of `core.closed_masks`
+  over `filters.filter_table`, for `filters.enumerate_filters` and
+  `filters.enumerate_ufilters` (up-sets of idempotents), at sizes the 2^n
+  subset scans in `umtl.filters` cannot reach;
 - `subalgebras_subset_oracle` and `fixpoint_subset_tables` scan the
   2^(n-2) subsets containing bottom and top, the former for the closed
   sets of `quantifier.subalgebra_table`, the latter for
@@ -18,7 +23,7 @@ particular none of them calls the filter closure system
 - `ucongruences_partition_oracle` scans all Bell(n) set partitions of the
   carrier, for `filters.enumerate_ucongruences`;
 - `ucongruences_all_pairs_oracle` joins the principal congruences of all
-  n(n-1)/2 pairs, not only of the covering pairs as
+  n(n-1)/2 pairs, not only of one covering pair per join-irreducible as
   `filters.enumerate_ucongruences` does, at sizes the Bell(n) scan cannot
   reach;
 - `generated_filter_formula` and `generated_ufilter_formula` give the
@@ -51,7 +56,8 @@ from __future__ import annotations
 import itertools
 import re
 
-from .core import FiniteMTLAlgebra, Violation, classify, first_violations
+from .core import FiniteMTLAlgebra, Violation, classify, closed_masks, first_violations
+from .filters import FilterSet, filter_table, members_of
 from .logic.formulas import (
     MAX_DEPTH,
     And,
@@ -218,6 +224,14 @@ def ucongruences_all_pairs_oracle(
     ]
     out.sort(key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks))
     return out
+
+
+def filters_close_by_one(alg: FiniteMTLAlgebra, forall=None) -> tuple[FilterSet, ...]:
+    """All filters, closed under the table `forall` unless it is None,
+    sorted by bitmask: the closed sets of `filters.filter_table` that
+    contain top."""
+    masks = sorted(closed_masks(alg.size, (alg.top,), filter_table(alg, forall)))
+    return tuple(FilterSet(alg, members_of(m, alg.size), forall) for m in masks)
 
 
 def _above_products(alg: FiniteMTLAlgebra, seeds: set[int]) -> frozenset[int]:

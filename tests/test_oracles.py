@@ -20,23 +20,24 @@ nor by the cut of the subalgebra search at persistent U2 failures.
 
 U-congruences are the congruences of the algebra that respect the
 quantifier, and the congruences are joins of the principal congruences
-of covering pairs, computed once per algebra object; the Bell(n)
-partition scan checks them, also on unary maps that are not quantifiers,
-since neither step relies on U1-U3, the join over all pairs checks them
-at 12 elements, and the order in which quantifiers reach the shared
-lattice must not matter.  Quotients collapse the parent's tables on
-class representatives; the build by `core.validate` and
+of one covering pair per join-irreducible, computed once per algebra
+object; the Bell(n) partition scan checks them, also on unary maps that
+are not quantifiers, since neither step relies on U1-U3, the join over
+all pairs checks them at 12 elements, and the order in which quantifiers
+reach the shared lattice must not matter.  Quotients collapse the
+parent's tables on class representatives; the build by `core.validate` and
 `validate_quantifier` checks them, and the class-map homomorphism test,
 the one well-definedness check, must pass on every one.
 
-Filters and U-filters come from the close-by-one search of
-`core.closed_masks` over `filters.filter_table`; the 2^n subset scans in
-`umtl.filters` check them, U-filters also on unary maps that are not
-quantifiers.  Generated filters and U-filters are `core.closure` of the
-seed over the same table; the explicit descriptions in `umtl.oracles`
-check them, and `core.closure` itself must give the least closed set of
-the search that holds the seed, on the filter, U-filter and subalgebra
-tables.
+Filters and U-filters are read off the up-sets of the idempotents, with
+no closure; the 2^n subset scans in `umtl.filters` check them, U-filters
+also on unary maps that are not quantifiers, and the close-by-one search
+`oracles.filters_close_by_one` over `filters.filter_table` checks them on
+the ladder and at 64 elements.  Generated filters and U-filters are
+`core.closure` of the seed over that table; the explicit descriptions in
+`umtl.oracles` check them, and `core.closure` itself must give the least
+closed set of the search that holds the seed, on the filter, U-filter and
+subalgebra tables.
 
 Both audits share every value that reads only the algebra, or the
 algebra and a filter, across the pairs of one algebra object: the
@@ -536,6 +537,55 @@ def test_ufilters_match_subset_oracle_on_every_unary_map(tag):
     alg = chain(tag)
     for table in itertools.product(alg.elements, repeat=alg.size):
         assert_ufilters_match_oracle(unchecked_pair(alg, table))
+
+
+def assert_filters_match_close_by_one(alg):
+    assert flt.enumerate_filters(alg) == oracles.filters_close_by_one(alg)
+    for uq in enumerate_quantifiers(alg):
+        q = UMTLAlgebra(alg, uq)
+        assert flt.enumerate_ufilters(q) == oracles.filters_close_by_one(alg, q.forall)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_filters_match_close_by_one_on_ladder(name):
+    assert_filters_match_close_by_one(relabel(LADDER[name](), random.Random(name)))
+
+
+def direct_power(alg, k):
+    out = alg
+    for _ in range(k - 1):
+        out = product_algebra(out, alg)
+    return out
+
+
+# 64 elements, beyond the 2^n subset scans: 203, 22 and 6 quantifiers
+LARGE = {
+    "L2^6": lambda: direct_power(chain("L2"), 6),
+    "L4^3": lambda: direct_power(chain("L4"), 3),
+    "L8xL8": lambda: direct_power(chain("L8"), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_filters_match_close_by_one_at_64_elements(name):
+    alg = LARGE[name]()
+    assert alg.size == 64
+    assert_filters_match_close_by_one(alg)
+
+
+def test_filter_enumerations_compute_no_closure(monkeypatch):
+    alg = relabel(LADDER["G4+L4+N4"](), random.Random("G4+L4+N4"))
+    quantifiers = enumerate_quantifiers(alg)
+    assert "filters" not in alg.cache
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure was computed")
+
+    for module, name in ((core, "closure"), (core, "closed_masks"), (flt, "closure")):
+        monkeypatch.setattr(module, name, refuse)
+    assert len(flt.enumerate_filters(alg)) > 2
+    for uq in quantifiers:
+        assert flt.enumerate_ufilters(UMTLAlgebra(alg, uq))
 
 
 def assert_closure_is_least_closed_superset(n, base, table):

@@ -7,12 +7,14 @@ program per group of schemas with the same leaves), the
 filter test and the MTL part of a quotient, the MTL part of the check
 that its class map is a homomorphism, and the subvariety profile.
 `test_oracles.py` compares the shared entries with a run that shares
-nothing.
+nothing.  The congruence lattice, also shared per algebra object, takes
+one principal congruence per join-irreducible.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 
 import pytest
 
@@ -165,3 +167,32 @@ def test_theorem_audit_tests_no_ufilter(pairs, monkeypatch):
     monkeypatch.setattr(flt, "is_ufilter", counting_is_ufilter)
     assert ana.theorem_audit(pairs)
     assert not calls
+
+
+def test_congruences_take_one_principal_per_join_irreducible(pairs, monkeypatch):
+    calls = Counter()
+    principal = flt._principal_congruence
+
+    def counting(alg, a, b):
+        calls[id(alg)] += 1
+        return principal(alg, a, b)
+
+    monkeypatch.setattr(flt, "_principal_congruence", counting)
+    for q in pairs:
+        flt.enumerate_ucongruences(q)
+    algebras = {id(q.algebra): q.algebra for q in pairs}
+
+    def join_irreducibles(alg):
+        # j is join-irreducible iff it is not the join of the elements
+        # strictly below it (bottom, the empty join, is not)
+        return sum(
+            reduce(
+                lambda x, y: alg.join[x][y],
+                (x for x in alg.elements if x != j and alg.leq[x][j]),
+                alg.bottom,
+            )
+            != j
+            for j in alg.elements
+        )
+
+    assert calls == {key: join_irreducibles(alg) for key, alg in algebras.items()}
