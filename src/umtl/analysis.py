@@ -70,7 +70,14 @@ class RepresentabilityReport(NamedTuple):
 
 
 def is_representable(q: UMTLAlgebra) -> RepresentabilityReport:
+    """The three sides of representability, computed once per algebra
+    object and table: `is_strong` and the audits that compare with it read
+    the report kept in `alg.cache`."""
     alg, f = q.algebra, q.forall
+    return alg.cached(("representable", f), lambda: _representability(alg, f))
+
+
+def _representability(alg: FiniteMTLAlgebra, f) -> RepresentabilityReport:
     rng = range(alg.size)
     top, join, arrow = alg.top, alg.join, alg.arrow
     checks = (

@@ -208,7 +208,8 @@ def closure(forced, seed, mask: int = 0, members=None, floor: int = 0) -> int | 
     """Bitmask of the least closed set containing `seed` and the closed
     set `mask`, or None once the table forces in an element below `floor`
     outside `mask`.  `members`, when given, lists the elements of `mask`
-    and receives the new ones.
+    and receives the new ones; after None its last entry is the element
+    that stopped the closure.
 
     The closure system is given by the table `forced`: `forced[a][b]`
     lists the elements that a new member `a` forces in together with a
@@ -231,6 +232,7 @@ def closure(forced, seed, mask: int = 0, members=None, floor: int = 0) -> int | 
             for c in row[b]:
                 if not mask >> c & 1:
                     if c < floor:
+                        members.append(c)
                         return None
                     mask |= 1 << c
                     members.append(c)
@@ -248,28 +250,50 @@ def closed_masks(n: int, base, forced, cut=None) -> list[int]:
     element below i, so every closed set is reached from exactly one
     parent, with delay polynomial in n and no pairwise join of closed sets.
 
-    A node is (mask, members, start): its closed set, that set's elements
-    and the least element its children may add.  Every set in its subtree
-    contains the mask and agrees with it on the elements below `start`.
-    `cut`, when given, is called with each node and returns true to skip
-    the node and its whole subtree.
+    A node is a closed set S, its members and `start`, the least element
+    its children may add.  Every set T in its subtree is closed, contains
+    S and agrees with S on the elements below `start`.  Closing S with a
+    rejected child x stops at an element c < x outside S, and closing any
+    superset of S with x forces c in as well.  So while c stays outside,
+    x is rejected again with no closure; and once c lies below `start`, x
+    is excluded: no set in the subtree holds x, since it would hold c.
+    Children inherit these stops, so a partial record is still sound.
+
+    `cut`, when given, is called with the mask, the members, `start` and
+    the mask of excluded elements of each node before its children are
+    closed, and again when closing them excluded more; it returns true
+    to skip the node and its whole subtree.
     """
     out = []
     members: list[int] = []
-    stack = [(closure(forced, base, 0, members), members, 0)]
+    # each node's stops: rejected child -> the element that stopped it
+    stack = [(closure(forced, base, 0, members), members, 0, {})]
     while stack:
-        node = stack.pop()
-        if cut is not None and cut(*node):
+        mask, members, start, stops = stack.pop()
+        excluded = sum(1 << x for x, c in stops.items() if c < start)
+        if cut is not None and cut(mask, members, start, excluded):
             continue
-        mask, members, start = node
-        out.append(mask)
+        children = []
+        grown = excluded
         for i in range(start, n):
-            if mask >> i & 1:
+            if mask >> i & 1 or i in stops:
                 continue
             child_members = members.copy()
             child = closure(forced, (i,), mask, child_members, i)
             if child is not None:
-                stack.append((child, child_members, i + 1))
+                children.append((child, child_members, i + 1))
+                continue
+            stops[i] = child_members[-1]
+            if stops[i] < start:
+                grown |= 1 << i
+        if grown != excluded and cut is not None and cut(mask, members, start, grown):
+            continue
+        out.append(mask)
+        for child, child_members, child_start in children:
+            kept = {
+                x: c for x, c in stops.items() if x >= child_start and not child >> c & 1
+            }
+            stack.append((child, child_members, child_start, kept))
     return out
 
 

@@ -225,6 +225,8 @@ def _minimal_primes(alg: FiniteMTLAlgebra) -> MinimalPrimesResult:
         for p in primes
         if not any(o.members < p.members for o in primes)
     )
+    # each co-annihilator once per call, not once per filter
+    perps = [a_perp(alg, a) for a in alg.elements]
     by_perp = []
     for f in enumerate_filters(alg):
         if not f.is_proper():
@@ -232,7 +234,7 @@ def _minimal_primes(alg: FiniteMTLAlgebra) -> MinimalPrimesResult:
         union: set[int] = set()
         for a in alg.elements:
             if a not in f.members:
-                union |= a_perp(alg, a)
+                union |= perps[a]
         if union == set(f.members):
             by_perp.append(f)
     return MinimalPrimesResult(by_inclusion, tuple(by_perp))

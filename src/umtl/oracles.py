@@ -2,8 +2,10 @@
 
 Nothing in the package calls these.  The scans are exponential in the
 carrier size and meant for small algebras.  Apart from
-`relativization_table` and `quantifier_violations`, which define what a
-candidate table is, they share no code with the paths they check; in
+`relativization_table`, `quantifier_violations` and
+`quantifier.subalgebra_table`, which define what a candidate table is,
+and the primitives `core.closure` and `core.lower_covers`, they share no
+code with the paths they check; in
 particular only `filters_close_by_one` calls the filter closure system
 (`filters.filter_table`, `core.closure`, `core.closed_masks`), which the
 filter and U-filter enumerations do not read:
@@ -16,6 +18,11 @@ filter and U-filter enumerations do not read:
   2^(n-2) subsets containing bottom and top, the former for the closed
   sets of `quantifier.subalgebra_table`, the latter for
   `enumerate_quantifiers(method="fixpoint")`;
+- `image_tables_reference` is the subalgebra search that cuts only at U2
+  failures below its start rank, with its own close-by-one loop and no
+  exclusions, for the quantifier image search of `quantifier._image_tables`
+  at sizes the subset scan cannot reach, such as nilpotent-minimum chains
+  of 24 elements;
 - `subalgebra_filters_trivial_subset_oracle` scans the 2^|S| subsets of a
   carrier for modus-ponens closed ones, for the image-simplicity
   condition of `analysis.is_simple` (closures of the filter table inside
@@ -56,7 +63,15 @@ from __future__ import annotations
 import itertools
 import re
 
-from .core import FiniteMTLAlgebra, Violation, classify, closed_masks, first_violations
+from .core import (
+    FiniteMTLAlgebra,
+    Violation,
+    classify,
+    closed_masks,
+    closure,
+    first_violations,
+    lower_covers,
+)
 from .filters import FilterSet, filter_table, members_of
 from .logic.formulas import (
     MAX_DEPTH,
@@ -77,7 +92,12 @@ from .logic.formulas import (
 )
 from .logic.schemas import A, B, metavars_of
 from .logic.semantics import SchemaSoundness, SoundnessReport
-from .quantifier import UMTLAlgebra, quantifier_violations, relativization_table
+from .quantifier import (
+    UMTLAlgebra,
+    quantifier_violations,
+    relativization_table,
+    subalgebra_table,
+)
 
 
 def _subsets_with_bounds(alg: FiniteMTLAlgebra):
@@ -112,6 +132,81 @@ def fixpoint_subset_tables(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
         if not quantifier_violations(alg, table):
             tables.add(table)
     return sorted(tables)
+
+
+def image_tables_reference(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
+    """The floor maps onto the subalgebras containing bottom and top that
+    satisfy U2, by a close-by-one search over the subalgebras that cuts a
+    node only at a U2 failure between elements of rank below its `start`,
+    for `quantifier._image_tables`, which also cuts at elements it proves
+    no descendant holds and skips those elements as children.
+
+    U2 holds for the floor map q onto S iff q(inner_s(x)) = inner_s(q(x))
+    for all x and all s in S, where inner_s(x) = (x -> s) -> s.  The search
+    runs over the ranks of a linear extension of the order, so every node
+    (S, start) keeps q on the ranks below `start` in its whole subtree, and
+    a failure there, with inner_s(x) also below `start` or top, is cut.
+    The loop is the plain close-by-one search of `core.closed_masks`,
+    without its exclusions, and the sets that survive are checked in full.
+    """
+    n, leq, arrow = alg.size, alg.leq, alg.arrow
+    order = sorted(alg.elements, key=lambda x: sum(row[x] for row in leq))
+    rank = [0] * n
+    for r, x in enumerate(order):
+        rank[x] = r
+
+    def in_ranks(op):
+        return [[rank[op(order[a], order[b])] for b in range(n)] for a in range(n)]
+
+    join = in_ranks(lambda a, b: alg.join[a][b])
+    inner = in_ranks(lambda s, x: arrow[arrow[x][s]][s])
+    covers = [[rank[c] for c in cs] for cs in lower_covers(leq)]
+    table = subalgebra_table(alg)
+    forced = [[tuple([rank[c] for c in table[a][b]]) for b in order] for a in order]
+
+    def floor_map(mask, stop):
+        # q on the ranks below `stop` and on top, None elsewhere: the
+        # largest member below x is x itself or the join of the values
+        # on x's lower covers
+        q = [None] * n
+        q[n - 1] = n - 1
+        for r in range(stop):
+            if mask >> r & 1:
+                q[r] = r
+            else:
+                acc = 0
+                for c in covers[order[r]]:
+                    acc = join[acc][q[c]]
+                q[r] = acc
+        return q
+
+    def u2_fails(q, members, stop):
+        for s in members:
+            inner_s = inner[s]
+            for x in range(stop):
+                z = q[inner_s[x]]
+                if z is not None and z != inner_s[q[x]]:
+                    return True
+        return False
+
+    out = []
+    members: list[int] = []
+    stack = [(closure(forced, (rank[alg.bottom], rank[alg.top]), 0, members), members, 0)]
+    while stack:
+        mask, members, start = stack.pop()
+        if u2_fails(floor_map(mask, start), members, start):
+            continue
+        q = floor_map(mask, n)
+        if not u2_fails(q, members, n):
+            out.append(tuple(order[q[rank[x]]] for x in range(n)))
+        for i in range(start, n):
+            if mask >> i & 1:
+                continue
+            child_members = members.copy()
+            child = closure(forced, (i,), mask, child_members, i)
+            if child is not None:
+                stack.append((child, child_members, i + 1))
+    return out
 
 
 def subalgebra_filters_trivial_subset_oracle(

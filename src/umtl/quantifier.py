@@ -12,6 +12,7 @@ gives bottom = top.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -22,7 +23,6 @@ from .core import (
     closed_masks,
     first_violations,
     first_witnesses,
-    lower_covers,
 )
 
 
@@ -180,17 +180,21 @@ def relativization_table(alg: FiniteMTLAlgebra, subset) -> tuple[int, ...]:
     return tuple(table)
 
 
-def subalgebra_table(alg: FiniteMTLAlgebra):
+def subalgebra_table(alg: FiniteMTLAlgebra, order=None):
     """The closure system of odot, arrow, meet and join as a `core.closure`
-    table."""
-    odot, arrow, meet, join = alg.odot, alg.arrow, alg.meet, alg.join
-    return [
-        [
-            (odot[a][b], arrow[a][b], arrow[b][a], meet[a][b], join[a][b])
-            for b in alg.elements
-        ]
-        for a in alg.elements
-    ]
+    table; with `order`, a list of every element, each element is named by
+    its position in it."""
+    order = list(alg.elements) if order is None else order
+    position = [0] * alg.size
+    for i, x in enumerate(order):
+        position[x] = i
+    pick = itemgetter(*order)
+
+    def rows(table):
+        return [list(map(position.__getitem__, pick(table[x]))) for x in order]
+
+    odot, arrow, meet, join = map(rows, (alg.odot, alg.arrow, alg.meet, alg.join))
+    return [list(zip(*cells)) for cells in zip(odot, arrow, zip(*arrow), meet, join)]
 
 
 def _image_tables(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
@@ -201,69 +205,94 @@ def _image_tables(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
     For the floor map q onto a subalgebra S, U2 reads its second argument
     y only through q(y), which ranges over S and is s at y = s; so it
     holds iff q(inner_s(x)) = inner_s(q(x)) for all x and all s in S,
-    where inner_s(x) = (x -> s) -> s.
+    where inner_s(x) = (x -> s) -> s.  It holds at every x in S, where
+    both sides are inner_s(x), so only x outside S is tested.
 
     The search runs over the ranks of a linear extension of the order
     (elements sorted by down-set size), so everything below x ranks below
-    x.  Take a node (S, start) of `core.closed_masks`.  Its descendants
-    add only elements of rank at least `start`, so for every x of rank
-    below `start` they keep S ∩ ↓x, hence the floor value q(x); q(top) =
-    top always.  Call those x frozen.  A U2 failure at (x, s) with x and
-    inner_s(x) frozen and s in S then recurs in every descendant, as each
-    still holds s: the node and its subtree are cut.  The sets that
-    survive are checked against U2 in full.
+    x, and q(x), the largest member of S below x, is the member of S ∩ ↓x
+    of highest rank.  Take a node (S, start) of `core.closed_masks`, with
+    its excluded elements E, which no descendant holds: closing S with one
+    of them forces in an element outside S of rank below `start`.  Every
+    descendant T is closed, contains S and agrees with S on the ranks
+    below `start`.  Let D be the ranks below `start` together with S and
+    E, and call y
+    decided when every element of ↓y that is not below q_S(y) lies in D.
+    Then q_T(y) = q_S(y) in every descendant T: q_T(y) = max(T ∩ ↓y) is at
+    least q_S(y), and a larger t would lie in D, which each part of D
+    rules out (below `start`, t in T is in S, so below q_S(y); in S, t is
+    below q_S(y); in E, t is not in T).  Every rank below `start` is
+    decided, and so is every member of S; any other decided y is in E, as
+    y itself lies in ↓y and not below q_S(y) < y.
+
+    A U2 failure at (x, s) with s in S and x decided then recurs in every
+    descendant T, which still holds s.  The right side inner_s(q(x)) keeps
+    its value, as q_T(x) = q_S(x).  The left side never lies below it:
+    inner_s is monotone, so inner_s(q_S(x)) is at most inner_s(x), and it
+    is a member of S, so it is at most q_S(inner_s(x)); a failure is
+    therefore a strict inequality, and q_T(inner_s(x)) >= q_S(inner_s(x))
+    keeps it strict whether or not inner_s(x) is decided.  So the node and
+    its subtree are cut.  At start = n every element is decided, so the
+    same test, run on each set the search keeps, is the full U2 check.
+    The floor map and the members of a set do not change between the
+    calls for it, so each call tests only the decided elements that no
+    earlier call tested against the same set.
     """
     n, leq, arrow = alg.size, alg.leq, alg.arrow
     order = sorted(alg.elements, key=lambda x: sum(row[x] for row in leq))
     rank = [0] * n
     for r, x in enumerate(order):
         rank[x] = r
+    # inner_s in ranks as a string, chr(inner_s(x)) at x, so that a
+    # translate composes it with a map in C
+    inner = ["".join([chr(rank[arrow[arrow[x][s]][s]]) for x in order]) for s in order]
+    down = [sum(1 << rank[z] for z in order if leq[z][x]) for x in order]
+    # bottom, rank 0, is in every S, so q(y) is the bit length of S ∩ ↓y
+    # with both shifted down one place
+    above_bottom = [d >> 1 for d in down]
+    forced = subalgebra_table(alg, order)
+    # each closed set visited: its floor map as a string, its members and
+    # the elements outside it already tested against it
+    seen = {}
+    everything = (1 << n) - 1
 
-    def in_ranks(op):
-        return [[rank[op(order[a], order[b])] for b in range(n)] for a in range(n)]
-
-    join = in_ranks(lambda a, b: alg.join[a][b])
-    inner = in_ranks(lambda s, x: arrow[arrow[x][s]][s])
-    covers = [[rank[c] for c in cs] for cs in lower_covers(leq)]
-
-    def closure_table_in_ranks(table):
-        return [[tuple([rank[c] for c in table[a][b]]) for b in order] for a in order]
-
-    forced = closure_table_in_ranks(subalgebra_table(alg))
-
-    def floor_map(mask, stop):
-        # q on the ranks below `stop` and on top, None elsewhere: the
-        # largest member below x is x itself or the join of the values
-        # on x's lower covers
-        q = [None] * n
-        q[n - 1] = n - 1
-        for r in range(stop):
-            if mask >> r & 1:
-                q[r] = r
-            else:
-                acc = 0
-                for c in covers[order[r]]:
-                    acc = join[acc][q[c]]
-                q[r] = acc
-        return q
-
-    def u2_fails(q, members, stop):
-        for s in members:
-            inner_s = inner[s]
-            for x in range(stop):
-                z = q[inner_s[x]]
-                if z is not None and z != inner_s[q[x]]:
-                    return True
-        return False
-
-    def cut(mask, members, start):
-        return u2_fails(floor_map(mask, start), members, start)
+    def u2_fails(mask, members, start, excluded):
+        if mask in seen:
+            q, members, done = seen[mask]
+        else:
+            floors = map(int.bit_length, map((mask >> 1).__and__, above_bottom))
+            q, done = "".join(map(chr, floors)), mask
+        low = (1 << start) - 1
+        known = low | mask | excluded
+        new = low & ~done
+        rest = excluded & ~done & ~low
+        while rest:
+            y = rest.bit_length() - 1
+            rest ^= 1 << y
+            if not down[y] & ~down[ord(q[y])] & ~known:
+                new |= 1 << y
+        seen[mask] = q, members, done | new
+        if not new:
+            return False
+        # newest members first: the older ones met most of these elements
+        # at the ancestors already
+        rows = map(inner.__getitem__, reversed(members))
+        if done | new == everything:
+            # both sides agree on S and passed on `done`: compare whole rows
+            return any(inner_s.translate(q) != q.translate(inner_s) for inner_s in rows)
+        pick = itemgetter(*[y for y in range(n) if new >> y & 1])
+        q_new = "".join(pick(q))
+        return any(
+            "".join(pick(inner_s)).translate(q) != q_new.translate(inner_s)
+            for inner_s in rows
+        )
 
     out = []
-    for mask in closed_masks(n, (rank[alg.bottom], rank[alg.top]), forced, cut):
-        q = floor_map(mask, n)
-        if not u2_fails(q, [r for r in range(n) if mask >> r & 1], n):
-            out.append(tuple(order[q[rank[x]]] for x in range(n)))
+    by_element = itemgetter(*rank)
+    for mask in closed_masks(n, (rank[alg.bottom], rank[alg.top]), forced, u2_fails):
+        if not u2_fails(mask, None, n, 0):
+            q = by_element(seen[mask][0])
+            out.append(tuple(map(order.__getitem__, map(ord, q))))
     return out
 
 

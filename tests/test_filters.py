@@ -128,6 +128,20 @@ def test_a_perp(six):
     assert flt.a_perp(six, 4) == members(six, "b", "c", "1")
 
 
+def test_minimal_primes_take_each_co_annihilator_once(monkeypatch):
+    six = example_3_2()  # a fresh object: the result is cached on the algebra
+    calls = []
+    a_perp = flt.a_perp
+
+    def counting(alg, a):
+        calls.append(a)
+        return a_perp(alg, a)
+
+    monkeypatch.setattr(flt, "a_perp", counting)
+    assert flt.minimal_primes(six).agree
+    assert sorted(calls) == list(six.elements)
+
+
 def test_minimal_primes(six):
     res = flt.minimal_primes(six)
     assert res.agree

@@ -16,7 +16,12 @@ Quantifier enumeration only relativizes to subalgebras, so "the image is
 a subalgebra" (item 14 of `properties_suite`) holds by construction for
 every enumerated pair.  Agreement with the all-subsets scan and with the
 n^n scan is what checks that no quantifier is lost by that restriction,
-nor by the cut of the subalgebra search at persistent U2 failures.
+nor by the cut of the subalgebra search at persistent U2 failures.  The
+search that cuts only below its start rank and excludes nothing,
+`oracles.image_tables_reference`, checks the exclusions and the cut at
+decided floors where those scans cannot reach: nilpotent-minimum chains
+up to 24 elements, the 16-element ladder rungs and random algebras of up
+to 18 elements.  Work counts pin the closures on G20 and N32.
 
 U-congruences are the congruences of the algebra that respect the
 quantifier, and the congruences are joins of the principal congruences
@@ -407,6 +412,12 @@ def test_goedel_20_search_stays_polynomial(monkeypatch):
     # 2^18 subalgebras, one quantifier; the cut search closes at most n^2
     # sets, in any labelling
     alg = relabel(chain("G20"), random.Random("G20"))
+    calls = count_closures(monkeypatch)
+    assert tables(alg) == [tuple(range(20))]
+    assert 0 < len(calls) <= alg.size**2
+
+
+def count_closures(monkeypatch) -> list:
     calls = []
 
     def counting_closure(*args):
@@ -414,8 +425,105 @@ def test_goedel_20_search_stays_polynomial(monkeypatch):
         return closure(*args)
 
     monkeypatch.setattr(core, "closure", counting_closure)
-    assert tables(alg) == [tuple(range(20))]
+    return calls
+
+
+def test_nilpotent_minimum_32_search_stays_polynomial(monkeypatch):
+    # 2^15 subalgebras (0, top and any union of pairs {x, neg x}) and 16
+    # quantifiers; the search that cuts at decided floors closes at most
+    # n^2 sets (136), where the cut at ranks below the start closed 278,528
+    alg = relabel(chain("N32"), random.Random("N32"))
+    calls = count_closures(monkeypatch)
+    assert len(tables(alg)) == 16
     assert 0 < len(calls) <= alg.size**2
+
+
+def assert_image_search_matches_reference(alg):
+    assert tables(alg) == sorted(oracles.image_tables_reference(alg))
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_image_search_matches_reference_on_nilpotent_minimum_chains(n):
+    # N_n has ceil(n/2) quantifiers, whose images form a chain
+    for alg in (chain(f"N{n}"), relabel(chain(f"N{n}"), random.Random(f"N{n}"))):
+        assert_image_search_matches_reference(alg)
+        assert len(tables(alg)) == (n + 1) // 2
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_image_search_matches_reference(seed):
+    assert_image_search_matches_reference(random_algebra(seed, 18))
+
+
+# the four 16-element rungs of the benchmark ladder
+RUNGS_16 = {
+    "L16": lambda: chain("L16"),
+    "N16": lambda: chain("N16"),
+    "L4xL4": lambda: product_algebra(chain("L4"), chain("L4")),
+    "L2^4": lambda: direct_power(chain("L2"), 4),
+}
+
+
+def test_image_search_matches_reference_on_ladder_and_corpus(corpus_entries):
+    builders = {**LADDER, **RUNGS_16}
+    for name, build in builders.items():
+        assert_image_search_matches_reference(relabel(build(), random.Random(name)))
+    for entry in corpus_entries:
+        assert_image_search_matches_reference(entry.algebra)
+
+
+def test_image_search_matches_brute_force_on_small_chains():
+    for kind in "LGN":
+        for n in range(2, 6):
+            for alg in (chain(f"{kind}{n}"), relabel(chain(f"{kind}{n}"), random.Random(n))):
+                assert tables(alg) == tables(alg, "brute")
+
+
+def test_closure_reports_the_element_that_stopped_it():
+    # closing a closed set with x under floor x stops exactly when the
+    # least closed superset holds an element below x outside the set, and
+    # the last member it reports is one
+    for seed in RANDOM_SEEDS:
+        alg = random_algebra(seed, 8)
+        table = subalgebra_table(alg)
+        n = alg.size
+        closed = closed_masks(n, (alg.bottom, alg.top), table)
+        for mask in closed:
+            for x in range(n):
+                if mask >> x & 1:
+                    continue
+                members = [z for z in range(n) if mask >> z & 1]
+                whole = closure(table, (x,), mask, members.copy())
+                below = whole & ~mask & ((1 << x) - 1)
+                got = closure(table, (x,), mask, members, x)
+                if below:
+                    assert got is None and below >> members[-1] & 1
+                else:
+                    assert got == whole
+
+
+def test_excluded_elements_lie_in_no_set_of_the_subtree():
+    # every set in the subtree of a node (S, start) contains S and agrees
+    # with it below start; no such closed set holds an excluded element
+    exclusions = 0
+    for seed in RANDOM_SEEDS:
+        alg = random_algebra(seed, 10)
+        n, table = alg.size, subalgebra_table(alg)
+        nodes = []
+
+        def record(mask, members, start, excluded):
+            nodes.append((mask, start, excluded))
+            return False
+
+        everything = closed_masks(n, (alg.bottom, alg.top), table)
+        assert closed_masks(n, (alg.bottom, alg.top), table, record) == everything
+        for mask, start, excluded in nodes:
+            exclusions += bin(excluded).count("1")
+            low = (1 << start) - 1
+            for t in everything:
+                if t & mask == mask and t & low == mask & low:
+                    assert not t & excluded
+    assert exclusions
 
 
 @pytest.mark.parametrize("seed", range(8), ids=STANDARD_IDS)

@@ -8,7 +8,8 @@ filter test and the MTL part of a quotient, the MTL part of the check
 that its class map is a homomorphism, and the subvariety profile.
 `test_oracles.py` compares the shared entries with a run that shares
 nothing.  The congruence lattice, also shared per algebra object, takes
-one principal congruence per join-irreducible.
+one principal congruence per join-irreducible.  Representability is
+computed once per pair and kept in the algebra's cache.
 """
 
 from __future__ import annotations
@@ -167,6 +168,24 @@ def test_theorem_audit_tests_no_ufilter(pairs, monkeypatch):
     monkeypatch.setattr(flt, "is_ufilter", counting_is_ufilter)
     assert ana.theorem_audit(pairs)
     assert not calls
+
+
+def test_representability_is_computed_once_per_pair(pairs, monkeypatch):
+    # the theorem audit reports it on its own and beside the strong scan;
+    # the benchmark ladder then asks for it and for the strong scan again
+    calls = Counter()
+    representability = ana._representability
+
+    def counting(alg, f):
+        calls[id(alg), f] += 1
+        return representability(alg, f)
+
+    monkeypatch.setattr(ana, "_representability", counting)
+    assert ana.theorem_audit(pairs)
+    for q in pairs:
+        assert ana.is_strong(q).representable == ana.is_representable(q).representable
+    assert {(id(q.algebra), q.forall) for q in pairs} <= set(calls)
+    assert set(calls.values()) == {1}
 
 
 def test_congruences_take_one_principal_per_join_irreducible(pairs, monkeypatch):
