@@ -138,8 +138,9 @@ def image_tables_reference(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
     """The floor maps onto the subalgebras containing bottom and top that
     satisfy U2, by a close-by-one search over the subalgebras that cuts a
     node only at a U2 failure between elements of rank below its `start`,
-    for `quantifier._image_tables`, which also cuts at elements it proves
-    no descendant holds and skips those elements as children.
+    for `quantifier._image_tables`, which also cuts at every floor value
+    that the elements excluded from a subtree pin down, and closes no
+    child whose rejection a parent already found.
 
     U2 holds for the floor map q onto S iff q(inner_s(x)) = inner_s(q(x))
     for all x and all s in S, where inner_s(x) = (x -> s) -> s.  The search

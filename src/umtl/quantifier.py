@@ -216,14 +216,13 @@ def _image_tables(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
     of them forces in an element outside S of rank below `start`.  Every
     descendant T is closed, contains S and agrees with S on the ranks
     below `start`.  Let D be the ranks below `start` together with S and
-    E, and call y
-    decided when every element of ↓y that is not below q_S(y) lies in D.
-    Then q_T(y) = q_S(y) in every descendant T: q_T(y) = max(T ∩ ↓y) is at
-    least q_S(y), and a larger t would lie in D, which each part of D
-    rules out (below `start`, t in T is in S, so below q_S(y); in S, t is
-    below q_S(y); in E, t is not in T).  Every rank below `start` is
-    decided, and so is every member of S; any other decided y is in E, as
-    y itself lies in ↓y and not below q_S(y) < y.
+    E, and call y decided when every element of ↓y that is not below
+    q_S(y) lies in D.  Then q_T(y) = q_S(y) in every descendant T:
+    q_T(y) = max(T ∩ ↓y) is at least q_S(y), and a larger t would lie in
+    D, which each part of D rules out (below `start`, t in T is in S, so
+    below q_S(y); in S, t is below q_S(y); in E, t is not in T).  Every
+    rank below `start` is decided, and so is every member of S; any other
+    decided y is in E, as y itself lies in ↓y and not below q_S(y) < y.
 
     A U2 failure at (x, s) with s in S and x decided then recurs in every
     descendant T, which still holds s.  The right side inner_s(q(x)) keeps
@@ -254,7 +253,6 @@ def _image_tables(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
     # each closed set visited: its floor map as a string, its members and
     # the elements outside it already tested against it
     seen = {}
-    everything = (1 << n) - 1
 
     def u2_fails(mask, members, start, excluded):
         if mask in seen:
@@ -274,17 +272,14 @@ def _image_tables(alg: FiniteMTLAlgebra) -> list[tuple[int, ...]]:
         seen[mask] = q, members, done | new
         if not new:
             return False
-        # newest members first: the older ones met most of these elements
-        # at the ancestors already
-        rows = map(inner.__getitem__, reversed(members))
-        if done | new == everything:
-            # both sides agree on S and passed on `done`: compare whole rows
-            return any(inner_s.translate(q) != q.translate(inner_s) for inner_s in rows)
+        # q(inner_s(x)) against inner_s(q(x)) at the new x, one s at a
+        # time, the newest members first: the older ones met most of these
+        # x at the ancestors already
         pick = itemgetter(*[y for y in range(n) if new >> y & 1])
         q_new = "".join(pick(q))
         return any(
             "".join(pick(inner_s)).translate(q) != q_new.translate(inner_s)
-            for inner_s in rows
+            for inner_s in map(inner.__getitem__, reversed(members))
         )
 
     out = []
