@@ -24,14 +24,7 @@ from umtl import analysis as ana
 from umtl import filters as flt
 from umtl.audit import corpus_pairs, run_corpus_audit
 from umtl.cli import main
-from umtl.corpus import (
-    SIX_ARROW,
-    SIX_BLOCKY,
-    SIX_DELTA,
-    SIX_ODOT,
-    corpus_dir,
-    proofs_dir,
-)
+from umtl.corpus import SIX_BLOCKY, SIX_DELTA, corpus_dir, proofs_dir
 from umtl.logic.formulas import Impl, Var, parse_formula
 from umtl.logic.proofs import check_proof, parse_proof_text
 from umtl.logic.schemas import RULE_SHAPES, SchemaCatalog, instantiate
@@ -64,12 +57,12 @@ def pairs(corpus_entries):
 
 def test_c1_fixture_validates_fast(corpus_entries):
     with verdict("C1", "six-element fixture validates; delta passes U1-U3; <1s"):
-        started = time.perf_counter()
-        violations = check_mtl_tables(6, SIX_ODOT, SIX_ARROW, 5)
-        assert violations == []
         from umtl import example_3_2
 
+        started = time.perf_counter()
         six = example_3_2()
+        violations = check_mtl_tables(6, six.odot, six.arrow, 5)
+        assert violations == []
         assert quantifier_violations(six, SIX_DELTA) == []
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"took {elapsed:.3f}s"

@@ -9,23 +9,42 @@ from umtl.algfile import (
     parse_algebra_text,
     write_algebra_text,
 )
-from umtl.corpus import bundled_corpus, corpus_dir
-from umtl.core import validate
+from umtl.corpus import SIX_BLOCKY, SIX_DELTA, bundled_corpus, corpus_dir
+from umtl.core import chain_algebra, validate
+
+CHAIN_TAGS = {"lukasiewicz": "lukasiewicz", "goedel": "goedel", "nm": "nilpotent-minimum"}
 
 
 def test_shipped_corpus_files_match_definitions():
-    shipped = {p.stem: p for p in corpus_dir().glob("*.alg")}
+    docs = {p.stem: load_algebra_file(p) for p in corpus_dir().glob("*.alg")}
+    chains = {"boolean-2": ("lukasiewicz", 2)} | {
+        f"{tag}-{n}": (kind, n) for tag, kind in CHAIN_TAGS.items() for n in range(2, 7)
+    }
+    fixtures = {
+        "example-3-2": None,
+        "example-3-2-delta": SIX_DELTA,
+        "example-3-2-block": SIX_BLOCKY,
+    }
+    assert set(docs) == set(chains) | set(fixtures)
+    assert all(doc.name == stem for stem, doc in docs.items())
+    for stem, (kind, n) in chains.items():
+        doc, alg = docs[stem], chain_algebra(kind, n)
+        assert (doc.odot, doc.arrow, doc.top, doc.names, doc.forall) == (
+            alg.odot, alg.arrow, alg.top, alg.names, None
+        ), stem
+    six = docs["example-3-2"]
+    for stem, forall in fixtures.items():
+        assert docs[stem].forall == forall
+        assert docs[stem]._replace(name=six.name, forall=None) == six
     entries = bundled_corpus()
-    assert set(shipped) == {e.name for e in entries}
+    assert [e.name for e in entries] == sorted(docs)
     for entry in entries:
-        text = shipped[entry.name].read_text(encoding="utf-8")
-        doc = parse_algebra_text(text)
-        assert doc.name == entry.name
-        assert doc.odot == entry.algebra.odot
-        assert doc.arrow == entry.algebra.arrow
-        assert doc.names == entry.algebra.names
-        assert doc.forall == entry.forall
-        assert doc.top == entry.algebra.top
+        doc = docs[entry.name]
+        alg = entry.algebra
+        assert (alg.odot, alg.arrow, alg.top, alg.names) == (
+            doc.odot, doc.arrow, doc.top, doc.names
+        )
+        assert entry.forall == doc.forall
 
 
 def test_round_trip_byte_identical_modulo_comments():

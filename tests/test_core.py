@@ -15,23 +15,23 @@ from umtl import (
 )
 from umtl.core import boolean_2
 from umtl.oracles import derive_odot_from_arrow
-from umtl.corpus import SIX_ARROW, SIX_NAMES, SIX_ODOT
 
 
 def test_example_fixture_validates(six):
     assert six.size == 6
     assert six.top == 5
-    assert check_mtl_tables(6, SIX_ODOT, SIX_ARROW, 5) == []
+    assert check_mtl_tables(6, six.odot, six.arrow, 5) == []
 
 
 def test_fixture_order_matches_presentation(six):
-    name = dict(zip(SIX_NAMES, range(6)))
-    expected_pairs = {("0", x) for x in SIX_NAMES} | {
+    assert six.names == ("0", "a", "b", "c", "d", "1")
+    name = dict(zip(six.names, range(6)))
+    expected_pairs = {("0", x) for x in six.names} | {
         ("a", "a"), ("a", "c"), ("a", "d"), ("b", "b"), ("b", "c"),
         ("c", "c"), ("d", "d"),
-    } | {(x, "1") for x in SIX_NAMES}
-    for x in SIX_NAMES:
-        for y in SIX_NAMES:
+    } | {(x, "1") for x in six.names}
+    for x in six.names:
+        for y in six.names:
             assert bool(six.leq[name[x]][name[y]]) == ((x, y) in expected_pairs)
 
 
@@ -43,25 +43,25 @@ def test_two_element_boolean_validates():
 
 
 def test_monoid_table_is_forced_by_residuation(six):
-    assert derive_odot_from_arrow(6, SIX_ARROW, 5) == SIX_ODOT
+    assert derive_odot_from_arrow(6, six.arrow, 5) == six.odot
 
 
 def test_mutated_cell_reports_violations(six):
     # the oracle is a full axiom re-scan of the mutated table
-    odot = [list(row) for row in SIX_ODOT]
+    odot = [list(row) for row in six.odot]
     odot[3][4] = 2  # c,d cell
-    violations = check_mtl_tables(6, odot, SIX_ARROW, 5)
+    violations = check_mtl_tables(6, odot, six.arrow, 5)
     axioms = {v.axiom for v in violations}
     assert axioms & {"residuation", "monoid-commutative", "monoid-associative"}
     for v in violations:
         assert all(0 <= w < 6 for w in v.witness)
 
 
-def test_violation_witnesses_are_least():
+def test_violation_witnesses_are_least(six):
     # break commutativity at a known cell and expect the least witness
-    odot = [list(row) for row in SIX_ODOT]
+    odot = [list(row) for row in six.odot]
     odot[4][1] = 0  # d*a: breaks commutativity against a*d
-    violations = check_mtl_tables(6, odot, SIX_ARROW, 5)
+    violations = check_mtl_tables(6, odot, six.arrow, 5)
     comm = [v for v in violations if v.axiom == "monoid-commutative"]
     assert comm and comm[0].witness == (1, 4)
 

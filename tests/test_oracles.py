@@ -29,10 +29,13 @@ of one covering pair per join-irreducible, computed once per algebra
 object; the Bell(n) partition scan checks them, also on unary maps that
 are not quantifiers, since neither step relies on U1-U3, the join over
 all pairs checks them at 12 elements, and the order in which quantifiers
-reach the shared lattice must not matter.  Quotients collapse the
-parent's tables on class representatives; the build by `core.validate` and
-`validate_quantifier` checks them, and the class-map homomorphism test,
-the one well-definedness check, must pass on every one.
+reach the shared lattice must not matter.  The refinement test of the
+correspondence audit reads each element's block; the test of every block
+against every block checks it on the corpus and the random algebras.
+Quotients collapse the parent's tables on class representatives; the
+build by `core.validate` and `validate_quantifier` checks them, and the
+class-map homomorphism test, the one well-definedness check, must pass on
+every one.
 
 Filters and U-filters are read off the up-sets of the idempotents, with
 no closure; the 2^n subset scans in `umtl.filters` check them, U-filters
@@ -562,6 +565,26 @@ def test_ucongruences_match_partition_oracle(seed):
 def test_ucongruences_match_partition_oracle_on_corpus(corpus_entries):
     for q in corpus_pairs(corpus_entries):
         assert_ucongruences_match_oracle(q)
+
+
+def assert_congruence_order_matches_blockwise(q):
+    congruences = enumerate_ucongruences(q)
+    for c1, c2 in itertools.product(congruences, repeat=2):
+        blockwise = all(any(b1 <= b2 for b2 in c2) for b1 in c1)
+        block_of = {x: b2 for b2 in c2 for x in b2}
+        assert ana._congruence_leq(c1, block_of) == blockwise
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_congruence_order_matches_blockwise(seed):
+    # the identity respects every congruence of the algebra
+    alg = random_algebra(seed, 7)
+    assert_congruence_order_matches_blockwise(make_umtl(alg, tuple(alg.elements)))
+
+
+def test_congruence_order_matches_blockwise_on_corpus(corpus_entries):
+    for q in corpus_pairs(corpus_entries):
+        assert_congruence_order_matches_blockwise(q)
 
 
 @pytest.mark.parametrize("name", ["L3xL3", "G3xL3"])
