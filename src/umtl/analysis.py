@@ -288,12 +288,10 @@ def _forall_witness(
 
 class SubdirectEmbedding(NamedTuple):
     factors: tuple[UMTLAlgebra, ...]
-    factor_filters: tuple[tuple[int, ...], ...]
     embedding: tuple[tuple[int, ...], ...]
     injective: bool
     coordinates_surjective: tuple[bool, ...]
     coordinates_u_homomorphic: tuple[bool, ...]
-    factors_linear: tuple[bool, ...]
     factors_simple: tuple[bool, ...]
 
     @property
@@ -306,7 +304,6 @@ class SubdirectEmbedding(NamedTuple):
 
 
 class DecompositionResult(NamedTuple):
-    mode: str
     embedding: SubdirectEmbedding | None
     failure: str | None
     witness: tuple | None
@@ -330,9 +327,7 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
         family = flt.minimal_primes(alg).by_inclusion
         bad = is_representable(q).offending_prime
         if bad is not None:
-            return DecompositionResult(
-                mode, None, "minimal prime is not a U-filter", bad
-            )
+            return DecompositionResult(None, "minimal prime is not a U-filter", bad)
     elif mode == "max-ufilters":
         family = flt.maximal_ufilters(q)
         rad = flt.radical(q)
@@ -341,10 +336,7 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
                 x for x in rad.filterset.sorted_members() if x != alg.top
             )
             return DecompositionResult(
-                mode,
-                None,
-                "radical element below top blocks injectivity",
-                (blocker,),
+                None, "radical element below top blocks injectivity", (blocker,)
             )
     else:
         raise ValueError(f"unknown decomposition mode: {mode!r}")
@@ -372,19 +364,15 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
     )
     emb = SubdirectEmbedding(
         factors=tuple(res.quotient for res in quotients),
-        factor_filters=tuple(fs.sorted_members() for fs in family),
         embedding=embedding,
         injective=injective,
         coordinates_surjective=surjective,
         coordinates_u_homomorphic=u_homomorphic,
-        factors_linear=tuple(
-            classify(res.quotient.algebra).linear for res in quotients
-        ),
         factors_simple=tuple(
             is_simple(res.quotient).simple for res in quotients
         ),
     )
-    return DecompositionResult(mode, emb, None, None)
+    return DecompositionResult(emb, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +453,11 @@ def audit_term_equivalences(q: UMTLAlgebra) -> list[AuditEntry]:
     out = []
     for applies, check_id, check_axioms in term_equivalences:
         if applies:
-            rep = check_axioms(q)
-            verdicts = {v.name: v.passed for v in rep.verdicts}
+            verdicts = {v.name: v.passed for v in check_axioms(q)}
             out.append(
-                AuditEntry(check_id, q.label(), rep.all_pass, {"verdicts": verdicts})
+                AuditEntry(
+                    check_id, q.label(), all(verdicts.values()), {"verdicts": verdicts}
+                )
             )
     return out
 
@@ -674,7 +663,7 @@ def theorem_audit(corpus: list[UMTLAlgebra], u2_parse: str = "standard") -> list
     for q in corpus:
         key = q.algebra.table_key()
         if key not in seen_algebras:
-            subject = q.label().split("+")[0]
+            subject = q.label().rsplit("+", 1)[0]
             seen_algebras[key] = subject
             entries.append(audit_minimal_primes(q.algebra, subject))
             entries.append(audit_delta_on_linear(q.algebra, subject))

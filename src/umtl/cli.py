@@ -265,10 +265,8 @@ def cmd_filters(run: Run, args) -> int:
         res = flt.minimal_primes(alg)
         family = res.by_inclusion
         run.check("minimal-prime-characterizations", doc.name, res.agree)
-    elif kind == "maximal":
+    else:  # "maximal"; argparse rejects every other kind
         family = flt.maximal_filters(alg)
-    else:
-        raise CommandError(f"unknown filter kind {kind!r}")
     run.check(
         f"{kind}-listing",
         doc.name,
@@ -539,8 +537,6 @@ def cmd_logic(run: Run, args) -> int:
 
 
 def cmd_export(run: Run, args) -> int:
-    if args.format != "dot":
-        raise CommandError(f"unknown export format {args.format!r}")
     alg, doc = _validated_algebra(run, args.path)
     if args.what == "order":
         text = hasse.order_dot(alg, doc.name)
@@ -549,12 +545,10 @@ def cmd_export(run: Run, args) -> int:
         text = hasse.filter_lattice_dot(
             list(flt.enumerate_ufilters(q)), doc.name + "-ufilters"
         )
-    elif args.what == "filters":
+    else:  # "filters"; argparse rejects every other target
         text = hasse.filter_lattice_dot(
             list(flt.enumerate_filters(alg)), doc.name + "-filters"
         )
-    else:
-        raise CommandError(f"unknown export target {args.what!r}")
     if args.out:
         _write_text(args.out, text)
         run.say(f"wrote {args.out}")

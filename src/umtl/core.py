@@ -82,16 +82,16 @@ class FiniteMTLAlgebra:
     """A validated finite MTL-algebra with cached order/meet/join.
 
     Immutable.  Equality and the hash read the given tables (size, odot,
-    arrow, top, names, bottom), not the derived leq/meet/join tables nor
-    the cache; a copy or a pickle starts with an empty cache.
+    arrow, top, names), not the derived leq/meet/join tables nor the
+    cache; a copy or a pickle starts with an empty cache.  Bottom is 0 on
+    every carrier.
     """
 
     # `cache` holds derived values (the profile, filter families,
     # quotients, ...) keyed by name and, for those that read a quantifier,
     # by its table
-    __slots__ = (
-        "size", "odot", "arrow", "top", "names", "leq", "meet", "join", "bottom", "cache"
-    )
+    __slots__ = ("size", "odot", "arrow", "top", "names", "leq", "meet", "join", "cache")
+    bottom = 0
 
     def __init__(
         self,
@@ -103,10 +103,9 @@ class FiniteMTLAlgebra:
         leq: Table,
         meet: Table,
         join: Table,
-        bottom: int = 0,
         cache: dict | None = None,
     ):
-        values = (size, odot, arrow, top, names, leq, meet, join, bottom)
+        values = (size, odot, arrow, top, names, leq, meet, join)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "cache", {} if cache is None else cache)
@@ -118,7 +117,7 @@ class FiniteMTLAlgebra:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return (self.size, self.odot, self.arrow, self.top, self.names, self.bottom)
+        return (self.size, self.odot, self.arrow, self.top, self.names)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -147,18 +146,16 @@ class FiniteMTLAlgebra:
     def ord_of(self, x: int) -> int | None:
         """Least k with x^k = bottom, or None when no power vanishes.
 
-        Powers of x weakly decrease and stabilise within `size` steps on a
-        finite algebra, so the scan is bounded by size.
+        Powers of x weakly decrease, so until they stop moving they
+        strictly decrease, and a finite algebra bounds the scan by size.
         """
-        acc = x
-        for k in range(1, self.size + 1):
-            if acc == self.bottom:
-                return k
+        acc, k = x, 1
+        while acc != self.bottom:
             nxt = self.odot[acc][x]
             if nxt == acc:
                 return None
-            acc = nxt
-        return k + 1 if acc == self.bottom else None
+            acc, k = nxt, k + 1
+        return k
 
     def name_of(self, x: int) -> str:
         return self.names[x]

@@ -43,11 +43,10 @@ class QuotientError(ValueError):
 
 
 class FilterSet(NamedTuple):
-    """An element subset of an algebra; `forall` is carried by U-filters."""
+    """An element subset of an algebra."""
 
     algebra: FiniteMTLAlgebra
     members: frozenset[int]
-    forall: tuple[int, ...] | None = None
 
     @property
     def mask(self) -> int:
@@ -123,7 +122,7 @@ def _generated(alg: FiniteMTLAlgebra, forall, seed) -> FilterSet:
     if not seed:
         raise ValueError("seed must be nonempty")
     mask = closure(filter_table(alg, forall), (alg.top, *seed))
-    return FilterSet(alg, members_of(mask, alg.size), forall)
+    return FilterSet(alg, members_of(mask, alg.size))
 
 
 def generated_filter(alg: FiniteMTLAlgebra, seed) -> FilterSet:
@@ -173,9 +172,7 @@ def enumerate_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
     return alg.cached(
         ("ufilters", f),
         lambda: tuple(
-            FilterSet(alg, u.members, f)
-            for u in enumerate_filters(alg)
-            if all(f[x] in u.members for x in u.members)
+            u for u in enumerate_filters(alg) if all(f[x] in u.members for x in u.members)
         ),
     )
 
@@ -186,7 +183,7 @@ def enumerate_ufilters_subset_oracle(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
     for mask in range(1 << alg.size):
         members = members_of(mask, alg.size)
         if is_ufilter(alg, f, members):
-            out.append(FilterSet(alg, members, f))
+            out.append(FilterSet(alg, members))
     return tuple(out)
 
 
@@ -378,7 +375,7 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
     )
     forall_q = tuple(class_map[f[min(block)]] for block in classes)
     fixpoints = frozenset(i for i in range(alg_q.size) if forall_q[i] == i)
-    quant_q = UniversalQuantifier(alg_q, forall_q, fixpoints)
+    quant_q = UniversalQuantifier(forall_q, fixpoints)
     filter_label = FilterSet(alg, s).label()
     return QuotientResult(
         quotient=UMTLAlgebra(alg_q, quant_q, name=q.label() + "/" + filter_label),
@@ -432,7 +429,7 @@ def radical(q: UMTLAlgebra) -> RadicalResult:
     acc = frozenset(q.algebra.elements)
     for m in maximal_ufilters(q):
         acc &= m.members
-    return RadicalResult(FilterSet(q.algebra, acc, q.forall))
+    return RadicalResult(FilterSet(q.algebra, acc))
 
 
 def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:

@@ -5,8 +5,10 @@ be an axiom-schema instance, a hypothesis, modus ponens from steps i and
 j (step j must be the implication), or necessitation of an earlier step.
 Necessitation applies to any earlier step, hypotheses included.
 
-File format (line-oriented, '#' comments):
+File format (line-oriented, '#' comments; the header line and the
+theory are optional, and hypothesis names are distinct):
 
+    proof <name>
     theory:
     <name>: <formula>
     ...
@@ -127,9 +129,13 @@ def check_step(
             return f"unknown axiom schema {just.schema_id}"
         if just.binding is not None:
             binding = dict(just.binding)
-            missing = [m for m in metavars_of(pattern) if m not in binding]
+            labels = metavars_of(pattern)
+            missing = [m for m in labels if m not in binding]
             if missing:
                 return f"binding misses metavariables {missing}"
+            extra = [m for m in binding if m not in labels]
+            if extra:
+                return f"binding names metavariables {extra} that the schema lacks"
             expected = instantiate(pattern, binding)
             if expected != step.formula:
                 return (
@@ -232,10 +238,11 @@ def parse_proof_text(text: str) -> Proof:
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        if body.startswith("proof"):
-            parts = body.split()
-            if len(parts) == 2:
-                proof.name = parts[1]
+        parts = body.split()
+        if parts[0] == "proof":
+            if len(parts) != 2:
+                raise ProofFileError("the proof header takes exactly one name", lineno)
+            proof.name = parts[1]
             continue
         if body == "theory:":
             in_theory = True
@@ -259,8 +266,11 @@ def parse_proof_text(text: str) -> Proof:
             continue
         if in_theory and ":" in body:
             name, value = body.split(":", 1)
+            name = name.strip()
+            if proof.hypothesis(name) is not None:
+                raise ProofFileError(f"hypothesis {name!r} is named twice", lineno)
             try:
-                proof.theory.append((name.strip(), parse_formula(value.strip())))
+                proof.theory.append((name, parse_formula(value.strip())))
             except ValueError as exc:
                 raise ProofFileError(str(exc), lineno) from exc
             continue

@@ -30,31 +30,28 @@ B = MetaVar("beta")
 C = MetaVar("gamma")
 
 
-def _mtl_schemas() -> dict[str, Formula]:
-    return {
-        "A1": Impl(Impl(A, B), Impl(Impl(B, C), Impl(A, C))),
-        "A2": Impl(And(A, B), A),
-        "A3": Impl(And(A, B), And(B, A)),
-        "A4": Impl(Min(A, B), A),
-        "A5": Impl(Min(A, B), Min(B, A)),
-        "A6": Impl(And(A, Impl(A, B)), Min(A, B)),
-        "A7": Impl(Impl(A, Impl(B, C)), Impl(And(A, B), C)),
-        "A8": Impl(Impl(And(A, B), C), Impl(A, Impl(B, C))),
-        "A9": Impl(Impl(Impl(A, B), C), Impl(Impl(Impl(B, A), C), C)),
-        "A10": Impl(Bot(), A),
-    }
+MTL_SCHEMAS: dict[str, Formula] = {
+    "A1": Impl(Impl(A, B), Impl(Impl(B, C), Impl(A, C))),
+    "A2": Impl(And(A, B), A),
+    "A3": Impl(And(A, B), And(B, A)),
+    "A4": Impl(Min(A, B), A),
+    "A5": Impl(Min(A, B), Min(B, A)),
+    "A6": Impl(And(A, Impl(A, B)), Min(A, B)),
+    "A7": Impl(Impl(A, Impl(B, C)), Impl(And(A, B), C)),
+    "A8": Impl(Impl(And(A, B), C), Impl(A, Impl(B, C))),
+    "A9": Impl(Impl(Impl(A, B), C), Impl(Impl(Impl(B, A), C), C)),
+    "A10": Impl(Bot(), A),
+}
 
-
-def _modal_schemas() -> dict[str, Formula]:
-    m2_left = Box(Impl(Impl(A, Box(B)), Box(B)))
-    m2_right = Impl(Impl(Box(A), Box(B)), Box(B))
-    return {
-        "M1": Impl(Box(A), A),
-        "M2a": Impl(m2_left, m2_right),
-        "M2b": Impl(m2_right, m2_left),
-        "M3a": Impl(Box(Impl(Box(A), B)), Impl(Box(A), Box(B))),
-        "M3b": Impl(Impl(Box(A), Box(B)), Box(Impl(Box(A), B))),
-    }
+_M2_LEFT = Box(Impl(Impl(A, Box(B)), Box(B)))
+_M2_RIGHT = Impl(Impl(Box(A), Box(B)), Box(B))
+MODAL_SCHEMAS: dict[str, Formula] = {
+    "M1": Impl(Box(A), A),
+    "M2a": Impl(_M2_LEFT, _M2_RIGHT),
+    "M2b": Impl(_M2_RIGHT, _M2_LEFT),
+    "M3a": Impl(Box(Impl(Box(A), B)), Impl(Box(A), Box(B))),
+    "M3b": Impl(Impl(Box(A), Box(B)), Box(Impl(Box(A), B))),
+}
 
 
 EXTENSION_SCHEMAS: dict[str, Formula] = {
@@ -80,8 +77,7 @@ class SchemaCatalog(NamedTuple):
         """`u2_parse` accepts only "standard" (`quantifier.check_u2_parse`);
         it leaves with the benchmark change of ROADMAP item 6."""
         check_u2_parse(u2_parse)
-        table = _mtl_schemas()
-        table.update(_modal_schemas())
+        table = {**MTL_SCHEMAS, **MODAL_SCHEMAS}
         for name in extensions:
             table[name] = EXTENSION_SCHEMAS[name]
         return SchemaCatalog(tuple(table.items()))

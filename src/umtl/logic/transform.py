@@ -31,7 +31,6 @@ from .schemas import SchemaCatalog, match_schema
 class TransformResult(NamedTuple):
     proof: Proof
     exponent: int
-    discharged: Formula
     conclusion: Formula
     weakened: bool = False
 
@@ -108,7 +107,6 @@ def deduction_transform(
     return TransformResult(
         builder.proof,
         exponent,
-        alpha,
         builder.formula_at(final),
         weakened=discharged_name is None,
     )

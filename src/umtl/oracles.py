@@ -327,7 +327,7 @@ def filters_close_by_one(alg: FiniteMTLAlgebra, forall=None) -> tuple[FilterSet,
     sorted by bitmask: the closed sets of `filters.filter_table` that
     contain top."""
     masks = sorted(closed_masks(alg.size, (alg.top,), filter_table(alg, forall)))
-    return tuple(FilterSet(alg, members_of(m, alg.size), forall) for m in masks)
+    return tuple(FilterSet(alg, members_of(m, alg.size)) for m in masks)
 
 
 def _above_products(alg: FiniteMTLAlgebra, seeds: set[int]) -> frozenset[int]:

@@ -19,7 +19,6 @@ from .core import (
     FiniteMTLAlgebra,
     Verdict,
     Violation,
-    classify,
     closed_masks,
     first_violations,
     first_witnesses,
@@ -50,7 +49,6 @@ class InvalidQuantifierError(ValueError):
 class UniversalQuantifier(NamedTuple):
     """A validated unary table together with its fixpoint set."""
 
-    base: FiniteMTLAlgebra
     table: tuple[int, ...]
     fixpoints: frozenset[int]
 
@@ -126,7 +124,7 @@ def validate_quantifier(alg: FiniteMTLAlgebra, table) -> UniversalQuantifier:
         raise InvalidQuantifierError(violations)
     q = tuple(table)
     fix = frozenset(x for x in range(alg.size) if q[x] == x)
-    return UniversalQuantifier(base=alg, table=q, fixpoints=fix)
+    return UniversalQuantifier(table=q, fixpoints=fix)
 
 
 def make_umtl(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
@@ -141,7 +139,7 @@ def unchecked_pair(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
     """
     q = tuple(table)
     fix = frozenset(x for x in range(alg.size) if q[x] == x)
-    return UMTLAlgebra(alg, UniversalQuantifier(alg, q, fix), name)
+    return UMTLAlgebra(alg, UniversalQuantifier(q, fix), name)
 
 
 def delta_table(alg: FiniteMTLAlgebra) -> tuple[int, ...]:
@@ -346,13 +344,13 @@ def properties_suite(q: UMTLAlgebra) -> list[Verdict]:
     fixed = sorted(x for x in rng if f[x] == x)
 
     def subalgebra_witnesses():
+        # the image holds f of each of its members by definition, so only
+        # the operations and the bounds are tested
         img = set(image)
         for x in img:
             for y in img:
                 if any(op[x][y] not in img for op in (meet, join, odot, arrow)):
                     yield (x, y)
-            if f[x] not in img:
-                yield (x,)
         if not {bot, top} <= img:
             yield (bot,)
 
@@ -447,24 +445,14 @@ def properties_suite(q: UMTLAlgebra) -> list[Verdict]:
     return list(first_witnesses(checks))
 
 
-class SubvarietyAxiomReport(NamedTuple):
-    variety: str
-    precondition_ok: bool
-    verdicts: tuple[Verdict, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-
-def check_umv_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
-    """Verify the five quantified-MV axioms; meaningful on MV bases."""
+def check_umv_axioms(q: UMTLAlgebra) -> list[Verdict]:
+    """The verdicts of the five quantified-MV axioms; meaningful on MV
+    bases."""
     alg = q.algebra
     f = q.forall
     n, top = alg.size, alg.top
     rng = range(n)
     arrow, join, leq = alg.arrow, alg.join, alg.leq
-    pre = classify(alg).mv
     checks = (
         ("forall1", [(top,)] if f[top] != top else ()),
         ("forall2", ((x,) for x in rng if not leq[f[x]][x])),
@@ -496,17 +484,17 @@ def check_umv_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
             ),
         ),
     )
-    return SubvarietyAxiomReport("UMV", pre, tuple(first_witnesses(checks)))
+    return list(first_witnesses(checks))
 
 
-def check_mba_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
-    """Verify the monadic-Boolean axioms for exists x := neg forall neg x."""
+def check_mba_axioms(q: UMTLAlgebra) -> list[Verdict]:
+    """The verdicts of the monadic-Boolean axioms for
+    exists x := neg forall neg x; meaningful on Boolean bases."""
     alg = q.algebra
     f = q.forall
     n, bot = alg.size, alg.bottom
     rng = range(n)
     meet, leq = alg.meet, alg.leq
-    pre = classify(alg).boolean
     ex = tuple(alg.neg(f[alg.neg(x)]) for x in rng)
     checks = (
         ("exists1", [(bot,)] if ex[bot] != bot else ()),
@@ -521,4 +509,4 @@ def check_mba_axioms(q: UMTLAlgebra) -> SubvarietyAxiomReport:
             ),
         ),
     )
-    return SubvarietyAxiomReport("MBA", pre, tuple(first_witnesses(checks)))
+    return list(first_witnesses(checks))

@@ -106,6 +106,54 @@ def test_u_homomorphism(six_block):
     assert not ok and witness == ("bottom", 0)
 
 
+def test_u_homomorphism_failures(six_delta, six_block):
+    for mapping in ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 4, -1)):
+        assert ana.is_u_homomorphism(mapping, six_block, six_block) == (False, ("domain",))
+    assert ana.is_u_homomorphism((0,) * 6, six_block, six_block) == (False, ("top", 5))
+    # the identity preserves every operation but not delta -> blocky at c
+    identity = tuple(range(6))
+    assert ana.is_u_homomorphism(identity, six_delta, six_block) == (False, ("forall", 2))
+
+
+def test_maximality_audit_records_each_disagreement(six_block, monkeypatch):
+    # flip the definition side, so every proper U-filter disagrees
+    verdict_of = flt.is_maximal_ufilter
+
+    def flipped(q, members):
+        v = verdict_of(q, members)
+        return v._replace(by_definition=not v.by_definition)
+
+    monkeypatch.setattr(flt, "is_maximal_ufilter", flipped)
+    entry = ana.audit_maximality(six_block)
+    assert not entry.agrees
+    assert entry.details == {
+        "proper_ufilters": 3,
+        "disagreements": [
+            {"filter": ["1"], "by_definition": True, "by_criterion": False},
+            {"filter": ["b", "c", "1"], "by_definition": False, "by_criterion": True},
+            {"filter": ["d", "1"], "by_definition": False, "by_criterion": True},
+        ],
+    }
+
+
+def test_quotient_simplicity_audit_records_each_disagreement(six_block, monkeypatch):
+    # flip the quotient side, so every proper U-filter disagrees
+    trivial = ana._subalgebra_filters_trivial
+    monkeypatch.setattr(
+        ana, "_subalgebra_filters_trivial", lambda *args: not trivial(*args)
+    )
+    entry = ana.audit_quotient_simplicity(six_block)
+    assert not entry.agrees
+    assert entry.details == {
+        "proper_ufilters": 3,
+        "disagreements": [
+            {"filter": ["1"], "quotient_simple": True, "maximal": False},
+            {"filter": ["b", "c", "1"], "quotient_simple": False, "maximal": True},
+            {"filter": ["d", "1"], "quotient_simple": False, "maximal": True},
+        ],
+    }
+
+
 def test_quotient_maps_are_u_homomorphisms(corpus_entries):
     for q in _pairs(corpus_entries):
         for u in flt.enumerate_ufilters(q):
@@ -125,7 +173,7 @@ def test_subdirect_min_primes_failure(six_delta):
 def test_subdirect_min_primes_on_block(six_block):
     res = ana.subdirect_decompose(six_block, "min-primes")
     assert res.ok
-    assert res.embedding.factors_linear == (True, True)
+    assert [classify(f.algebra).linear for f in res.embedding.factors] == [True, True]
     assert res.embedding.injective
     assert all(res.embedding.coordinates_surjective)
     assert all(res.embedding.coordinates_u_homomorphic)

@@ -183,6 +183,39 @@ def test_audit_takes_one_alg_file(tmp_path, capsys):
     assert file_report["checks"] == dir_report["checks"]
 
 
+def test_audit_subjects_keep_a_plus_in_the_algebra_name(tmp_path, capsys):
+    # pair names append one "+<digits>", so the subject is all before the last "+"
+    for n in (3, 4):
+        text = (CORPUS / f"goedel-{n}.alg").read_text()
+        (tmp_path / f"g{n}.alg").write_text(text.replace(f"algebra goedel-{n}", f"algebra g+{n}", 1))
+    report = tmp_path / "audit.json"
+    assert main(["--json", str(report), "audit", str(tmp_path)]) == 1
+    capsys.readouterr()
+    checks = json.loads(report.read_text())["report"]["checks"]
+    for check in ("minimal-prime-characterizations", "delta-on-linear-bases"):
+        assert [c["subject"] for c in checks if c["check"] == check] == ["g+3", "g+4"]
+
+
+def test_audit_records_a_rejected_file_table(tmp_path, capsys):
+    bad = tmp_path / "goedel-3.alg"
+    bad.write_text((CORPUS / "goedel-3.alg").read_text() + "forall 0 0 2\n")
+    report = tmp_path / "audit.json"
+    assert main(["--json", str(report), "audit", str(bad)]) == 1
+    assert "DISAGREES quantifier-axioms on goedel-3+002" in capsys.readouterr().out
+    checks = json.loads(report.read_text())["report"]["checks"]
+    assert [c for c in checks if c["check"] == "quantifier-axioms"] == [
+        {
+            "check": "quantifier-axioms",
+            "subject": "goedel-3+002",
+            "agrees": False,
+            "details": {
+                "violations": [{"axiom": "U2", "witness": [1, 0]}],
+                "u2_parse": "standard",
+            },
+        }
+    ]
+
+
 def test_audit_of_a_missing_path_is_an_input_error(tmp_path, capsys):
     missing = tmp_path / "missing.alg"
     assert run_cli("audit", str(missing)) == 2
@@ -239,20 +272,36 @@ def test_prove_check_and_deduce(tmp_path, capsys):
     assert run_cli("prove", "check", str(out_path)) == 0
 
 
-def test_prove_deduce_keeps_a_binding_named_schema_id(tmp_path, capsys):
+def test_prove_rejects_a_binding_label_the_schema_lacks(tmp_path, capsys):
+    # a label outside the schema fails the check, so the deduction, which
+    # passes the binding on by keyword, never reads one named `schema_id`
     src = tmp_path / "sid.prf"
     src.write_text(
         "theory:\nh: p0\n"
         "step 1: p0 & p1 -> p0 ; axiom A2 [alpha:=p0, beta:=p1, schema_id:=p0]\n"
         "step 2: p0 ; hyp h\n"
     )
+    assert run_cli("prove", "check", str(src)) == 1
+    out = capsys.readouterr().out
+    assert "binding names metavariables ['schema_id'] that the schema lacks" in out
+    assert run_cli("prove", "deduce", str(src), "--discharge", "h") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: input proof does not check: step 1,")
+
+
+def test_prove_check_reads_the_header_by_its_token(tmp_path, capsys):
+    src = tmp_path / "proofh.prf"
+    src.write_text("theory:\nproofh: p0\nstep 1: p0 ; hyp proofh\n")
     assert run_cli("prove", "check", str(src)) == 0
-    out_path = tmp_path / "deduced.prf"
-    argv = ("prove", "deduce", str(src), "--discharge", "h", "--out", str(out_path))
-    assert run_cli(*argv) == 0
-    assert "re-checks: True" in capsys.readouterr().out
-    assert "schema_id:=p0" in out_path.read_text()
-    assert run_cli("prove", "check", str(out_path)) == 0
+    assert "proof accepted" in capsys.readouterr().out
+    for text, message in (
+        ("proof a b c\nstep 1: p0 ; hyp h\n", "the proof header takes exactly one name (line 1)"),
+        ("theory:\nh: p0\nh: p0\nstep 1: p0 ; hyp h\n", "hypothesis 'h' is named twice (line 3)"),
+    ):
+        src.write_text(text)
+        assert run_cli("prove", "check", str(src)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {src}: {message}"]
 
 
 def test_prove_rejects_bad_step(tmp_path, capsys):
@@ -396,6 +445,47 @@ def test_u2_parse_flag_accepts_only_standard(capsys):
 
 def test_unknown_element_in_filter_spec(capsys):
     assert run_cli("quotient", SIX_BLOCK, "--filter", "z,1") == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("quotient", SIX_BLOCK, "--filter", "d,9"), "element index 9 out of range"),
+        (("prove", "deduce", "{proof}"), "deduce requires --discharge <hypothesis name>"),
+        (("logic", "countermodel", "--rule", "nosuch", "--pool", NM3), "unknown rule 'nosuch'"),
+        (
+            ("logic", "countermodel", "p0", "--rule", "disj-box", "--pool", NM3),
+            "pass either a formula or --rule, not both",
+        ),
+        (("logic", "valid", "--pool", NM3), "no formula or rule given"),
+        (
+            ("logic", "valid", "--rule", "disj-box", "--pool", NM3),
+            "validity mode expects a formula, not a rule",
+        ),
+        (
+            ("logic", "valid", "p0 & p1", "--max-vars", "1", "--pool", NM3),
+            "2 variables exceed the budget of 1",
+        ),
+        (
+            ("logic", "countermodel", "p0 & p1 & p2", "--max-vars", "2", "--pool", NM3),
+            "3 variables exceed the budget of 2",
+        ),
+    ],
+    ids=[
+        "element-out-of-range",
+        "deduce-without-discharge",
+        "unknown-rule",
+        "formula-and-rule",
+        "no-goal",
+        "rule-in-validity-mode",
+        "validity-over-budget",
+        "countermodel-over-budget",
+    ],
+)
+def test_command_input_errors_are_one_line(capsys, argv, message):
+    proof = str(sorted(proofs_dir().glob("*.prf"))[0])
+    assert run_cli(*(a.format(proof=proof) for a in argv)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_unwritable_output_paths_are_input_errors(tmp_path, capsys):

@@ -273,7 +273,7 @@ def test_congruence_correspondence_roundtrip(six_block):
 def test_filterset_flags(six_block):
     six, f = six_block.algebra, six_block.forall
     d1 = members(six, "d", "1")
-    assert flt.FilterSet(six, d1, f).is_proper()
+    assert flt.FilterSet(six, d1).is_proper()
     assert flt.is_filter_by_implication(six, d1) and flt.is_ufilter(six, f, d1)
     assert flt.is_prime_filter(six, d1)
     assert d1 in {p.members for p in flt.minimal_primes(six).by_inclusion}

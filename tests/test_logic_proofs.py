@@ -152,6 +152,81 @@ def test_proof_file_errors():
         parse_proof_text("# only a comment\n")
 
 
+@pytest.mark.parametrize(
+    "theory,step,reason",
+    [
+        ((), ProofStep(P0, AxiomStep("Z9")), "unknown axiom schema Z9"),
+        (
+            (),
+            ProofStep(Impl(And(P0, P1), P0), AxiomStep("A2", (("alpha", P0),))),
+            "binding misses metavariables ['beta']",
+        ),
+        (
+            (),
+            ProofStep(Impl(Box(P0), P0), AxiomStep("M1", (("alpha", P0), ("zeta", Var(5))))),
+            "binding names metavariables ['zeta'] that the schema lacks",
+        ),
+        ((), ProofStep(P0, HypStep("h")), "unknown hypothesis 'h'"),
+        ((("h", P1),), ProofStep(P0, HypStep("h")), "hypothesis 'h' differs"),
+        ((("h", P0),), ProofStep(P0, MPStep(1, 2)), "modus ponens indices"),
+        ((("h", P0),), ProofStep(P0, MPStep(0, 1)), "modus ponens indices"),
+        ((("h", P0),), ProofStep(Box(P1), NecStep(1)), "formula is not box of step 1"),
+    ],
+    ids=[
+        "unknown-schema",
+        "missing-label",
+        "extra-label",
+        "unknown-hypothesis",
+        "hypothesis-differs",
+        "mp-later-index",
+        "mp-zero-index",
+        "nec-not-box",
+    ],
+)
+def test_each_rejection_names_its_reason(theory, step, reason):
+    # the step under test follows one checking step per hypothesis
+    steps = [ProofStep(f, HypStep(name)) for name, f in theory]
+    proof = Proof(theory=list(theory), steps=steps + [step])
+    result = check_proof(CATALOG, proof)
+    assert not result.ok
+    assert result.failed_step == len(proof.steps)
+    assert reason in result.reason
+
+
+def test_a_parsed_binding_with_an_extra_label_is_rejected():
+    text = "step 1: box p0 -> p0 ; axiom M1 [alpha:=p0, zeta:=p5]\n"
+    proof = parse_proof_text(text)
+    result = check_proof(CATALOG, proof)
+    assert not result.ok and "['zeta']" in result.reason
+
+
+def test_a_theory_line_that_starts_with_proof_is_a_hypothesis():
+    text = "theory:\nproofh: p0\nstep 1: p0 ; hyp proofh\n"
+    proof = parse_proof_text(text)
+    assert proof.name == "" and proof.theory == [("proofh", P0)]
+    assert check_proof(CATALOG, proof).ok
+    assert print_proof(proof) == text
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("proof a b c\nstep 1: top ; axiom A10 [alpha:=bot]\n", 1, "exactly one name"),
+        ("# header\nproof\nstep 1: top ; axiom A10 [alpha:=bot]\n", 2, "exactly one name"),
+        (
+            "theory:\nh: p0\nh: p1\nstep 1: p1 ; hyp h\n",
+            3,
+            "hypothesis 'h' is named twice",
+        ),
+    ],
+    ids=["three-names", "no-name", "repeated-hypothesis"],
+)
+def test_ambiguous_proof_files_are_rejected(text, line, message):
+    with pytest.raises(ProofFileError, match=message) as exc:
+        parse_proof_text(text)
+    assert exc.value.line == line
+
+
 def test_builder_identity_and_lemmas():
     b = ProofBuilder(CATALOG)
     for build, expect in [

@@ -822,7 +822,7 @@ def on_own_copy(q: UMTLAlgebra) -> UMTLAlgebra:
     """`q` on a copy of its algebra that starts with an empty cache."""
     a = q.algebra
     alg = validate(a.size, a.odot, a.arrow, a.top, a.names)
-    return UMTLAlgebra(alg, q.quantifier._replace(base=alg), q.name)
+    return UMTLAlgebra(alg, q.quantifier, q.name)
 
 
 FULL_CATALOG = SchemaCatalog.mmtl(extensions=("INV", "WNM", "MV", "EM"))

@@ -240,31 +240,41 @@ def test_properties_suite_reports_failures_with_witnesses(goedel3):
     assert not checks[4].passed and checks[4].witness is not None
 
 
+def test_properties_suite_item_14_witnesses(goedel3):
+    # on L4 the image {0, 1, 3} misses 1 -> 0 = 2; on G3 the image {2} is
+    # closed under every operation but misses bottom
+    l4 = chain_algebra("lukasiewicz", 4)
+    checks = {c.name: c for c in properties_suite(unchecked_pair(l4, (0, 1, 1, 3)))}
+    assert checks[14].witness == (1, 0)
+    checks = {c.name: c for c in properties_suite(unchecked_pair(goedel3, (2, 2, 2)))}
+    assert checks[14].witness == (0,)
+
+
 def test_image_equals_fixpoints_and_closed(six_block):
     checks = {c.name: c for c in properties_suite(six_block)}
     assert checks[13].passed and checks[14].passed
 
 
 def test_umv_axioms(six, six_delta, luk3):
-    rep = check_umv_axioms(six_delta)
-    assert rep.precondition_ok and rep.all_pass
+    assert classify(six_delta.algebra).mv
+    assert all(v.passed for v in check_umv_axioms(six_delta))
     q = make_umtl(luk3, delta_table(luk3))
-    rep = check_umv_axioms(q)
-    assert rep.precondition_ok and rep.all_pass
+    assert classify(luk3).mv
+    assert all(v.passed for v in check_umv_axioms(q))
 
 
 def test_umv_precondition_reported_not_fatal(goedel3):
     q = make_umtl(goedel3, identity_table(goedel3))
-    rep = check_umv_axioms(q)
-    assert not rep.precondition_ok
-    assert isinstance(rep.all_pass, bool)
+    assert not classify(goedel3).mv
+    verdicts = check_umv_axioms(q)
+    assert [v.name for v in verdicts] == [f"forall{i}" for i in range(1, 6)]
 
 
 def test_mba_axioms():
     alg = boolean_2()
     q = make_umtl(alg, identity_table(alg))
-    rep = check_mba_axioms(q)
-    assert rep.precondition_ok and rep.all_pass
+    assert classify(alg).boolean
+    assert all(v.passed for v in check_mba_axioms(q))
 
 
 def test_every_enumerated_quantifier_is_interior(corpus_entries):

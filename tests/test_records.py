@@ -34,7 +34,7 @@ PROOF = Path(umtl.__file__).parent / "data" / "proofs" / "k-distribution.prf"
 
 # the fields that equality and the hash read, where not all of them
 COMPARED = {
-    FiniteMTLAlgebra: ("size", "odot", "arrow", "top", "names", "bottom"),
+    FiniteMTLAlgebra: ("size", "odot", "arrow", "top", "names"),
     AuditEntry: ("check", "subject", "agrees"),
 }
 ABSTRACT = {formulas.Formula, formulas._Connective, formulas._Binary}

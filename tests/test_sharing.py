@@ -22,7 +22,6 @@ import pytest
 from umtl import analysis as ana
 from umtl import core
 from umtl import filters as flt
-from umtl import quantifier
 from umtl.audit import corpus_pairs
 from umtl.corpus import bundled_corpus
 from umtl.logic import semantics
@@ -122,7 +121,7 @@ def test_classify_scans_once_per_algebra_object(pairs, monkeypatch):
         scans.append(flags)
         return profile(**flags)
 
-    for module in (ana, quantifier, semantics):
+    for module in (ana, semantics):
         monkeypatch.setattr(module, "classify", recording)
     monkeypatch.setattr(core, "SubvarietyProfile", counting)
     ana.theorem_audit(pairs)
