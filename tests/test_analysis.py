@@ -99,14 +99,11 @@ def test_semisimple(six_delta, six_block, goedel3):
     assert rep.radical_members == (1, 2)
 
 
-def test_u_homomorphism(six_block):
+def test_u_homomorphism(six_delta, six_block):
     ok, _ = ana.is_u_homomorphism(tuple(range(6)), six_block, six_block)
     assert ok
     ok, witness = ana.is_u_homomorphism((5,) * 6, six_block, six_block)
     assert not ok and witness == ("bottom", 0)
-
-
-def test_u_homomorphism_failures(six_delta, six_block):
     for mapping in ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 4, -1)):
         assert ana.is_u_homomorphism(mapping, six_block, six_block) == (False, ("domain",))
     assert ana.is_u_homomorphism((0,) * 6, six_block, six_block) == (False, ("top", 5))

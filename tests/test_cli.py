@@ -289,21 +289,6 @@ def test_prove_rejects_a_binding_label_the_schema_lacks(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: input proof does not check: step 1,")
 
 
-def test_prove_check_reads_the_header_by_its_token(tmp_path, capsys):
-    src = tmp_path / "proofh.prf"
-    src.write_text("theory:\nproofh: p0\nstep 1: p0 ; hyp proofh\n")
-    assert run_cli("prove", "check", str(src)) == 0
-    assert "proof accepted" in capsys.readouterr().out
-    for text, message in (
-        ("proof a b c\nstep 1: p0 ; hyp h\n", "the proof header takes exactly one name (line 1)"),
-        ("theory:\nh: p0\nh: p0\nstep 1: p0 ; hyp h\n", "hypothesis 'h' is named twice (line 3)"),
-    ):
-        src.write_text(text)
-        assert run_cli("prove", "check", str(src)) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {src}: {message}"]
-
-
 def test_prove_rejects_bad_step(tmp_path, capsys):
     src = tmp_path / "bad.prf"
     src.write_text("step 1: p0 ; axiom A10\n")

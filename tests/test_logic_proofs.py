@@ -150,6 +150,15 @@ def test_proof_file_errors():
         parse_proof_text("junk line\n")
     with pytest.raises(ProofFileError):
         parse_proof_text("# only a comment\n")
+    # a header without exactly one name, and a repeated hypothesis name
+    for text, line, message in (
+        ("proof a b c\nstep 1: top ; axiom A10\n", 1, "exactly one name"),
+        ("# header\nproof\nstep 1: top ; axiom A10\n", 2, "exactly one name"),
+        ("theory:\nh: p0\nh: p1\nstep 1: p1 ; hyp h\n", 3, "'h' is named twice"),
+    ):
+        with pytest.raises(ProofFileError, match=message) as exc:
+            parse_proof_text(text)
+        assert exc.value.line == line
 
 
 @pytest.mark.parametrize(
@@ -193,38 +202,12 @@ def test_each_rejection_names_its_reason(theory, step, reason):
     assert reason in result.reason
 
 
-def test_a_parsed_binding_with_an_extra_label_is_rejected():
-    text = "step 1: box p0 -> p0 ; axiom M1 [alpha:=p0, zeta:=p5]\n"
-    proof = parse_proof_text(text)
-    result = check_proof(CATALOG, proof)
-    assert not result.ok and "['zeta']" in result.reason
-
-
 def test_a_theory_line_that_starts_with_proof_is_a_hypothesis():
     text = "theory:\nproofh: p0\nstep 1: p0 ; hyp proofh\n"
     proof = parse_proof_text(text)
     assert proof.name == "" and proof.theory == [("proofh", P0)]
     assert check_proof(CATALOG, proof).ok
     assert print_proof(proof) == text
-
-
-@pytest.mark.parametrize(
-    "text,line,message",
-    [
-        ("proof a b c\nstep 1: top ; axiom A10 [alpha:=bot]\n", 1, "exactly one name"),
-        ("# header\nproof\nstep 1: top ; axiom A10 [alpha:=bot]\n", 2, "exactly one name"),
-        (
-            "theory:\nh: p0\nh: p1\nstep 1: p1 ; hyp h\n",
-            3,
-            "hypothesis 'h' is named twice",
-        ),
-    ],
-    ids=["three-names", "no-name", "repeated-hypothesis"],
-)
-def test_ambiguous_proof_files_are_rejected(text, line, message):
-    with pytest.raises(ProofFileError, match=message) as exc:
-        parse_proof_text(text)
-    assert exc.value.line == line
 
 
 def test_builder_identity_and_lemmas():
