@@ -230,8 +230,8 @@ class SemisimplicityReport(NamedTuple):
 def is_semisimple(q: UMTLAlgebra) -> SemisimplicityReport:
     rad = flt.radical(q)
     return SemisimplicityReport(
-        semisimple=rad.is_trivial,
-        radical_members=rad.filterset.sorted_members(),
+        semisimple=rad.members == {q.algebra.top},
+        radical_members=rad.sorted_members(),
     )
 
 
@@ -331,10 +331,8 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
     elif mode == "max-ufilters":
         family = flt.maximal_ufilters(q)
         rad = flt.radical(q)
-        if not rad.is_trivial:
-            blocker = next(
-                x for x in rad.filterset.sorted_members() if x != alg.top
-            )
+        if rad.members != {alg.top}:
+            blocker = next(x for x in rad.sorted_members() if x != alg.top)
             return DecompositionResult(
                 None, "radical element below top blocks injectivity", (blocker,)
             )
@@ -362,14 +360,20 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
         and _forall_witness(res.class_map, q, res.quotient) is None
         for fs, res in zip(family, quotients)
     )
+    factors = tuple(res.quotient for res in quotients)
     emb = SubdirectEmbedding(
-        factors=tuple(res.quotient for res in quotients),
+        factors=factors,
         embedding=embedding,
         injective=injective,
         coordinates_surjective=surjective,
         coordinates_u_homomorphic=u_homomorphic,
+        # `SimplicityReport.simple`, decided as `audit_quotient_simplicity`
+        # decides it
         factors_simple=tuple(
-            is_simple(res.quotient).simple for res in quotients
+            _subalgebra_filters_trivial(
+                f.algebra, frozenset(f.algebra.elements), f.forall
+            )
+            for f in factors
         ),
     )
     return DecompositionResult(emb, None, None)
@@ -476,13 +480,11 @@ def audit_congruence_correspondence(q: UMTLAlgebra) -> AuditEntry:
         flt.congruence_of_filter(q, flt.filter_of_congruence(q, c)) == c
         for c in congruences
     )
-    cong_set = {tuple(c) for c in congruences}
     images = set(of_filter.values())
-    bijective = images == cong_set and len(ufilters) == len(congruences)
-    block_of = {f: {x: b for b in c for x in b} for f, c in of_filter.items()}
+    bijective = images == set(congruences) and len(ufilters) == len(congruences)
     order_iso = all(
         (u1.members <= u2.members)
-        == _congruence_leq(of_filter[u1.members], block_of[u2.members])
+        == _congruence_leq(of_filter[u1.members], of_filter[u2.members])
         for u1 in ufilters
         for u2 in ufilters
     )
@@ -501,11 +503,11 @@ def audit_congruence_correspondence(q: UMTLAlgebra) -> AuditEntry:
     )
 
 
-def _congruence_leq(c1, block_of) -> bool:
-    """c1 refines-or-equals the congruence c2 whose block of each element
-    is `block_of[x]`: every block of c1 lies in the c2 block of any one of
-    its members, so one subset test per block, O(n) per pair."""
-    return all(block <= block_of[next(iter(block))] for block in c1)
+def _congruence_leq(c1, c2) -> bool:
+    """c1 refines-or-equals c2, both held as each element's least class
+    member: every x shares its c2 class with its c1 least member, so
+    x ~1 y implies x ~2 y.  O(n) per pair."""
+    return all(c2[x] == c2[r] for x, r in enumerate(c1))
 
 
 def audit_representability(q: UMTLAlgebra) -> AuditEntry:

@@ -17,6 +17,13 @@ subset scans here and the close-by-one search over `filter_table` in
 `umtl.oracles` stay as oracles, so tests can pin their agreement.
 Families that one call path asks for repeatedly are kept in the
 algebra's `cache`.
+
+A congruence is held in one form throughout: the tuple giving each
+element's least class member, the root array of Freese ("Computing
+congruences efficiently", Algebra Universalis 59, 2008).
+`congruence_of_filter`, `filter_of_congruence`, `enumerate_ucongruences`
+(sorted by tuple) and the quotient all read and write it; only
+`_mtl_quotient` builds the classes as sets, for `QuotientResult.classes`.
 """
 
 from __future__ import annotations
@@ -306,29 +313,31 @@ class QuotientResult(NamedTuple):
     classes: tuple[frozenset[int], ...]
 
 
-def congruence_of_filter(q: UMTLAlgebra, members) -> tuple[frozenset[int], ...]:
-    """Blocks of x ~ y iff x->y and y->x both lie in the filter, ordered by
-    least element.  They read only the algebra, so they are kept in
+def congruence_of_filter(q: UMTLAlgebra, members) -> tuple[int, ...]:
+    """x ~ y iff x->y and y->x both lie in the filter, as each element's
+    least class member.  It reads only the algebra, so it is kept in
     `alg.cache` per filter."""
     return _filter_congruence(q.algebra, frozenset(members))
 
 
-def _filter_congruence(alg: FiniteMTLAlgebra, s: frozenset[int]):
-    return alg.cached(("congruence", s), lambda: _blocks_of_filter(alg, s))
+def _filter_congruence(alg: FiniteMTLAlgebra, s: frozenset[int]) -> tuple[int, ...]:
+    return alg.cached(("congruence", s), lambda: _least_members(alg, s))
 
 
-def _blocks_of_filter(alg: FiniteMTLAlgebra, s: frozenset[int]):
-    blocks: list[set[int]] = []
+def _least_members(alg: FiniteMTLAlgebra, s: frozenset[int]) -> tuple[int, ...]:
+    """The relation of the filter `s` as each element's least class member.
+    It is an equivalence, so each x, in index order, is compared with the
+    least member of each class found so far and starts a class of its own
+    when it matches none."""
+    arrow = alg.arrow
+    least: list[int] = []
+    roots: list[int] = []
     for x in alg.elements:
-        for b in blocks:
-            rep = min(b)
-            if alg.arrow[x][rep] in s and alg.arrow[rep][x] in s:
-                b.add(x)
-                break
-        else:
-            blocks.append({x})
-    blocks.sort(key=min)
-    return tuple(frozenset(b) for b in blocks)
+        r = next((r for r in roots if arrow[x][r] in s and arrow[r][x] in s), x)
+        if r == x:
+            roots.append(x)
+        least.append(r)
+    return tuple(least)
 
 
 def quotient(q: UMTLAlgebra, members) -> QuotientResult:
@@ -370,12 +379,10 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
             f"member but forall maps it to {alg.name_of(f[bad])}",
             witness=(bad, f[bad]),
         )
-    classes, class_map, alg_q = alg.cached(
+    reps, classes, class_map, alg_q = alg.cached(
         ("quotient", s), lambda: _mtl_quotient(alg, s)
     )
-    forall_q = tuple(class_map[f[min(block)]] for block in classes)
-    fixpoints = frozenset(i for i in range(alg_q.size) if forall_q[i] == i)
-    quant_q = UniversalQuantifier(forall_q, fixpoints)
+    quant_q = UniversalQuantifier(tuple(class_map[f[r]] for r in reps))
     filter_label = FilterSet(alg, s).label()
     return QuotientResult(
         quotient=UMTLAlgebra(alg_q, quant_q, name=q.label() + "/" + filter_label),
@@ -385,15 +392,17 @@ def quotient(q: UMTLAlgebra, members) -> QuotientResult:
 
 
 def _mtl_quotient(alg: FiniteMTLAlgebra, s: frozenset[int]):
-    """(classes, class map, quotient algebra) of the filter `s`, each
-    table collapsed on the classes' least members: k^2 lookups for k
-    classes."""
-    classes = _filter_congruence(alg, s)
-    class_map = [0] * alg.size
-    for idx, block in enumerate(classes):
-        for x in block:
-            class_map[x] = idx
-    reps = [min(b) for b in classes]
+    """(the classes' least members, the classes, the class map, the
+    quotient algebra) of the filter `s`, each table collapsed on the least
+    members: k^2 lookups for k classes.  The classes are built here alone,
+    for `QuotientResult.classes`."""
+    least = _filter_congruence(alg, s)
+    reps = tuple(x for x, r in enumerate(least) if r == x)
+    index = {r: i for i, r in enumerate(reps)}
+    class_map = tuple(index[r] for r in least)
+    blocks: list[list[int]] = [[] for _ in reps]
+    for x, i in enumerate(class_map):
+        blocks[i].append(x)
 
     def collapse(table) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -403,7 +412,7 @@ def _mtl_quotient(alg: FiniteMTLAlgebra, s: frozenset[int]):
     arrow_q = collapse(alg.arrow)
     top_q = class_map[alg.top]
     alg_q = FiniteMTLAlgebra(
-        size=len(classes),
+        size=len(reps),
         odot=collapse(alg.odot),
         arrow=arrow_q,
         top=top_q,
@@ -412,30 +421,22 @@ def _mtl_quotient(alg: FiniteMTLAlgebra, s: frozenset[int]):
         meet=collapse(alg.meet),
         join=collapse(alg.join),
     )
-    return classes, tuple(class_map), alg_q
+    return reps, tuple(map(frozenset, blocks)), class_map, alg_q
 
 
-class RadicalResult(NamedTuple):
-    filterset: FilterSet
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.filterset.members == frozenset({self.filterset.algebra.top})
-
-
-def radical(q: UMTLAlgebra) -> RadicalResult:
+def radical(q: UMTLAlgebra) -> FilterSet:
     """Intersection of all maximal U-filters.  A finite algebra has at
     least one: {top} is a proper U-filter, and some maximal one holds it."""
     acc = frozenset(q.algebra.elements)
     for m in maximal_ufilters(q):
         acc &= m.members
-    return RadicalResult(FilterSet(q.algebra, acc))
+    return FilterSet(q.algebra, acc)
 
 
-def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
+def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[int, ...]]:
     """All equivalence relations compatible with every operation and the
-    quantifier, as block tuples ordered by least element, the list sorted
-    by its blocks' sorted members.
+    quantifier, each as the tuple of every element's least class member,
+    the list sorted by tuple.
 
     A congruence of the expansion (A, forall) is exactly a congruence of A
     that is compatible with forall (Burris and Sankappanavar, "A Course in
@@ -451,16 +452,15 @@ def enumerate_ucongruences(q: UMTLAlgebra) -> list[tuple[frozenset[int], ...]]:
     """
     alg, f = q.algebra, q.forall
     return [
-        blocks
-        for c, blocks in alg.cached("congruences", lambda: _mtl_congruences(alg))
+        c
+        for c in alg.cached("congruences", lambda: _mtl_congruences(alg))
         if all(c[f[x]] == c[f[cx]] for x, cx in enumerate(c))
     ]
 
 
 def _mtl_congruences(alg: FiniteMTLAlgebra):
     """Every congruence of the algebra under odot, arrow, meet and join,
-    as (canonical tuple, blocks) pairs in the order of
-    `enumerate_ucongruences`.
+    as canonical tuples in the order of `enumerate_ucongruences`.
 
     Every congruence is the join of the principal congruences Cg(a, b) of
     its pairs, and joins in the congruence lattice are joins of equivalence
@@ -514,14 +514,7 @@ def _mtl_congruences(alg: FiniteMTLAlgebra):
                     fresh.append(joined)
         frontier = fresh
 
-    out = []
-    for c in found:
-        blocks: dict[int, set[int]] = {}
-        for x in range(n):
-            blocks.setdefault(c[x], set()).add(x)
-        out.append((c, tuple(frozenset(blocks[r]) for r in sorted(blocks))))
-    out.sort(key=lambda pair: tuple(tuple(sorted(b)) for b in pair[1]))
-    return tuple(out)
+    return tuple(sorted(found))
 
 
 def _principal_congruence(alg: FiniteMTLAlgebra, a: int, b: int) -> tuple[int, ...]:
@@ -556,9 +549,7 @@ def _principal_congruence(alg: FiniteMTLAlgebra, a: int, b: int) -> tuple[int, .
     return tuple(least[c] for c in cls)
 
 
-def filter_of_congruence(q: UMTLAlgebra, blocks) -> frozenset[int]:
-    """The block of top."""
-    for b in blocks:
-        if q.algebra.top in b:
-            return frozenset(b)
-    raise ValueError("no block contains top")
+def filter_of_congruence(q: UMTLAlgebra, congruence) -> frozenset[int]:
+    """The class of top in a congruence held as least-member tuple."""
+    root = congruence[q.algebra.top]
+    return frozenset(x for x, r in enumerate(congruence) if r == root)

@@ -357,36 +357,15 @@ class _Group(NamedTuple):
     goals: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _group_key(formulas) -> tuple[bool, tuple]:
-    """(`reads_forall`, `leaves`) of `compile_formulas(formulas)`, read in
-    one walk over the distinct node objects, left to right, with no code
-    built."""
-    leaves: dict = {}
-    reads_forall = False
-    seen: set[int] = set()  # by id(): the formulas keep every node alive
-    stack = list(reversed(formulas))
-    while stack:
-        g = stack.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
-        if isinstance(g, Box):
-            reads_forall = True
-        elif isinstance(g, Var):
-            leaves.setdefault(g.index)
-        elif isinstance(g, MetaVar):
-            leaves.setdefault(g.label)
-        stack.extend(reversed(children(g)))
-    return reads_forall, tuple(leaves)
-
-
 def _compile_groups(checks) -> tuple[list[_Group], list[tuple[int, int]]]:
     """One program for each group of `checks`, each a tuple (guard,
-    conclusion, *premises), with equal guards, equal `reads_forall` and
-    equal leaves in the same order; and the (group, goal) of each check."""
+    conclusion, *premises), with equal guards and, in each check's own
+    program, equal `reads_forall` and equal leaves in the same order; and
+    the (group, goal) of each check."""
     keyed: dict[tuple, list[int]] = {}
     for i, (guard, *formulas) in enumerate(checks):
-        keyed.setdefault((guard, *_group_key(formulas)), []).append(i)
+        alone = compile_formulas(formulas)
+        keyed.setdefault((guard, alone.reads_forall, alone.leaves), []).append(i)
     groups: list[_Group] = []
     at: list[tuple[int, int]] = [(0, 0)] * len(checks)
     for (guard, _, _), members in keyed.items():

@@ -28,7 +28,9 @@ filter and U-filter enumerations do not read:
   condition of `analysis.is_simple` (closures of the filter table inside
   the carrier);
 - `ucongruences_partition_oracle` scans all Bell(n) set partitions of the
-  carrier, for `filters.enumerate_ucongruences`;
+  carrier, for `filters.enumerate_ucongruences`; like it, both congruence
+  oracles hold each congruence as the tuple of every element's least
+  class member and sort the list by tuple;
 - `ucongruences_all_pairs_oracle` joins the principal congruences of all
   n(n-1)/2 pairs, not only of one covering pair per join-irreducible as
   `filters.enumerate_ucongruences` does, at sizes the Bell(n) scan cannot
@@ -243,12 +245,10 @@ def _partitions(items: list[int]):
         yield [[first]] + part
 
 
-def ucongruences_partition_oracle(
-    q: UMTLAlgebra,
-) -> list[tuple[frozenset[int], ...]]:
+def ucongruences_partition_oracle(q: UMTLAlgebra) -> list[tuple[int, ...]]:
     """Every set partition compatible with odot, arrow, meet, join and the
-    quantifier, as block tuples ordered by least element, in the order of
-    `filters.enumerate_ucongruences`."""
+    quantifier, as the tuple of each element's least class member, sorted
+    by tuple as `filters.enumerate_ucongruences` is."""
     alg, f = q.algebra, q.forall
     ops = (alg.odot, alg.arrow, alg.meet, alg.join)
     out = []
@@ -266,19 +266,16 @@ def ucongruences_partition_oracle(
             for b2 in part
         )
         if ok:
-            blocks = sorted((frozenset(b) for b in part), key=min)
-            out.append(tuple(blocks))
-    out.sort(key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks))
-    return out
+            least = {x: min(block) for block in part for x in block}
+            out.append(tuple(least[x] for x in alg.elements))
+    return sorted(out)
 
 
-def ucongruences_all_pairs_oracle(
-    q: UMTLAlgebra,
-) -> list[tuple[frozenset[int], ...]]:
+def ucongruences_all_pairs_oracle(q: UMTLAlgebra) -> list[tuple[int, ...]]:
     """Every congruence compatible with odot, arrow, meet, join and the
     quantifier, as the joins of the principal congruences Cg(a, b) of all
-    pairs a < b (by index), in the order of
-    `filters.enumerate_ucongruences`."""
+    pairs a < b (by index), each as the tuple of every element's least
+    class member, sorted by tuple as `filters.enumerate_ucongruences` is."""
     alg, f = q.algebra, q.forall
     n = alg.size
     ops = (alg.odot, alg.arrow, alg.meet, alg.join)
@@ -286,7 +283,8 @@ def ucongruences_all_pairs_oracle(
     def merged(cls, pairs) -> tuple[int, ...]:
         # the least congruence that is coarser than the partition `cls`
         # (each element's least class member) and joins every pair: each
-        # merge of two classes by (x, y) queues the pairs it forces
+        # merge of two classes by (x, y) queues the pairs it forces, and
+        # relabels the class with the larger least member
         cls = list(cls)
         pending = list(pairs)
         while pending:
@@ -314,12 +312,7 @@ def ucongruences_all_pairs_oracle(
                     found.add(joined)
                     fresh.append(joined)
         frontier = fresh
-    out = [
-        tuple(frozenset(x for x in range(n) if c[x] == r) for r in sorted(set(c)))
-        for c in found
-    ]
-    out.sort(key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks))
-    return out
+    return sorted(found)
 
 
 def filters_close_by_one(alg: FiniteMTLAlgebra, forall=None) -> tuple[FilterSet, ...]:

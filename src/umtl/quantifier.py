@@ -47,10 +47,13 @@ class InvalidQuantifierError(ValueError):
 
 
 class UniversalQuantifier(NamedTuple):
-    """A validated unary table together with its fixpoint set."""
+    """A validated unary table."""
 
     table: tuple[int, ...]
-    fixpoints: frozenset[int]
+
+    @property
+    def fixpoints(self) -> frozenset[int]:
+        return frozenset(x for x, y in enumerate(self.table) if x == y)
 
 
 class UMTLAlgebra(NamedTuple):
@@ -122,9 +125,7 @@ def validate_quantifier(alg: FiniteMTLAlgebra, table) -> UniversalQuantifier:
     violations = quantifier_violations(alg, table)
     if violations:
         raise InvalidQuantifierError(violations)
-    q = tuple(table)
-    fix = frozenset(x for x in range(alg.size) if q[x] == x)
-    return UniversalQuantifier(table=q, fixpoints=fix)
+    return UniversalQuantifier(tuple(table))
 
 
 def make_umtl(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
@@ -137,9 +138,7 @@ def unchecked_pair(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
     Only for audits that deliberately inspect invalid tables (e.g. delta
     forced onto a non-involutive chain).
     """
-    q = tuple(table)
-    fix = frozenset(x for x in range(alg.size) if q[x] == x)
-    return UMTLAlgebra(alg, UniversalQuantifier(q, fix), name)
+    return UMTLAlgebra(alg, UniversalQuantifier(tuple(table)), name)
 
 
 def delta_table(alg: FiniteMTLAlgebra) -> tuple[int, ...]:

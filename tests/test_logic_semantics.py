@@ -9,7 +9,6 @@ from umtl.analysis import is_representable
 from umtl.quantifier import delta_table
 from umtl.logic.formulas import Impl, Var, parse_formula
 from umtl.logic.schemas import RULE_SHAPES, A, SchemaCatalog, instantiate
-from umtl.logic import semantics
 from umtl.logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -281,18 +280,3 @@ def test_soundness_audit_flags_a_table_that_breaks_necessitation(goedel3):
     report = soundness_audit([unchecked_pair(goedel3, (0, 0, 0))], CATALOG)
     assert report.mp_preserves and not report.nec_preserves
 
-
-def test_group_key_is_the_key_of_the_single_compile():
-    # every check `soundness_audit` groups: the schemas with extensions and
-    # the two rules, each as (conclusion, *premises)
-    catalog = SchemaCatalog.mmtl(extensions=("INV", "WNM", "MV", "EM"))
-    checks = [(pattern,) for _, pattern in catalog.schemas]
-    checks += [semantics._MP, semantics._NEC]
-    keys = set()
-    for formulas in checks:
-        alone = semantics.compile_formulas(formulas)
-        key = semantics._group_key(formulas)
-        assert key == (alone.reads_forall, alone.leaves)
-        keys.add(key)
-    assert len(checks) == 21
-    assert len(keys) > 2

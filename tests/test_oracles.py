@@ -30,8 +30,11 @@ object; the Bell(n) partition scan checks them, also on unary maps that
 are not quantifiers, since neither step relies on U1-U3, the join over
 all pairs checks them at 12 elements, and the order in which quantifiers
 reach the shared lattice must not matter.  The refinement test of the
-correspondence audit reads each element's block; the test of every block
-against every block checks it on the corpus and the random algebras.
+correspondence audit reads each element's least class member; the test of
+every block against every block checks it on the corpus and the random
+algebras.  Each U-filter's congruence, and a proper one's quotient
+classes, must be the partition scan's congruence whose top class is that
+filter, so a filter relation that merges two classes is caught.
 Quotients collapse the parent's tables on class representatives; the
 build by `core.validate` and `validate_quantifier` checks them, and the
 class-map homomorphism test, the one well-definedness check, must pass on
@@ -567,12 +570,16 @@ def test_ucongruences_match_partition_oracle_on_corpus(corpus_entries):
         assert_ucongruences_match_oracle(q)
 
 
+def blocks_of(c) -> list[frozenset[int]]:
+    """The classes of a congruence held as least-member tuple."""
+    return [frozenset(x for x, r in enumerate(c) if r == root) for root in sorted(set(c))]
+
+
 def assert_congruence_order_matches_blockwise(q):
     congruences = enumerate_ucongruences(q)
     for c1, c2 in itertools.product(congruences, repeat=2):
-        blockwise = all(any(b1 <= b2 for b2 in c2) for b1 in c1)
-        block_of = {x: b2 for b2 in c2 for x in b2}
-        assert ana._congruence_leq(c1, block_of) == blockwise
+        blockwise = all(any(b1 <= b2 for b2 in blocks_of(c2)) for b1 in blocks_of(c1))
+        assert ana._congruence_leq(c1, c2) == blockwise
 
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
@@ -585,6 +592,31 @@ def test_congruence_order_matches_blockwise(seed):
 def test_congruence_order_matches_blockwise_on_corpus(corpus_entries):
     for q in corpus_pairs(corpus_entries):
         assert_congruence_order_matches_blockwise(q)
+
+
+def assert_filter_congruences_match_partition_oracle(q):
+    top = q.algebra.top
+    by_top_class = {
+        frozenset(x for x, r in enumerate(c) if r == c[top]): c
+        for c in oracles.ucongruences_partition_oracle(q)
+    }
+    for u in flt.enumerate_ufilters(q):
+        c = by_top_class[u.members]
+        assert flt.congruence_of_filter(q, u.members) == c
+        if u.is_proper():
+            assert list(flt.quotient(q, u.members).classes) == blocks_of(c)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_filter_congruences_match_partition_oracle(seed):
+    alg = random_algebra(seed, 7)
+    for uq in enumerate_quantifiers(alg):
+        assert_filter_congruences_match_partition_oracle(UMTLAlgebra(alg, uq))
+
+
+def test_filter_congruences_match_partition_oracle_on_corpus(corpus_entries):
+    for q in corpus_pairs(corpus_entries):
+        assert_filter_congruences_match_partition_oracle(q)
 
 
 @pytest.mark.parametrize("name", ["L3xL3", "G3xL3"])
