@@ -147,15 +147,19 @@ class FiniteMTLAlgebra:
         """Least k with x^k = bottom, or None when no power vanishes.
 
         Powers of x weakly decrease, so until they stop moving they
-        strictly decrease, and a finite algebra bounds the scan by size.
+        strictly decrease, and a vanishing power comes within `size`
+        steps.  The scan stops there, so it ends on any table, even one
+        that is not MTL, where the powers can cycle.
         """
-        acc, k = x, 1
-        while acc != self.bottom:
+        acc = x
+        for k in range(1, self.size + 1):
+            if acc == self.bottom:
+                return k
             nxt = self.odot[acc][x]
             if nxt == acc:
                 return None
-            acc, k = nxt, k + 1
-        return k
+            acc = nxt
+        return None
 
     def name_of(self, x: int) -> str:
         return self.names[x]

@@ -1,11 +1,13 @@
 """Evaluation of formulas over quantified algebras and countermodel search.
 
-Formulas are compiled once into a `Program`: straight-line code over their
-distinct node objects in post-order, children first.  Nodes are keyed by
-`id`: the sugared `a | b` holds each side three times, so a flat `|` chain
-is exponential as a tree but linear as a program.  Equal
-instructions over equal slots also share one slot, so every leaf (a
-variable index, a metavariable label, or bot) gets exactly one.
+Formulas are compiled once into a `Program`, by one post-order walk that
+dispatches on the node class: straight-line code over their distinct node
+objects, children first.  Nodes are keyed by `id`: the sugared `a | b`
+holds each side three times, so a flat `|` chain is exponential as a tree
+but linear as a program.  Equal instructions over equal slots also share
+one slot, so every leaf (a variable index, a metavariable label, or bot)
+gets exactly one.  A schema metavariable left in a formula given to a
+search is an error: only variables are swept.
 
 Validity, consequence, countermodel search and schema soundness all ask
 one question of `_first_refutations`: for each goal, which is the least
@@ -21,6 +23,18 @@ least (pool index, valuation rank).  Validity, consequence and countermodel
 search pass one goal; the soundness audit passes every schema of a group
 that shares one program.
 
+A program with no `forall` step computes the same masks for every
+quantifier on an algebra, so a countermodel search sweeps such a goal once
+per algebra object, on its first pair in the pool, and skips the later
+pairs on that object; the soundness audit shares such groups' verdicts the
+same way.  The first hit keeps its (pool index, valuation rank), and
+`SearchExhausted.valuations_checked` still counts n^k valuations for every
+pair of the pool, skipped or not.  Every sweep over k leaves starts with
+the same block of leaf masks, so that first block is kept in the
+algebra's cache under ("first-block", k, block size) and shared by every
+search, validity sweep and soundness group on the algebra; later blocks
+are built per sweep.
+
 This module evaluates formulas only.  The algebra-side condition for the
 disjunction form of the box rule (a join b = top implies a join forall b =
 top) is the join-implication condition of `analysis.is_representable`.
@@ -32,7 +46,7 @@ from typing import Callable, NamedTuple
 
 from ..quantifier import UMTLAlgebra
 from ..core import classify
-from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var, children
+from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var
 from .schemas import A, B, SchemaCatalog
 
 BLOCK = 1296  # valuations evaluated together, one bit each
@@ -42,8 +56,8 @@ class VariableBudgetError(ValueError):
     pass
 
 
-# the table each connective looks up
-_OPS = {Impl: "arrow", And: "odot", Min: "meet", Box: "forall"}
+# the table each binary connective looks up
+_TABLES = {Impl: "arrow", And: "odot", Min: "meet"}
 
 
 def _leaf_name(key) -> str:
@@ -105,40 +119,56 @@ class Program(NamedTuple):
 
 
 def compile_formulas(formulas) -> Program:
-    """One program for all `formulas`, each node object compiled once."""
+    """One program for all `formulas`, each node object compiled once.
+
+    One post-order walk that dispatches on the node class: a connective
+    stays on the stack under its children until they have slots."""
     code: list[tuple] = []
     slot_of: dict[int, int] = {}  # by id(): the formulas keep every node alive
     shared: dict[tuple, int] = {}
     leaves: dict = {}
     roots = []
+    reads_forall = False
     for f in formulas:
-        stack = [(f, False)]
+        stack = [f]
         while stack:
-            g, ready = stack.pop()
+            g = stack[-1]
             if id(g) in slot_of:
+                stack.pop()
                 continue
-            op = _OPS.get(type(g))
-            kids = children(g)
-            if kids and not ready:
-                stack.append((g, True))
-                stack.extend((kid, False) for kid in reversed(kids))
-                continue
-            if op is not None:
-                instr = (op, *(slot_of[id(kid)] for kid in kids))
-            elif isinstance(g, Var):
+            cls = g.__class__
+            if cls in _TABLES:
+                a = slot_of.get(id(g.left))
+                b = slot_of.get(id(g.right))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(g.right)
+                    if a is None:
+                        stack.append(g.left)
+                    continue
+                instr = (_TABLES[cls], a, b)
+            elif cls is Box:
+                a = slot_of.get(id(g.arg))
+                if a is None:
+                    stack.append(g.arg)
+                    continue
+                instr = ("forall", a)
+                reads_forall = True
+            elif cls is Var:
                 instr = ("leaf", g.index)
-            elif isinstance(g, MetaVar):
+                leaves[g.index] = None
+            elif cls is MetaVar:
                 instr = ("leaf", g.label)
-            elif isinstance(g, Bot):
+                leaves[g.label] = None
+            elif cls is Bot:
                 instr = ("bot",)
             else:
                 raise TypeError(f"cannot evaluate {g!r}")
+            stack.pop()
             slot = shared.get(instr)
             if slot is None:
                 slot = shared[instr] = len(code)
                 code.append(instr)
-                if instr[0] == "leaf":
-                    leaves[instr[1]] = None
             slot_of[id(g)] = slot
         roots.append(slot_of[id(f)])
     return Program(
@@ -146,7 +176,7 @@ def compile_formulas(formulas) -> Program:
         tuple(leaves),
         tuple(roots),
         tuple(sorted(k for k in leaves if isinstance(k, int))),
-        any(instr[0] == "forall" for instr in code),
+        reads_forall,
     )
 
 
@@ -178,8 +208,12 @@ class ValidityResult(NamedTuple):
 
 
 def _variables(program: Program, max_vars: int) -> tuple[int, ...]:
-    """The sorted variables of the program, within the budget."""
+    """The sorted variables of the program, within the budget; a schema
+    metavariable, which no valuation of variables assigns, is an error."""
     variables = program.variables
+    if len(variables) < len(program.leaves):
+        label = next(k for k in program.leaves if not isinstance(k, int))
+        raise ValueError(f"cannot evaluate the schema metavariable {label}")
     if len(variables) > max_vars:
         raise VariableBudgetError(
             f"{len(variables)} variables exceed the budget of {max_vars}"
@@ -217,7 +251,8 @@ def _first_refutations(q: UMTLAlgebra, program: Program, leaves, goals) -> list:
     roots.  The sweep runs block by block until every goal has its hit or
     the valuations run out.
     """
-    n, top = q.algebra.size, q.algebra.top
+    alg = q.algebra
+    n, top = alg.size, alg.top
     weights = [n**e for e in reversed(range(len(leaves)))]
     total = n ** len(leaves)
     first: list = [None] * len(goals)
@@ -225,10 +260,14 @@ def _first_refutations(q: UMTLAlgebra, program: Program, leaves, goals) -> list:
     for start in range(0, total, BLOCK):
         size = min(BLOCK, total - start)
         full = (1 << size) - 1
-        leaf_masks = {
-            leaf: _leaf_masks(n, w, start, size) for leaf, w in zip(leaves, weights)
-        }
-        roots = program.masks(q, leaf_masks, full)
+        if start:
+            columns = [_leaf_masks(n, w, start, size) for w in weights]
+        else:
+            columns = alg.cached(
+                ("first-block", len(leaves), size),
+                lambda: tuple(tuple(_leaf_masks(n, w, 0, size)) for w in weights),
+            )
+        roots = program.masks(q, dict(zip(leaves, columns)), full)
         still = []
         for g in pending:
             conclusion, premises = goals[g]
@@ -304,7 +343,14 @@ def countermodel_search(
         program = compile_formulas((goal,))
     variables = _variables(program, max_vars)
     goals = _rule_goals(program)
+    swept: set[int] = set()  # by id(): the pool keeps every algebra alive
     for index, q in enumerate(pool):
+        if not program.reads_forall:
+            # the verdict reads only the algebra's tables, and an earlier
+            # pair on the same algebra object found no refutation
+            if id(q.algebra) in swept:
+                continue
+            swept.add(id(q.algebra))
         [hit] = _first_refutations(q, program, variables, goals)
         if hit is not None:
             valuation, value = hit
@@ -357,6 +403,32 @@ class _Group(NamedTuple):
     goals: tuple[tuple[int, tuple[int, ...]], ...]
 
 
+def _group_key(formulas) -> tuple[bool, tuple]:
+    """The `reads_forall` and `leaves` of `compile_formulas(formulas)`, by
+    one walk that compiles nothing: whether some node is a box, and the
+    leaf keys in order of first occurrence, left to right."""
+    leaves: dict = {}
+    seen: set[int] = set()  # by id(): the formulas keep every node alive
+    has_box = False
+    stack = list(reversed(formulas))
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        cls = g.__class__
+        if cls in _TABLES:
+            stack += (g.right, g.left)
+        elif cls is Box:
+            has_box = True
+            stack.append(g.arg)
+        elif cls is Var:
+            leaves[g.index] = None
+        elif cls is MetaVar:
+            leaves[g.label] = None
+    return has_box, tuple(leaves)
+
+
 def _compile_groups(checks) -> tuple[list[_Group], list[tuple[int, int]]]:
     """One program for each group of `checks`, each a tuple (guard,
     conclusion, *premises), with equal guards and, in each check's own
@@ -364,8 +436,7 @@ def _compile_groups(checks) -> tuple[list[_Group], list[tuple[int, int]]]:
     the (group, goal) of each check."""
     keyed: dict[tuple, list[int]] = {}
     for i, (guard, *formulas) in enumerate(checks):
-        alone = compile_formulas(formulas)
-        keyed.setdefault((guard, alone.reads_forall, alone.leaves), []).append(i)
+        keyed.setdefault((guard, *_group_key(formulas)), []).append(i)
     groups: list[_Group] = []
     at: list[tuple[int, int]] = [(0, 0)] * len(checks)
     for (guard, _, _), members in keyed.items():

@@ -49,6 +49,9 @@ filter and U-filter enumerations do not read:
   row-at-a-time scan of `core.check_mtl_tables` and `core.validate`;
 - `lower_covers_reference` tests every element between every pair, for
   the cone-bitmask `core.lower_covers`;
+- `compile_formulas_reference` is the two-visit compile walk over
+  `children`, for the one-pass `logic.semantics.compile_formulas` and the
+  grouping key of `logic.semantics.soundness_audit`;
 - `eval_formula_tree` evaluates a formula by a recursive walk over its
   tree, one valuation at a time, and `first_refutation_tree_walk` ranks
   the valuations by hand with it, for the compiled column evaluator and
@@ -86,6 +89,7 @@ from .logic.formulas import (
     MetaVar,
     Min,
     Var,
+    children,
     iff,
     lor,
     neg,
@@ -93,7 +97,7 @@ from .logic.formulas import (
     variables_of,
 )
 from .logic.schemas import A, B, metavars_of
-from .logic.semantics import SchemaSoundness, SoundnessReport
+from .logic.semantics import Program, SchemaSoundness, SoundnessReport
 from .quantifier import (
     UMTLAlgebra,
     quantifier_violations,
@@ -577,6 +581,58 @@ def eval_formula_tree(q: UMTLAlgebra, valuation, f: Formula) -> int:
         raise TypeError(f"cannot evaluate {g!r}")
 
     return ev(f)
+
+
+# the table each connective looks up
+_OPS = {Impl: "arrow", And: "odot", Min: "meet", Box: "forall"}
+
+
+def compile_formulas_reference(formulas) -> Program:
+    """The program of `logic.semantics.compile_formulas`, by a walk that
+    pushes each node twice, once to list its `children` and once, marked
+    ready, to compile it, and that reads `reads_forall` off the code."""
+    code: list[tuple] = []
+    slot_of: dict[int, int] = {}  # by id(): the formulas keep every node alive
+    shared: dict[tuple, int] = {}
+    leaves: dict = {}
+    roots = []
+    for f in formulas:
+        stack = [(f, False)]
+        while stack:
+            g, ready = stack.pop()
+            if id(g) in slot_of:
+                continue
+            op = _OPS.get(type(g))
+            kids = children(g)
+            if kids and not ready:
+                stack.append((g, True))
+                stack.extend((kid, False) for kid in reversed(kids))
+                continue
+            if op is not None:
+                instr = (op, *(slot_of[id(kid)] for kid in kids))
+            elif isinstance(g, Var):
+                instr = ("leaf", g.index)
+            elif isinstance(g, MetaVar):
+                instr = ("leaf", g.label)
+            elif isinstance(g, Bot):
+                instr = ("bot",)
+            else:
+                raise TypeError(f"cannot evaluate {g!r}")
+            slot = shared.get(instr)
+            if slot is None:
+                slot = shared[instr] = len(code)
+                code.append(instr)
+                if instr[0] == "leaf":
+                    leaves[instr[1]] = None
+            slot_of[id(g)] = slot
+        roots.append(slot_of[id(f)])
+    return Program(
+        tuple(code),
+        tuple(leaves),
+        tuple(roots),
+        tuple(sorted(k for k in leaves if isinstance(k, int))),
+        any(instr[0] == "forall" for instr in code),
+    )
 
 
 def first_refutation_tree_walk(pool, premises, conclusion: Formula):

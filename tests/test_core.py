@@ -13,7 +13,7 @@ from umtl import (
     classify,
     validate,
 )
-from umtl.core import boolean_2
+from umtl.core import FiniteMTLAlgebra, boolean_2, default_names
 from umtl.oracles import derive_odot_from_arrow
 
 
@@ -121,6 +121,16 @@ def test_neg_power_ord(six):
     assert six.ord_of(0) == 1
     assert six.ord_of(d) is None  # d is odot-idempotent
     assert six.ord_of(a) == 2
+
+
+def test_ord_of_ends_when_the_powers_cycle():
+    # not MTL, so built without `validate`: the powers of 1 run 1, 2, 1,
+    # 2, ... and neither vanish nor stand still
+    odot = ((0, 0, 0, 0), (0, 2, 1, 1), (0, 1, 2, 2), (0, 1, 2, 3))
+    with pytest.raises(InvalidAlgebraError):
+        validate(4, odot, odot, 3)
+    alg = FiniteMTLAlgebra(4, odot, odot, 3, default_names(4), odot, odot, odot)
+    assert [alg.ord_of(x) for x in alg.elements] == [1, None, None, None]
 
 
 def test_meet_join_lattice_laws(corpus_entries):

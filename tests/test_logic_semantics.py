@@ -7,7 +7,7 @@ import pytest
 from umtl import chain_algebra, enumerate_quantifiers, make_umtl
 from umtl.analysis import is_representable
 from umtl.quantifier import delta_table
-from umtl.logic.formulas import Impl, Var, parse_formula
+from umtl.logic.formulas import Impl, MetaVar, Var, parse_formula
 from umtl.logic.schemas import RULE_SHAPES, A, SchemaCatalog, instantiate
 from umtl.logic.semantics import (
     Countermodel,
@@ -101,6 +101,20 @@ def test_variable_budget():
     f = parse_formula("p0 & p1 & p2 & p3 & p4 & p5 & p6")
     with pytest.raises(VariableBudgetError):
         is_valid(q, f, max_vars=6)
+
+
+def test_searches_reject_schema_metavariables(corpus_entries):
+    pool = _pool(corpus_entries)
+    alpha = MetaVar("alpha")
+    searches = [
+        lambda: is_valid(pool[1], alpha),
+        lambda: consequence(pool[1], [alpha], Var(0)),
+        lambda: countermodel_search(Impl(Var(0), alpha), pool),
+        lambda: countermodel_search(RuleInstance((alpha,), Var(0)), pool),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match="schema metavariable alpha"):
+            search()
 
 
 def test_consequence(six_delta):

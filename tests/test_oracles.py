@@ -64,7 +64,11 @@ one bit per valuation (`logic.semantics`); the recursive tree walk
 first refutation, on the corpus pairs and on products and ordinal sums of
 8 to 16 elements, also with small blocks, across the boundary of a real
 block, and on sugared `|` chains, whose shared subtrees the tree walk
-expands.
+expands.  The one-pass compile must give the program of the two-visit
+walk `oracles.compile_formulas_reference`, field for field, and the
+soundness audit's grouping walk the `reads_forall` and leaves of that
+program, on the catalog checks, the bundled proofs, random goals and `|`
+chains.
 
 Formulas are parsed in one pass, each node's depth carried up from its
 children's; `oracles.parse_formula_reference`, which tokenizes first and
@@ -122,6 +126,7 @@ from umtl.logic.semantics import (
     Countermodel,
     RuleInstance,
     SearchExhausted,
+    compile_formulas,
     consequence,
     countermodel_search,
     eval_formula,
@@ -1147,6 +1152,50 @@ def test_or_chains_match_tree_walk(formula_pool, links):
                     q, {0: x, 1: y}, f
                 )
     assert_searches_match_tree_walk(formula_pool, (), f)
+
+
+def compile_cases() -> list[tuple]:
+    """Formula tuples to compile: each catalog check (conclusion, then
+    premises), each bundled proof's formulas alone and together, random
+    goals and formulas, and flat `|` chains."""
+    cases = [(pattern,) for _, pattern in FAILING_CATALOG.schemas]
+    cases += [semantics._MP, semantics._NEC]
+    for path in sorted(corpus.proofs_dir().glob("*.prf")):
+        proof = proofs.parse_proof_text(path.read_text(encoding="utf-8"))
+        formulas = [f for _, f in proof.theory] + [step.formula for step in proof.steps]
+        cases += [(f,) for f in formulas] + [tuple(formulas)]
+    rnd = random.Random("compile")
+    for _ in range(200):
+        premises, conclusion = random_goal(rnd, rnd.randint(1, 4))
+        cases += [(conclusion, *premises), (random_formula(rnd, 5, rnd.randint(1, 4)),)]
+    operands = ["p0", "box p1", "neg p0"]
+    for links in range(1, 30):
+        cases.append((parse_formula(" | ".join(operands[i % 3] for i in range(links))),))
+    return cases
+
+
+def test_compile_matches_reference():
+    for formulas in compile_cases():
+        program = compile_formulas(formulas)
+        assert program._asdict() == oracles.compile_formulas_reference(formulas)._asdict()
+
+
+def test_group_key_is_the_key_of_the_single_compile():
+    for formulas in compile_cases():
+        program = oracles.compile_formulas_reference(formulas)
+        assert semantics._group_key(formulas) == (program.reads_forall, program.leaves)
+    # the groups of the catalog checks are the classes of that key and the
+    # extension guard
+    checks = [(semantics._EXTENSION_GUARDS.get(i), p) for i, p in FAILING_CATALOG.schemas]
+    checks += [(None, *semantics._MP), (None, *semantics._NEC)]
+    groups, at = semantics._compile_groups(checks)
+    keys = []
+    for guard, *formulas in checks:
+        program = oracles.compile_formulas_reference(formulas)
+        keys.append((guard, program.reads_forall, program.leaves))
+    for (g, _), key in zip(at, keys):
+        assert [other == key for other in keys] == [h == g for h, _ in at]
+    assert len(groups) == len(set(keys))
 
 
 def dag_shape(f):

@@ -9,7 +9,10 @@ that its class map is a homomorphism, and the subvariety profile.
 `test_oracles.py` compares the shared entries with a run that shares
 nothing.  The congruence lattice, also shared per algebra object, takes
 one principal congruence per join-irreducible.  Representability is
-computed once per pair and kept in the algebra's cache.
+computed once per pair and kept in the algebra's cache.  A countermodel
+search for a goal with no box sweeps each algebra object once, and every
+sweep on an algebra starts from the first block of leaf masks kept in its
+cache.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from umtl import filters as flt
 from umtl.audit import corpus_pairs
 from umtl.corpus import bundled_corpus
 from umtl.logic import semantics
+from umtl.logic.formulas import parse_formula
 from umtl.logic.schemas import SchemaCatalog
 
 EXTENSIONS = ("INV", "WNM", "MV", "EM")
@@ -58,6 +62,85 @@ def test_forall_free_soundness_programs_run_once_per_algebra(pairs, monkeypatch)
     modal = Counter(program for modal, program, _ in sweeps.elements() if modal)
     # one program for M1 and necessitation, one for M2a-M3b, on every pair
     assert sorted(modal.values()) == [25] * 2
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The pairs that `_first_refutations` sweeps, in order."""
+    pairs = []
+    first_refutations = semantics._first_refutations
+
+    def recording(q, program, leaves, goals):
+        pairs.append(q)
+        return first_refutations(q, program, leaves, goals)
+
+    monkeypatch.setattr(semantics, "_first_refutations", recording)
+    return pairs
+
+
+def search(pairs, text: str, index: int | None) -> list:
+    """The pairs up to the search's hit at `index`, or all of them when
+    it finds none."""
+    hit = semantics.countermodel_search(parse_formula(text), pairs)
+    assert getattr(hit, "pool_index", None) == index
+    return pairs if index is None else pairs[: index + 1]
+
+
+@pytest.mark.parametrize(
+    "text, index",
+    [
+        ("(p0 -> p1) | (p1 -> p0)", None),  # valid on every pair
+        ("neg neg p0 -> p0", 4),  # on goedel-3, past example-3-2's three pairs
+    ],
+)
+def test_box_free_search_sweeps_each_algebra_object_once(pairs, swept, text, index):
+    reached = search(pairs, text, index)
+    algebras = [id(q.algebra) for q in swept]
+    assert len(algebras) == len(set(algebras))
+    assert set(algebras) == {id(q.algebra) for q in reached}
+    assert len(swept) < len(reached)
+
+
+@pytest.mark.parametrize("text, index", [("box p0 -> p0", None), ("p0 -> box p0", 1)])
+def test_modal_search_sweeps_every_pair(pairs, swept, text, index):
+    reached = search(pairs, text, index)
+    assert [id(q) for q in swept] == [id(q) for q in reached]
+
+
+def test_first_block_leaf_masks_are_built_once_per_algebra(pairs, monkeypatch):
+    built = Counter()
+    sweeps = Counter()
+    sweeping = []  # the algebra and leaf count of the sweep under way
+    first_refutations, leaf_masks = semantics._first_refutations, semantics._leaf_masks
+
+    def recording(q, program, leaves, goals):
+        sweeps[id(q.algebra), len(leaves)] += 1
+        sweeping.append((q.algebra, len(leaves)))
+        try:
+            return first_refutations(q, program, leaves, goals)
+        finally:
+            sweeping.pop()
+
+    def counting(n, weight, start, size):
+        if start == 0:
+            alg, count = sweeping[-1]
+            built[id(alg), count, size, weight] += 1
+        return leaf_masks(n, weight, start, size)
+
+    monkeypatch.setattr(semantics, "_first_refutations", recording)
+    monkeypatch.setattr(semantics, "_leaf_masks", counting)
+    semantics.soundness_audit(pairs, SchemaCatalog.mmtl(extensions=EXTENSIONS))
+    for text in ("box (p0 -> p1) -> (box p0 -> box p1)", "p0 & p1 -> p1 & p0"):
+        semantics.countermodel_search(parse_formula(text), pairs)
+        for q in pairs:
+            semantics.is_valid(q, parse_formula(text))
+    # one build per leaf, with its own weight, for each (algebra, leaf
+    # count, block size), however many sweeps read it
+    assert set(built.values()) == {1}
+    blocks = Counter((alg, count) for alg, count, _, _ in built)
+    assert blocks == {key: key[1] for key in sweeps}
+    # most sweeps read a block that an earlier sweep built
+    assert sum(sweeps.values()) > 2 * len(sweeps)
 
 
 def test_quotient_mtl_part_is_built_once_per_filter(pairs, monkeypatch):
