@@ -24,12 +24,13 @@ search pass one goal; the soundness audit passes every schema of a group
 that shares one program.
 
 A program with no `forall` step computes the same masks for every
-quantifier on an algebra, so a countermodel search sweeps such a goal once
-per algebra object, on its first pair in the pool, and skips the later
-pairs on that object; the soundness audit shares such groups' verdicts the
-same way.  The first hit keeps its (pool index, valuation rank), and
-`SearchExhausted.valuations_checked` still counts n^k valuations for every
-pair of the pool, skipped or not.  Every sweep over k leaves starts with
+quantifier on an algebra, so `_shared_refutations` sweeps it once per
+algebra object, on its first pair, and reads that verdict back on the
+later pairs on that object; the countermodel search and the soundness
+audit both sweep through it.  The first hit keeps its (pool index,
+valuation rank), and `SearchExhausted.valuations_checked` is n^k summed
+over the whole pool, skipped pairs too: the pool's size in valuations,
+not the number evaluated.  Every sweep over k leaves starts with
 the same block of leaf masks, so that first block is kept in the
 algebra's cache under ("first-block", k, block size) and shared by every
 search, validity sweep and soundness group on the algebra; later blocks
@@ -287,6 +288,21 @@ def _first_refutations(q: UMTLAlgebra, program: Program, leaves, goals) -> list:
     return first
 
 
+def _shared_refutations(
+    q: UMTLAlgebra, program: Program, leaves, goals, verdicts: dict
+) -> list:
+    """`_first_refutations` of `program` on `q`.  A program with no
+    `forall` step reads only the algebra's tables, so its result is kept in
+    `verdicts`, which the caller holds for this program alone, by algebra
+    object and read back on every later pair on that object."""
+    if program.reads_forall:
+        return _first_refutations(q, program, leaves, goals)
+    key = id(q.algebra)  # the caller's pool keeps every algebra alive
+    if key not in verdicts:
+        verdicts[key] = _first_refutations(q, program, leaves, goals)
+    return verdicts[key]
+
+
 def _rule_goals(program: Program) -> tuple:
     """The one goal of a program whose first root is the conclusion and
     whose other roots are the premises."""
@@ -323,6 +339,11 @@ class Countermodel(NamedTuple):
 
 
 class SearchExhausted(NamedTuple):
+    """No refutation on the pool.  `valuations_checked` is n^k summed over
+    every pair of the pool, the valuations a search that shares nothing
+    evaluates; it is not the number evaluated, since a goal with no box is
+    swept once per algebra object."""
+
     pool_size: int
     valuations_checked: int
 
@@ -343,15 +364,9 @@ def countermodel_search(
         program = compile_formulas((goal,))
     variables = _variables(program, max_vars)
     goals = _rule_goals(program)
-    swept: set[int] = set()  # by id(): the pool keeps every algebra alive
+    verdicts: dict = {}
     for index, q in enumerate(pool):
-        if not program.reads_forall:
-            # the verdict reads only the algebra's tables, and an earlier
-            # pair on the same algebra object found no refutation
-            if id(q.algebra) in swept:
-                continue
-            swept.add(id(q.algebra))
-        [hit] = _first_refutations(q, program, variables, goals)
+        [hit] = _shared_refutations(q, program, variables, goals, verdicts)
         if hit is not None:
             valuation, value = hit
             return Countermodel(index, q.label(), tuple(sorted(valuation.items())), value)
@@ -403,32 +418,6 @@ class _Group(NamedTuple):
     goals: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _group_key(formulas) -> tuple[bool, tuple]:
-    """The `reads_forall` and `leaves` of `compile_formulas(formulas)`, by
-    one walk that compiles nothing: whether some node is a box, and the
-    leaf keys in order of first occurrence, left to right."""
-    leaves: dict = {}
-    seen: set[int] = set()  # by id(): the formulas keep every node alive
-    has_box = False
-    stack = list(reversed(formulas))
-    while stack:
-        g = stack.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
-        cls = g.__class__
-        if cls in _TABLES:
-            stack += (g.right, g.left)
-        elif cls is Box:
-            has_box = True
-            stack.append(g.arg)
-        elif cls is Var:
-            leaves[g.index] = None
-        elif cls is MetaVar:
-            leaves[g.label] = None
-    return has_box, tuple(leaves)
-
-
 def _compile_groups(checks) -> tuple[list[_Group], list[tuple[int, int]]]:
     """One program for each group of `checks`, each a tuple (guard,
     conclusion, *premises), with equal guards and, in each check's own
@@ -436,7 +425,8 @@ def _compile_groups(checks) -> tuple[list[_Group], list[tuple[int, int]]]:
     the (group, goal) of each check."""
     keyed: dict[tuple, list[int]] = {}
     for i, (guard, *formulas) in enumerate(checks):
-        keyed.setdefault((guard, *_group_key(formulas)), []).append(i)
+        alone = compile_formulas(formulas)
+        keyed.setdefault((guard, alone.reads_forall, alone.leaves), []).append(i)
     groups: list[_Group] = []
     at: list[tuple[int, int]] = [(0, 0)] * len(checks)
     for (guard, _, _), members in keyed.items():
@@ -485,10 +475,7 @@ def soundness_audit(
     ]
     checks += [(None, *_MP), (None, *_NEC)]
     groups, at = _compile_groups(checks)
-    shared: dict[tuple[int, int], list] = {}
-
-    def sweep(q: UMTLAlgebra, group: _Group) -> list:
-        return _first_refutations(q, group.program, group.program.leaves, group.goals)
+    verdicts: list[dict] = [{} for _ in groups]
 
     entries = []
     mp_ok = True
@@ -500,14 +487,13 @@ def soundness_audit(
         for index, group in enumerate(groups):
             if group.guard is not None and not group.guard(profile):
                 hits.append(None)
-            elif group.program.reads_forall:
-                hits.append(sweep(q, group))
             else:
-                # by id(): the corpus keeps every algebra alive
-                key = (id(q.algebra), index)
-                if key not in shared:
-                    shared[key] = sweep(q, group)
-                hits.append(shared[key])
+                program = group.program
+                hits.append(
+                    _shared_refutations(
+                        q, program, program.leaves, group.goals, verdicts[index]
+                    )
+                )
         for (schema_id, _), (g, goal) in zip(catalog.schemas, at):
             if hits[g] is not None:
                 hit = hits[g][goal]

@@ -65,10 +65,8 @@ first refutation, on the corpus pairs and on products and ordinal sums of
 8 to 16 elements, also with small blocks, across the boundary of a real
 block, and on sugared `|` chains, whose shared subtrees the tree walk
 expands.  The one-pass compile must give the program of the two-visit
-walk `oracles.compile_formulas_reference`, field for field, and the
-soundness audit's grouping walk the `reads_forall` and leaves of that
-program, on the catalog checks, the bundled proofs, random goals and `|`
-chains.
+walk `oracles.compile_formulas_reference`, field for field, on the
+catalog checks, the bundled proofs, random goals and `|` chains.
 
 Formulas are parsed in one pass, each node's depth carried up from its
 children's; `oracles.parse_formula_reference`, which tokenizes first and
@@ -1178,24 +1176,6 @@ def test_compile_matches_reference():
     for formulas in compile_cases():
         program = compile_formulas(formulas)
         assert program._asdict() == oracles.compile_formulas_reference(formulas)._asdict()
-
-
-def test_group_key_is_the_key_of_the_single_compile():
-    for formulas in compile_cases():
-        program = oracles.compile_formulas_reference(formulas)
-        assert semantics._group_key(formulas) == (program.reads_forall, program.leaves)
-    # the groups of the catalog checks are the classes of that key and the
-    # extension guard
-    checks = [(semantics._EXTENSION_GUARDS.get(i), p) for i, p in FAILING_CATALOG.schemas]
-    checks += [(None, *semantics._MP), (None, *semantics._NEC)]
-    groups, at = semantics._compile_groups(checks)
-    keys = []
-    for guard, *formulas in checks:
-        program = oracles.compile_formulas_reference(formulas)
-        keys.append((guard, program.reads_forall, program.leaves))
-    for (g, _), key in zip(at, keys):
-        assert [other == key for other in keys] == [h == g for h, _ in at]
-    assert len(groups) == len(set(keys))
 
 
 def dag_shape(f):
