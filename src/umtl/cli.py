@@ -33,7 +33,7 @@ from .logic.semantics import (
     RuleInstance,
     VariableBudgetError,
     countermodel_search,
-    is_valid,
+    pool_validity,
 )
 from .logic.transform import deduction_transform
 from .quantifier import (
@@ -458,14 +458,11 @@ def cmd_logic(run: Run, args) -> int:
     if args.mode == "valid":
         if isinstance(goal, RuleInstance):
             raise CommandError("validity mode expects a formula, not a rule")
-        failures = []
-        for q in pool:
-            try:
-                verdict = is_valid(q, goal, max_vars=args.max_vars)
-            except VariableBudgetError as exc:
-                raise CommandError(str(exc)) from exc
-            if not verdict.valid:
-                failures.append((q, verdict))
+        try:
+            verdicts = pool_validity(goal, pool, max_vars=args.max_vars)
+        except VariableBudgetError as exc:
+            raise CommandError(str(exc)) from exc
+        failures = [(q, v) for q, v in zip(pool, verdicts) if not v.valid]
         run.check(
             "validity",
             print_formula(goal),

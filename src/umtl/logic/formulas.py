@@ -3,10 +3,19 @@
 Primitive signature: variables, bot, strong conjunction (&), implication
 (->), lattice meet (^), and box.  The sugared connectives (top, neg, |,
 <->) expand at parse time, and the printer re-sugars them for display, so
-parse(print(f)) == f on the primitive trees.  The printer is one recursive
+parse(print(f)) is f on the primitive trees.  The printer is one recursive
 function: it dispatches once on each node's class and recognises `top`,
 `neg`, `|` and `<->` there, in place.  Every other walk takes a node's
-children from `children`, except equality (`_same_tree`), the hot path.
+children from `children`.
+
+Nodes are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): each class's constructor looks its
+fields up in one table keyed by `(class, *fields)` and returns the node
+already there, so there is one object per distinct formula, and `==` and
+`hash` are `object`'s identity, O(1) however large the formula.  The
+children in a key are interned already, so the key hashes by identity
+too.  The table holds weak references, each with a callback that removes
+its entry once the node is gone.
 
 Precedence, tightest first: box/neg, &, then ^ and | (left-associative),
 then -> and <-> (right-associative).
@@ -30,17 +39,60 @@ depth by a walk over the new node's children, is kept as the test oracle
 from __future__ import annotations
 
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 
 # sets a slot of a node past its read-only `__setattr__`
 _set = object.__setattr__
 
 
+class _Entry(weakref.ref):
+    """A weak reference to an interned node, which knows its table key."""
+
+    __slots__ = ("key",)
+
+
+# (class, *fields) -> the entry of the one live node with those fields; a
+# node is always true, so `(entry and entry()) or _store(key)` is the node
+_nodes: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    # removes the key only while it holds a dead reference, never a live
+    # node interned under the same key after this one died
+    _remove_dead_weakref(_nodes, entry.key)
+
+
+def _store(key: tuple) -> Formula:
+    """The node for `key`, (class, *fields), that a lookup missed.
+
+    It is built and stored with `setdefault`, so when two threads build
+    the same formula, both get the node stored first."""
+    cls, *fields = key
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        _set(node, name, value)
+    entry = _Entry(node, _forget)
+    entry.key = key
+    while (held := _nodes.setdefault(key, entry)) is not entry:
+        live = held()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_nodes, key)  # a dead node whose callback is due
+    return node
+
+
 class Formula:
-    """A formula node: immutable, compared and hashed by its fields.
+    """A formula node: immutable and interned, so equal formulas are one
+    object, compared and hashed by identity.
 
-    A copy or a pickle is rebuilt from the fields alone."""
+    A copy or a pickle is rebuilt from the fields, so it is the interned
+    node again.  The repr is the printed formula, which takes time linear
+    in the distinct nodes: the sugared `a | b` holds each side two or
+    three times, so a walk of the expanded tree of a `|` chain would take
+    time exponential in its length."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -51,38 +103,25 @@ class Formula:
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, k) for k in self.__match_args__)
 
+    def __repr__(self):
+        return print_formula(self)
+
 
 class Var(Formula):
     __slots__ = __match_args__ = ("index",)
 
-    def __init__(self, index: int):
-        _set(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.index == other.index
-
-    def __hash__(self):
-        return hash((self.index,))
-
-    def __repr__(self):
-        return f"p{self.index}"
+    def __new__(cls, index: int):
+        key = (cls, index)
+        entry = _nodes.get(key)
+        return (entry and entry()) or _store(key)
 
 
 class Bot(Formula):
     __slots__ = __match_args__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return "bot"
+    def __new__(cls):
+        entry = _nodes.get((cls,))
+        return (entry and entry()) or _store((cls,))
 
 
 class MetaVar(Formula):
@@ -90,94 +129,22 @@ class MetaVar(Formula):
 
     __slots__ = __match_args__ = ("label",)
 
-    def __init__(self, label: str):
-        _set(self, "label", label)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.label == other.label
-
-    def __hash__(self):
-        return hash((self.label,))
+    def __new__(cls, label: str):
+        key = (cls, label)
+        entry = _nodes.get(key)
+        return (entry and entry()) or _store(key)
 
     def __repr__(self):
         return f"<{self.label}>"
 
 
-class _Connective(Formula):
-    """A node with children.
-
-    Its hash is computed on first use, from its children's cached
-    hashes, and kept in a slot that is no field, so a copy or a pickle
-    recomputes it; it equals the hash of the children tuple.  Equality
-    returns early on the same object or on two cached hashes that
-    differ, and otherwise walks the two trees iteratively, visiting each
-    pair of node objects once.  The sugared `a | b` holds each side two
-    or three times, so a recursive walk of a `|` chain would take time
-    exponential in its length; these, and the repr (the printed
-    formula), take time linear in its distinct nodes.  Neither computes
-    a hash it does not need: most formulas are built, printed and
-    evaluated, never hashed."""
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(children(self))
-            _set(self, "_hash", h)
-            return h
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        try:
-            if self._hash != other._hash:
-                return False
-        except AttributeError:  # a hash not computed yet
-            pass
-        return _same_tree(self, other)
-
-    def __repr__(self):
-        return print_formula(self)
-
-
-def _same_tree(f: Formula, g: Formula) -> bool:
-    seen: set[tuple[int, int]] = set()  # by id(): f and g keep every node alive
-    stack = [(f, g)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        cls = x.__class__
-        if cls is not y.__class__:
-            return False
-        if cls is Box:
-            key = (id(x), id(y))
-            if key not in seen:
-                seen.add(key)
-                stack.append((x.arg, y.arg))
-        elif cls in _BINARY:
-            key = (id(x), id(y))
-            if key not in seen:
-                seen.add(key)
-                stack.append((x.left, y.left))
-                stack.append((x.right, y.right))
-        elif x != y:
-            return False
-    return True
-
-
-class _Binary(_Connective):
+class _Binary(Formula):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        entry = _nodes.get(key)
+        return (entry and entry()) or _store(key)
 
 
 class Impl(_Binary):
@@ -192,14 +159,13 @@ class Min(_Binary):
     __slots__ = ()
 
 
-class Box(_Connective):
+class Box(Formula):
     __slots__ = __match_args__ = ("arg",)
 
-    def __init__(self, arg: Formula):
-        _set(self, "arg", arg)
-
-
-_BINARY = (Impl, And, Min)
+    def __new__(cls, arg: Formula):
+        key = (cls, arg)
+        entry = _nodes.get(key)
+        return (entry and entry()) or _store(key)
 
 
 def top() -> Formula:
@@ -237,13 +203,13 @@ def leaves_of(f: Formula) -> tuple[Formula, ...]:
     shared subtree were already seen, so a sugared `|` chain costs time
     linear in its length, not in its expanded tree."""
     out: dict[Formula, None] = {}
-    seen: set[int] = set()  # by id(): `f` keeps every node alive
+    seen: set[Formula] = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        if id(g) in seen:
+        if g in seen:
             continue
-        seen.add(id(g))
+        seen.add(g)
         kids = children(g)
         if kids:
             stack.extend(reversed(kids))
@@ -415,7 +381,7 @@ def print_formula(f: Formula) -> str:
         elif cls is And:
             a, b = g.left, g.right
             impls = a.__class__ is b.__class__ is Impl
-            if impls and a.left == b.right and a.right == b.left:  # (x -> y) & (y -> x)
+            if impls and a.left is b.right and a.right is b.left:  # (x -> y) & (y -> x)
                 text, tier = emit(a.left, 2) + " <-> " + emit(a.right, 1), 1
             else:
                 text, tier = emit(a, 3) + " & " + emit(b, 4), 3
@@ -426,8 +392,8 @@ def print_formula(f: Formula) -> str:
             if (
                 a.__class__ is b.__class__ is Impl
                 and a.left.__class__ is b.left.__class__ is Impl
-                and a.right == a.left.right == b.left.left
-                and b.right == b.left.right == a.left.left
+                and a.right is a.left.right is b.left.left
+                and b.right is b.left.right is a.left.left
             ):
                 text = emit(a.left.left, 2) + " | " + emit(a.right, 3)
             else:

@@ -21,7 +21,7 @@ theory are optional, and hypothesis names are distinct):
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .formulas import Box, Formula, Impl, parse_formula, print_formula
 from .schemas import SchemaCatalog, instantiate, match_schema, metavars_of
@@ -118,18 +118,22 @@ class CheckResult(NamedTuple):
 
 
 def check_step(
-    catalog: SchemaCatalog, proof: Proof, index: int
+    schema: Callable[[str], tuple[Formula, tuple[str, ...]] | None],
+    proof: Proof,
+    index: int,
 ) -> str | None:
-    """None when step `index` (1-based) is justified, else the reason."""
+    """None when step `index` (1-based) is justified, else the reason.
+    `schema` gives a schema id's pattern and metavariable labels, or None
+    for an id the catalog lacks."""
     step = proof.steps[index - 1]
     just = step.justification
     if isinstance(just, AxiomStep):
-        pattern = catalog.get(just.schema_id)
-        if pattern is None:
+        found = schema(just.schema_id)
+        if found is None:
             return f"unknown axiom schema {just.schema_id}"
+        pattern, labels = found
         if just.binding is not None:
             binding = dict(just.binding)
-            labels = metavars_of(pattern)
             missing = [m for m in labels if m not in binding]
             if missing:
                 return f"binding misses metavariables {missing}"
@@ -137,7 +141,7 @@ def check_step(
             if extra:
                 return f"binding names metavariables {extra} that the schema lacks"
             expected = instantiate(pattern, binding)
-            if expected != step.formula:
+            if expected is not step.formula:
                 return (
                     f"schema {just.schema_id} with the given binding yields "
                     f"{print_formula(expected)!r}, not the step formula"
@@ -150,7 +154,7 @@ def check_step(
         hyp = proof.hypothesis(just.name)
         if hyp is None:
             return f"unknown hypothesis {just.name!r}"
-        if hyp != step.formula:
+        if hyp is not step.formula:
             return f"hypothesis {just.name!r} differs from the step formula"
         return None
     if isinstance(just, MPStep):
@@ -159,7 +163,7 @@ def check_step(
             return "modus ponens indices must reference earlier steps"
         premise = proof.steps[i - 1].formula
         implication = proof.steps[j - 1].formula
-        if implication != Impl(premise, step.formula):
+        if implication is not Impl(premise, step.formula):
             return (
                 f"step {j} is not (step {i} -> this step); it is "
                 f"{print_formula(implication)!r}"
@@ -169,15 +173,23 @@ def check_step(
         i = just.premise
         if not (1 <= i < index):
             return "necessitation index must reference an earlier step"
-        if step.formula != Box(proof.steps[i - 1].formula):
+        if step.formula is not Box(proof.steps[i - 1].formula):
             return f"formula is not box of step {i}"
         return None
     return f"unknown justification {just!r}"
 
 
 def check_proof(catalog: SchemaCatalog, proof: Proof) -> CheckResult:
+    schemas: dict[str, tuple[Formula, tuple[str, ...]] | None] = {}
+
+    def schema(schema_id: str):  # each id looked up once per proof
+        if schema_id not in schemas:
+            pattern = catalog.get(schema_id)
+            schemas[schema_id] = None if pattern is None else (pattern, metavars_of(pattern))
+        return schemas[schema_id]
+
     for index in range(1, len(proof.steps) + 1):
-        reason = check_step(catalog, proof, index)
+        reason = check_step(schema, proof, index)
         if reason is not None:
             return CheckResult(False, index, reason)
     return CheckResult(True)

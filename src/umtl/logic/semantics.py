@@ -2,12 +2,12 @@
 
 Formulas are compiled once into a `Program`, by one post-order walk that
 dispatches on the node class: straight-line code over their distinct node
-objects, children first.  Nodes are keyed by `id`: the sugared `a | b`
-holds each side three times, so a flat `|` chain is exponential as a tree
-but linear as a program.  Equal instructions over equal slots also share
-one slot, so every leaf (a variable index, a metavariable label, or bot)
-gets exactly one.  A schema metavariable left in a formula given to a
-search is an error: only variables are swept.
+objects, children first.  The sugared `a | b` holds each side three
+times, so a flat `|` chain is exponential as a tree but linear as a
+program.  Formula nodes are interned, so equal subformulas are one node
+object and get one slot, every leaf (a variable index, a metavariable
+label, or bot) among them.  A schema metavariable left in a formula given
+to a search is an error: only variables are swept.
 
 Validity, consequence, countermodel search and schema soundness all ask
 one question of `_first_refutations`: for each goal, which is the least
@@ -26,12 +26,12 @@ that shares one program.
 A program with no `forall` step computes the same masks for every
 quantifier on an algebra, so `_shared_refutations` sweeps it once per
 algebra object, on its first pair, and reads that verdict back on the
-later pairs on that object; the countermodel search and the soundness
-audit both sweep through it.  The first hit keeps its (pool index,
-valuation rank), and `SearchExhausted.valuations_checked` is n^k summed
-over the whole pool, skipped pairs too: the pool's size in valuations,
-not the number evaluated.  Every sweep over k leaves starts with
-the same block of leaf masks, so that first block is kept in the
+later pairs on that object; the countermodel search, `pool_validity`
+and the soundness audit sweep through it.  The first hit keeps its (pool
+index, valuation rank), and `SearchExhausted.valuations_checked` is n^k
+summed over the whole pool, skipped pairs too: the pool's size in
+valuations, not the number evaluated.  Every sweep over k leaves starts
+with the same block of leaf masks, so that first block is kept in the
 algebra's cache under ("first-block", k, block size) and shared by every
 search, validity sweep and soundness group on the algebra; later blocks
 are built per sweep.
@@ -125,8 +125,7 @@ def compile_formulas(formulas) -> Program:
     One post-order walk that dispatches on the node class: a connective
     stays on the stack under its children until they have slots."""
     code: list[tuple] = []
-    slot_of: dict[int, int] = {}  # by id(): the formulas keep every node alive
-    shared: dict[tuple, int] = {}
+    slot_of: dict[Formula, int] = {}
     leaves: dict = {}
     roots = []
     reads_forall = False
@@ -134,13 +133,13 @@ def compile_formulas(formulas) -> Program:
         stack = [f]
         while stack:
             g = stack[-1]
-            if id(g) in slot_of:
+            if g in slot_of:
                 stack.pop()
                 continue
             cls = g.__class__
             if cls in _TABLES:
-                a = slot_of.get(id(g.left))
-                b = slot_of.get(id(g.right))
+                a = slot_of.get(g.left)
+                b = slot_of.get(g.right)
                 if a is None or b is None:
                     if b is None:
                         stack.append(g.right)
@@ -149,7 +148,7 @@ def compile_formulas(formulas) -> Program:
                     continue
                 instr = (_TABLES[cls], a, b)
             elif cls is Box:
-                a = slot_of.get(id(g.arg))
+                a = slot_of.get(g.arg)
                 if a is None:
                     stack.append(g.arg)
                     continue
@@ -166,12 +165,9 @@ def compile_formulas(formulas) -> Program:
             else:
                 raise TypeError(f"cannot evaluate {g!r}")
             stack.pop()
-            slot = shared.get(instr)
-            if slot is None:
-                slot = shared[instr] = len(code)
-                code.append(instr)
-            slot_of[id(g)] = slot
-        roots.append(slot_of[id(f)])
+            slot_of[g] = len(code)
+            code.append(instr)
+        roots.append(slot_of[f])
     return Program(
         tuple(code),
         tuple(leaves),
@@ -321,6 +317,20 @@ def consequence(
     variables = _variables(program, max_vars)
     [hit] = _first_refutations(q, program, variables, _rule_goals(program))
     return ValidityResult(True) if hit is None else ValidityResult(False, *hit)
+
+
+def pool_validity(f: Formula, pool, max_vars: int = 6) -> list[ValidityResult]:
+    """`is_valid(q, f, max_vars)` for each pair q of `pool`, from one
+    compile; a formula with no box is swept once per algebra object."""
+    program = compile_formulas((f,))
+    variables = _variables(program, max_vars)
+    goals = _rule_goals(program)
+    verdicts: dict = {}
+    out = []
+    for q in pool:
+        [hit] = _shared_refutations(q, program, variables, goals, verdicts)
+        out.append(ValidityResult(True) if hit is None else ValidityResult(False, *hit))
+    return out
 
 
 class RuleInstance(NamedTuple):

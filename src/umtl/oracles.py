@@ -49,6 +49,9 @@ filter and U-filter enumerations do not read:
   row-at-a-time scan of `core.check_mtl_tables` and `core.validate`;
 - `lower_covers_reference` tests every element between every pair, for
   the cone-bitmask `core.lower_covers`;
+- `same_tree_reference` walks two formula trees together and compares
+  their leaves by class and fields, for the identity equality of the
+  interned nodes of `logic.formulas`;
 - `compile_formulas_reference` is the two-visit compile walk over
   `children`, for the one-pass `logic.semantics.compile_formulas` and the
   grouping key of `logic.semantics.soundness_audit`;
@@ -581,6 +584,30 @@ def eval_formula_tree(q: UMTLAlgebra, valuation, f: Formula) -> int:
         raise TypeError(f"cannot evaluate {g!r}")
 
     return ev(f)
+
+
+def same_tree_reference(f: Formula, g: Formula) -> bool:
+    """Whether `f` and `g` have the same structure, by a walk of the two
+    trees together that compares each pair of leaves by class and fields
+    and uses no equality or identity of nodes.  Each pair of node objects
+    is visited once, so a flat `|` chain takes time linear in its links."""
+    seen: set[tuple[int, int]] = set()  # by id(): f and g keep every node alive
+    stack = [(f, g)]
+    while stack:
+        x, y = stack.pop()
+        if (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if type(x) is not type(y):
+            return False
+        kids = children(x)
+        if kids:
+            stack.extend(zip(kids, children(y)))
+        elif [getattr(x, k) for k in x.__match_args__] != [
+            getattr(y, k) for k in y.__match_args__
+        ]:
+            return False
+    return True
 
 
 # the table each connective looks up

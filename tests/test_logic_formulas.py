@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import sys
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umtl.logic import formulas as interning
 from umtl.logic.formulas import (
     And,
     Bot,
@@ -17,6 +21,7 @@ from umtl.logic.formulas import (
     MetaVar,
     Min,
     Var,
+    children,
     iff,
     lor,
     neg,
@@ -43,18 +48,88 @@ def test_lor_expansion():
 
 def test_or_chains_hash_and_compare_in_linear_time():
     # `a | b` holds each side two or three times, so a recursive hash or
-    # equality walk of a flat chain of `|` is exponential in its links
+    # equality walk of a flat chain of `|` is exponential in its links;
+    # interned nodes compare and hash by identity, in O(1)
+    for cls in (Var, Bot, MetaVar, Impl, And, Min, Box):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
     text = " | ".join(f"p{i % 3}" for i in range(31))
     start = time.perf_counter()
     f, g = parse_formula(text), parse_formula(text)
-    assert f is not g and hash(f) == hash(g) and f == g
+    assert f is g and hash(f) == hash(g) and f == g
     assert f != parse_formula(text[:-2] + "p4")
-    # equal children give Impl and And equal hashes, so the walk must
-    # tell the node types apart below the root
     p, q = Var(0), Var(1)
-    assert hash(lor(Impl(p, q), f)) == hash(lor(And(p, q), g))
+    assert lor(Impl(p, q), f) is lor(Impl(p, q), g)
     assert lor(Impl(p, q), f) != lor(And(p, q), g)
     assert time.perf_counter() - start < 1.0
+    # the two sides of `p0 | p0` are one node, so a 30-link chain has
+    # 149 distinct nodes, not the 181 of a tree that shares only the
+    # operands' objects
+    chain = parse_formula(" | ".join(["p0"] * 31))
+    assert len(distinct_nodes(chain)) == 149 < 181
+
+
+def distinct_nodes(f) -> set:
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            stack.extend(children(g))
+    return seen
+
+
+def test_dropped_formulas_leave_the_table():
+    gc.collect()
+    before = len(interning._nodes)
+    # fresh variable indices, so that every node is new to the table
+    kept = [Impl(Var(10**6 + i), Box(Var(10**6 + i + 1))) for i in range(10_000)]
+    assert len(interning._nodes) == before + 3 * 10_000 + 1
+    del kept
+    gc.collect()
+    assert len(interning._nodes) == before
+
+
+def test_a_dead_entry_never_removes_a_live_replacement():
+    key = (Var, 10**7)
+    old = Var(10**7)
+    old_entry = interning._nodes[key]
+    # set the old node's entry aside, as a thread would see it between
+    # the node's death and its callback, and intern a replacement
+    del interning._nodes[key]
+    new = Var(10**7)
+    assert new is not old and interning._nodes[key] is not old_entry
+    del old  # runs the old entry's callback
+    assert interning._nodes[key]() is new and Var(10**7) is new
+    # a dead entry still in the table is replaced, not returned
+    ghost = object.__new__(Var)
+    dead = interning._Entry(ghost)
+    dead.key = key2 = (Var, 10**7 + 1)
+    interning._nodes[key2] = dead
+    del ghost
+    live = Var(10**7 + 1)
+    assert live.index == 10**7 + 1 and interning._nodes[key2]() is live
+
+
+def test_threads_building_one_formula_get_one_node():
+    texts = [f"p{10**8 + i} -> box (p{10**8 + i} | p{10**8 + i + 1})" for i in range(300)]
+    results = []
+
+    def build():
+        results.append([parse_formula(t) for t in texts])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
+    for built in results[1:]:
+        assert all(f is g for f, g in zip(built, results[0]))
 
 
 def test_or_chain_repr_is_linear():

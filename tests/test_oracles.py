@@ -67,6 +67,10 @@ block, and on sugared `|` chains, whose shared subtrees the tree walk
 expands.  The one-pass compile must give the program of the two-visit
 walk `oracles.compile_formulas_reference`, field for field, on the
 catalog checks, the bundled proofs, random goals and `|` chains.
+Formula nodes are interned, so equality is identity;
+`oracles.same_tree_reference`, which walks both trees and compares their
+leaves by fields, must agree with it on random pairs, `|` chains and
+nodes rebuilt from their children.
 
 Formulas are parsed in one pass, each node's depth carried up from its
 children's; `oracles.parse_formula_reference`, which tokenizes first and
@@ -83,6 +87,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -111,6 +116,7 @@ from umtl.logic.formulas import (
     Impl,
     Min,
     Var,
+    children,
     iff,
     lor,
     neg,
@@ -1178,6 +1184,45 @@ def test_compile_matches_reference():
         assert program._asdict() == oracles.compile_formulas_reference(formulas)._asdict()
 
 
+def test_identity_equality_matches_the_structural_walk():
+    rnd = random.Random("same-tree")
+    outcomes = Counter()
+    for _ in range(2000):
+        # small formulas over two variables, so that many pairs are equal
+        f, g = (random_formula(rnd, rnd.randint(0, 2), 2) for _ in range(2))
+        same = oracles.same_tree_reference(f, g)
+        assert (f == g) is (f is g) is same
+        outcomes[same] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
+    operands = ["p0", "box p1", "neg p0", "p1"]
+    chains = [
+        parse_formula(" | ".join(operands[i % k] for i in range(links)))
+        for k in (1, 2, 4)
+        for links in (1, 2, 15, 30)
+    ]
+    for f, g in itertools.product(chains, repeat=2):
+        assert (f is g) is oracles.same_tree_reference(f, g)
+    for f in chains + [random_formula(rnd, 5, 3) for _ in range(100)]:
+        for node in dag_nodes(f):
+            kids = children(node)
+            if kids:
+                rebuilt = type(node)(*kids)
+            else:
+                rebuilt = type(node)(*(getattr(node, k) for k in node.__match_args__))
+            assert rebuilt is node and oracles.same_tree_reference(rebuilt, node)
+
+
+def dag_nodes(f) -> list:
+    """The distinct node objects of `f`."""
+    seen, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            stack.extend(children(g))
+    return list(seen.values())
+
+
 def dag_shape(f):
     """The distinct node objects of `f`, numbered in post-order, each with
     its class and its children's numbers, or its own repr for a leaf: two
@@ -1335,11 +1380,13 @@ def test_or_sides_are_shared_objects():
     # Min(Impl(Impl(a, b), b), Impl(Impl(b, a), a))
     (ab, b), (ba, a) = (f.left.left, f.left.right), (f.right.left, f.right.right)
     assert ab.left is ba.right is a and ab.right is ba.left is b
-    # so each link of a flat chain adds six node objects: its right side
-    # and five connectives
+    # nodes are interned, so each link of a flat chain of one operand adds
+    # five node objects (four implications and the meet), and the first
+    # link three, as its two sides are one node: fewer than the six per
+    # link of a tree that shares only the operands' objects
     links = 30
     distinct = len(dag_shape(parse_formula(" | ".join(["p0"] * (links + 1)))))
-    assert distinct == 6 * links + 1
+    assert distinct == 5 * links - 1 < 6 * links + 1
 
 
 def _imported_modules(path: Path, package: str) -> set[str]:

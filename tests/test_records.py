@@ -7,7 +7,9 @@ instance they built: assigning a field raises `AttributeError` (`Proof`
 excepted: the parser and the builder append to it), a copy is equal,
 changing a compared field makes it unequal, changing an ignored field
 does not, and the hash is that of the compared fields, as it was when
-these classes were frozen dataclasses.
+these classes were frozen dataclasses.  Formula nodes are interned
+instead: equal fields give the same object, different fields a different
+one, and equality and the hash are identity.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ COMPARED = {
     FiniteMTLAlgebra: ("size", "odot", "arrow", "top", "names"),
     AuditEntry: ("check", "subject", "agrees"),
 }
-ABSTRACT = {formulas.Formula, formulas._Connective, formulas._Binary}
+# the abstract formula classes, and the weak reference of the formula table
+NOT_RECORDS = {formulas.Formula, formulas._Binary, formulas._Entry}
 # the audit finds a countermodel for every rule it searches
 NOT_REACHED = {SearchExhausted}
 
@@ -55,7 +58,7 @@ def record_classes() -> set[type]:
         importlib.import_module(m.name)
         for m in pkgutil.walk_packages(umtl.__path__, "umtl.")
     ]
-    return {c for m in modules for c in vars(m).values() if _is_record(c)} - ABSTRACT
+    return {c for m in modules for c in vars(m).values() if _is_record(c)} - NOT_RECORDS
 
 
 def fields(obj) -> tuple[str, ...]:
@@ -139,6 +142,14 @@ def test_fields_are_read_only(reached, cls):
 def test_equality_and_hash_read_the_compared_fields(reached, cls):
     obj = reached[cls]
     values = {k: getattr(obj, k) for k in fields(obj)}
+    if issubclass(cls, formulas.Formula):
+        # interned: the same fields give this node, and only this node
+        assert cls(**values) is obj and copy.copy(obj) is obj
+        for name in fields(obj):
+            other = cls(**{**values, name: object()})
+            assert other is not obj and other != obj and not other == obj, name
+        assert hash(obj) == object.__hash__(obj)
+        return
     twin = copy.copy(obj)
     assert twin is not obj and twin == obj and not twin != obj
     for name in fields(obj):
@@ -197,10 +208,11 @@ def test_audit_entry_ignores_details():
     "text", ["p0 -> p1", "p0 & bot", "p0 ^ p1", "box p0", "p0 | p1 <-> neg top"]
 )
 def test_formula_copies_drop_the_cached_hash(text):
+    # a node caches no hash, since its hash is its identity, and a copy is
+    # rebuilt from the fields, which gives back the interned node
     f = parse_formula(text)
     hash(f)
-    assert hasattr(f, "_hash")
+    assert not hasattr(f, "_hash")
     for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
-        assert not hasattr(g, "_hash")
-        assert g == parse_formula(text) and hash(g) == hash(f)
+        assert g is f is parse_formula(text) and hash(g) == hash(f)
 

@@ -10,7 +10,8 @@ that its class map is a homomorphism, and the subvariety profile.
 nothing.  The congruence lattice, also shared per algebra object, takes
 one principal congruence per join-irreducible.  Representability is
 computed once per pair and kept in the algebra's cache.  A countermodel
-search for a goal with no box sweeps each algebra object once, and every
+search for a goal with no box sweeps each algebra object once, as does
+`umtl logic valid` from a single compile of its goal, and every
 sweep on an algebra starts from the first block of leaf masks kept in its
 cache.
 """
@@ -26,6 +27,7 @@ from umtl import analysis as ana
 from umtl import core
 from umtl import filters as flt
 from umtl.audit import corpus_pairs
+from umtl.cli import main
 from umtl.corpus import bundled_corpus
 from umtl.logic import semantics
 from umtl.logic.formulas import parse_formula
@@ -105,6 +107,21 @@ def test_box_free_search_sweeps_each_algebra_object_once(pairs, swept, text, ind
 def test_modal_search_sweeps_every_pair(pairs, swept, text, index):
     reached = search(pairs, text, index)
     assert [id(q) for q in swept] == [id(q) for q in reached]
+
+
+def test_logic_valid_compiles_once_and_sweeps_each_algebra_object_once(swept, monkeypatch):
+    compiled = []
+    compile_formulas = semantics.compile_formulas
+
+    def counting(formulas):
+        compiled.append(formulas)
+        return compile_formulas(formulas)
+
+    monkeypatch.setattr(semantics, "compile_formulas", counting)
+    assert main(["logic", "valid", "(p0 -> p1) | (p1 -> p0)"]) == 0
+    # the bundled pool: 25 pairs over 13 algebra objects
+    assert len(compiled) == 1
+    assert len(swept) == len({id(q.algebra) for q in swept}) == 13
 
 
 def test_first_block_leaf_masks_are_built_once_per_algebra(pairs, monkeypatch):
