@@ -15,9 +15,9 @@ from . import filters as flt
 from .analysis import AuditEntry
 from .core import FiniteMTLAlgebra, chain_algebra
 from .corpus import SIX_BLOCKY, SIX_DELTA, CorpusEntry, example_3_2
-from .logic.formulas import And, Box, Impl, Var, parse_formula
+from .logic.formulas import And, Box, Impl, Var
 from .logic.proofs import check_proof
-from .logic.schemas import EXTENSION_SCHEMAS, SchemaCatalog
+from .logic.schemas import EXTENSION_SCHEMAS, RULE_SHAPES, SchemaCatalog
 from .logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -166,7 +166,7 @@ def fixture_audits(
                 },
             )
         )
-    rule = RuleInstance((parse_formula("p0 | p1"),), parse_formula("p0 | box p1"))
+    rule = RuleInstance(*RULE_SHAPES["disj-box"])
     hit = countermodel_search(rule, pairs)
     details: dict = {"pool_size": len(pairs)}
     if isinstance(hit, Countermodel):

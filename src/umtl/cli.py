@@ -25,9 +25,9 @@ from .core import (
     validate,
 )
 from .corpus import CorpusEntry, corpus_dir
-from .logic.formulas import FormulaSyntaxError, Var, parse_formula, print_formula
+from .logic.formulas import FormulaSyntaxError, parse_formula, print_formula
 from .logic.proofs import ProofFileError, check_proof, parse_proof_text, print_proof
-from .logic.schemas import RULE_SHAPES, SchemaCatalog, instantiate
+from .logic.schemas import RULE_SHAPES, SchemaCatalog
 from .logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -426,6 +426,12 @@ def cmd_prove(run: Run, args) -> int:
     return OK if recheck.ok else PROPERTY_FAILS
 
 
+def _element_names(alg, valuation) -> dict[str, str]:
+    """Each variable p<k> of `valuation`, given as (index, element) pairs,
+    with the name of its element, in index order."""
+    return {f"p{k}": alg.name_of(v) for k, v in sorted(valuation)}
+
+
 def cmd_logic(run: Run, args) -> int:
     try:
         goal = parse_formula(args.formula) if args.formula else None
@@ -435,14 +441,9 @@ def cmd_logic(run: Run, args) -> int:
         shape = RULE_SHAPES.get(args.rule)
         if shape is None:
             raise CommandError(f"unknown rule {args.rule!r}")
-        premises, conclusion = shape
         if goal is not None:
             raise CommandError("pass either a formula or --rule, not both")
-        binding = {"alpha": Var(0), "beta": Var(1)}
-        goal = RuleInstance(
-            tuple(instantiate(p, binding) for p in premises),
-            instantiate(conclusion, binding),
-        )
+        goal = RuleInstance(*shape)
     if goal is None:
         raise CommandError("no formula or rule given")
     entries = _load_corpus(run, Path(args.pool) if args.pool else corpus_dir())
@@ -462,32 +463,25 @@ def cmd_logic(run: Run, args) -> int:
             verdicts = pool_validity(goal, pool, max_vars=args.max_vars)
         except VariableBudgetError as exc:
             raise CommandError(str(exc)) from exc
-        failures = [(q, v) for q, v in zip(pool, verdicts) if not v.valid]
+        failures = [
+            {
+                "algebra": q.label(),
+                "valuation": _element_names(q.algebra, v.countervaluation.items()),
+            }
+            for q, v in zip(pool, verdicts)
+            if not v.valid
+        ]
         run.check(
             "validity",
             print_formula(goal),
             not failures,
             pool_size=len(pool),
-            failures=[
-                {
-                    "algebra": q.label(),
-                    "valuation": {
-                        f"p{k}": q.algebra.name_of(v)
-                        for k, v in sorted(verdict.countervaluation.items())
-                    },
-                }
-                for q, verdict in failures
-            ],
+            failures=failures,
         )
         if failures:
-            q, verdict = failures[0]
-            run.say(
-                f"NOT valid on {q.label()}: "
-                + ", ".join(
-                    f"p{k}={q.algebra.name_of(v)}"
-                    for k, v in sorted(verdict.countervaluation.items())
-                )
-            )
+            first = failures[0]
+            named = ", ".join(map("=".join, first["valuation"].items()))
+            run.say(f"NOT valid on {first['algebra']}: {named}")
             return PROPERTY_FAILS
         run.say(f"valid on all {len(pool)} pool members")
         return OK
@@ -496,25 +490,22 @@ def cmd_logic(run: Run, args) -> int:
         hit = countermodel_search(goal, pool, max_vars=args.max_vars)
     except VariableBudgetError as exc:
         raise CommandError(str(exc)) from exc
-    subject = (
-        print_formula(goal)
-        if not isinstance(goal, RuleInstance)
-        else args.rule or "rule"
-    )
+    subject = args.rule if isinstance(goal, RuleInstance) else print_formula(goal)
     if isinstance(hit, Countermodel):
         alg = pool[hit.pool_index].algebra
+        valuation = _element_names(alg, hit.valuation)
         run.check(
             "countermodel",
             subject,
             True,
             found=True,
             algebra=hit.algebra_label,
-            valuation={f"p{k}": alg.name_of(v) for k, v in hit.valuation},
+            valuation=valuation,
             value=alg.name_of(hit.value),
         )
-        vals = ", ".join(f"p{k}={alg.name_of(v)}" for k, v in hit.valuation)
+        named = ", ".join(map("=".join, valuation.items()))
         run.say(
-            f"countermodel on {hit.algebra_label}: {vals} "
+            f"countermodel on {hit.algebra_label}: {named} "
             f"(value {alg.name_of(hit.value)})"
         )
         return PROPERTY_FAILS

@@ -87,10 +87,11 @@ class FiniteMTLAlgebra:
     every carrier.
     """
 
+    __match_args__ = ("size", "odot", "arrow", "top", "names", "leq", "meet", "join")
     # `cache` holds derived values (the profile, filter families,
     # quotients, ...) keyed by name and, for those that read a quantifier,
     # by its table
-    __slots__ = ("size", "odot", "arrow", "top", "names", "leq", "meet", "join", "cache")
+    __slots__ = (*__match_args__, "cache")
     bottom = 0
 
     def __init__(
@@ -103,12 +104,11 @@ class FiniteMTLAlgebra:
         leq: Table,
         meet: Table,
         join: Table,
-        cache: dict | None = None,
     ):
         values = (size, odot, arrow, top, names, leq, meet, join)
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__match_args__, values):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "cache", {} if cache is None else cache)
+        object.__setattr__(self, "cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -128,7 +128,7 @@ class FiniteMTLAlgebra:
         return hash(self._key())
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, k) for k in self.__slots__ if k != "cache")
+        return self.__class__, tuple(getattr(self, k) for k in self.__match_args__)
 
     @property
     def elements(self) -> range:

@@ -19,6 +19,7 @@ from .formulas import (
     Impl,
     MetaVar,
     Min,
+    Var,
     children,
     leaves_of,
     lor,
@@ -61,9 +62,9 @@ EXTENSION_SCHEMAS: dict[str, Formula] = {
     "EM": lor(A, neg(A)),
 }
 
-# named rule shapes for countermodel search over rule instances
+# named rule shapes for countermodel search over rule instances, over p0, p1
 RULE_SHAPES: dict[str, tuple[tuple[Formula, ...], Formula]] = {
-    "disj-box": ((lor(A, B),), lor(A, Box(B))),
+    "disj-box": ((lor(Var(0), Var(1)),), lor(Var(0), Box(Var(1)))),
 }
 
 

@@ -19,22 +19,24 @@ complement of its conclusion's mask of top, ANDed with each premise's mask
 of top.  Its least rank is the lowest set bit, and the goal closes at the
 first block with a hit; the sweep stops once every goal is closed, so first
 witnesses are deterministic: a countermodel search returns the hit with the
-least (pool index, valuation rank).  Validity, consequence and countermodel
-search pass one goal; the soundness audit passes every schema of a group
-that shares one program.
+least (pool index, valuation rank).  `is_valid`, `consequence`,
+`pool_validity` and `countermodel_search` take one path, `_sweep`: it
+compiles the goal (the conclusion, then the premises), raises a
+metavariable or budget error before any pair is swept, and passes one
+goal per pair; the soundness audit passes every schema of a group that
+shares one program.
 
 A program with no `forall` step computes the same masks for every
 quantifier on an algebra, so `_shared_refutations` sweeps it once per
 algebra object, on its first pair, and reads that verdict back on the
-later pairs on that object; the countermodel search, `pool_validity`
-and the soundness audit sweep through it.  The first hit keeps its (pool
-index, valuation rank), and `SearchExhausted.valuations_checked` is n^k
-summed over the whole pool, skipped pairs too: the pool's size in
-valuations, not the number evaluated.  Every sweep over k leaves starts
-with the same block of leaf masks, so that first block is kept in the
-algebra's cache under ("first-block", k, block size) and shared by every
-search, validity sweep and soundness group on the algebra; later blocks
-are built per sweep.
+later pairs on that object; `_sweep` and the soundness audit both sweep
+through it.  The first hit keeps its (pool index, valuation rank), and
+`SearchExhausted.valuations_checked` is n^k summed over the whole pool,
+skipped pairs too: the pool's size in valuations, not the number
+evaluated.  Every sweep over k leaves starts with the same block of leaf
+masks, so that first block is kept in the algebra's cache under
+("first-block", k, block size) and shared by every search, validity sweep
+and soundness group on the algebra; later blocks are built per sweep.
 
 This module evaluates formulas only.  The algebra-side condition for the
 disjunction form of the box rule (a join b = top implies a join forall b =
@@ -204,20 +206,6 @@ class ValidityResult(NamedTuple):
     value: int | None = None
 
 
-def _variables(program: Program, max_vars: int) -> tuple[int, ...]:
-    """The sorted variables of the program, within the budget; a schema
-    metavariable, which no valuation of variables assigns, is an error."""
-    variables = program.variables
-    if len(variables) < len(program.leaves):
-        label = next(k for k in program.leaves if not isinstance(k, int))
-        raise ValueError(f"cannot evaluate the schema metavariable {label}")
-    if len(variables) > max_vars:
-        raise VariableBudgetError(
-            f"{len(variables)} variables exceed the budget of {max_vars}"
-        )
-    return variables
-
-
 def _leaf_masks(n: int, weight: int, start: int, size: int) -> list[int]:
     """The value masks of a leaf over ranks start..start+size-1, where the
     leaf takes the value rank // weight % n: runs of `weight` equal values,
@@ -299,10 +287,33 @@ def _shared_refutations(
     return verdicts[key]
 
 
-def _rule_goals(program: Program) -> tuple:
-    """The one goal of a program whose first root is the conclusion and
-    whose other roots are the premises."""
-    return ((0, tuple(range(1, len(program.roots)))),)
+class RuleInstance(NamedTuple):
+    premises: tuple[Formula, ...]
+    conclusion: Formula
+
+
+def _sweep(goal: Formula | RuleInstance, pool, max_vars: int):
+    """The sorted variables of `goal`, and an iterator over the pairs of
+    `pool` giving each one's least refutation of it (a valuation dict and
+    the conclusion's value), or None.  A formula is a goal with no
+    premises.  A schema metavariable, which no valuation of variables
+    assigns, or more variables than `max_vars` is an error raised here,
+    before any pair is swept, even on an empty pool."""
+    premises, conclusion = goal if isinstance(goal, RuleInstance) else ((), goal)
+    program = compile_formulas((conclusion, *premises))
+    variables = program.variables
+    if len(variables) < len(program.leaves):
+        label = next(k for k in program.leaves if not isinstance(k, int))
+        raise ValueError(f"cannot evaluate the schema metavariable {label}")
+    if len(variables) > max_vars:
+        raise VariableBudgetError(
+            f"{len(variables)} variables exceed the budget of {max_vars}"
+        )
+    goals = ((0, tuple(range(1, len(program.roots)))),)
+    verdicts: dict = {}
+    return variables, (
+        _shared_refutations(q, program, variables, goals, verdicts)[0] for q in pool
+    )
 
 
 def is_valid(q: UMTLAlgebra, f: Formula, max_vars: int = 6) -> ValidityResult:
@@ -313,29 +324,19 @@ def consequence(
     q: UMTLAlgebra, theory, f: Formula, max_vars: int = 6
 ) -> ValidityResult:
     """Every valuation sending the whole theory to top sends f to top."""
-    program = compile_formulas((f, *theory))
-    variables = _variables(program, max_vars)
-    [hit] = _first_refutations(q, program, variables, _rule_goals(program))
+    _, hits = _sweep(RuleInstance(tuple(theory), f), (q,), max_vars)
+    [hit] = hits
     return ValidityResult(True) if hit is None else ValidityResult(False, *hit)
 
 
 def pool_validity(f: Formula, pool, max_vars: int = 6) -> list[ValidityResult]:
     """`is_valid(q, f, max_vars)` for each pair q of `pool`, from one
     compile; a formula with no box is swept once per algebra object."""
-    program = compile_formulas((f,))
-    variables = _variables(program, max_vars)
-    goals = _rule_goals(program)
-    verdicts: dict = {}
-    out = []
-    for q in pool:
-        [hit] = _shared_refutations(q, program, variables, goals, verdicts)
-        out.append(ValidityResult(True) if hit is None else ValidityResult(False, *hit))
-    return out
-
-
-class RuleInstance(NamedTuple):
-    premises: tuple[Formula, ...]
-    conclusion: Formula
+    _, hits = _sweep(f, pool, max_vars)
+    return [
+        ValidityResult(True) if hit is None else ValidityResult(False, *hit)
+        for hit in hits
+    ]
 
 
 class Countermodel(NamedTuple):
@@ -368,15 +369,8 @@ def countermodel_search(
 
     `jobs` is accepted for compatibility and ignored: the search is serial.
     """
-    if isinstance(goal, RuleInstance):
-        program = compile_formulas((goal.conclusion, *goal.premises))
-    else:
-        program = compile_formulas((goal,))
-    variables = _variables(program, max_vars)
-    goals = _rule_goals(program)
-    verdicts: dict = {}
-    for index, q in enumerate(pool):
-        [hit] = _shared_refutations(q, program, variables, goals, verdicts)
+    variables, hits = _sweep(goal, pool, max_vars)
+    for index, (q, hit) in enumerate(zip(pool, hits)):
         if hit is not None:
             valuation, value = hit
             return Countermodel(index, q.label(), tuple(sorted(valuation.items())), value)

@@ -25,9 +25,9 @@ from umtl import filters as flt
 from umtl.audit import corpus_pairs, run_corpus_audit
 from umtl.cli import main
 from umtl.corpus import SIX_BLOCKY, SIX_DELTA, corpus_dir, proofs_dir
-from umtl.logic.formulas import Impl, Var, parse_formula
+from umtl.logic.formulas import Impl, parse_formula
 from umtl.logic.proofs import check_proof, parse_proof_text
-from umtl.logic.schemas import RULE_SHAPES, SchemaCatalog, instantiate
+from umtl.logic.schemas import RULE_SHAPES, SchemaCatalog
 from umtl.logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -244,12 +244,7 @@ def test_c8_semilinearity(pairs, six_delta, corpus_entries):
                 assert rep.by_join_implication, q.label()
         rep = ana.is_representable(six_delta)
         assert not rep.by_join_implication and rep.join_witness == (2, 4)  # b, d
-        premises, conclusion = RULE_SHAPES["disj-box"]
-        binding = {"alpha": Var(0), "beta": Var(1)}
-        rule = RuleInstance(
-            tuple(instantiate(p, binding) for p in premises),
-            instantiate(conclusion, binding),
-        )
+        rule = RuleInstance(*RULE_SHAPES["disj-box"])
         hit = countermodel_search(rule, pairs)
         assert isinstance(hit, Countermodel)
         assert hit.algebra_label == "example-3-2+000005"

@@ -8,7 +8,8 @@ from umtl import chain_algebra, enumerate_quantifiers, make_umtl
 from umtl.analysis import is_representable
 from umtl.quantifier import delta_table
 from umtl.logic.formulas import Impl, MetaVar, Var, parse_formula
-from umtl.logic.schemas import RULE_SHAPES, A, SchemaCatalog, instantiate
+from umtl.logic.schemas import RULE_SHAPES, A, SchemaCatalog
+from umtl.logic import semantics
 from umtl.logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -18,6 +19,7 @@ from umtl.logic.semantics import (
     countermodel_search,
     eval_formula,
     is_valid,
+    pool_validity,
     soundness_audit,
 )
 
@@ -117,6 +119,43 @@ def test_searches_reject_schema_metavariables(corpus_entries):
             search()
 
 
+@pytest.mark.parametrize(
+    "premise, conclusion, error, message",
+    [
+        (Var(0), parse_formula("p1 -> p2"), VariableBudgetError, "3 variables exceed"),
+        (A, Var(0), ValueError, "schema metavariable alpha"),
+        (Var(0), Impl(Var(0), A), ValueError, "schema metavariable alpha"),
+    ],
+    ids=["budget", "metavariable-premise", "metavariable-conclusion"],
+)
+def test_errors_come_before_any_sweep(
+    corpus_entries, monkeypatch, premise, conclusion, error, message
+):
+    """Every entry point raises its goal's error before it sweeps a pair,
+    also over an empty pool, where a lazy sweep would raise nothing."""
+
+    def sweeping(*args):
+        raise AssertionError("a pair was swept")
+
+    monkeypatch.setattr(semantics, "_first_refutations", sweeping)
+    pool = _pool(corpus_entries)
+    formula = Impl(premise, conclusion)
+    rule = RuleInstance((premise,), conclusion)
+    calls = [
+        lambda: is_valid(pool[1], formula, max_vars=2),
+        lambda: consequence(pool[1], [premise], conclusion, max_vars=2),
+    ]
+    for over in ([], pool):
+        calls += [
+            lambda over=over: pool_validity(formula, over, max_vars=2),
+            lambda over=over: countermodel_search(formula, over, max_vars=2),
+            lambda over=over: countermodel_search(rule, over, max_vars=2),
+        ]
+    for call in calls:
+        with pytest.raises(error, match=message):
+            call()
+
+
 def test_consequence(six_delta):
     # from p0 we reach box p0 semantically (models send hypotheses to top)
     assert consequence(six_delta, [parse_formula("p0")], parse_formula("box p0")).valid
@@ -141,12 +180,7 @@ def test_countermodel_search_axioms_exhaust(corpus_entries):
 
 
 def test_countermodel_search_rule(corpus_entries, six_delta, six_block):
-    premises, conclusion = RULE_SHAPES["disj-box"]
-    binding = {"alpha": Var(0), "beta": Var(1)}
-    rule = RuleInstance(
-        tuple(instantiate(p, binding) for p in premises),
-        instantiate(conclusion, binding),
-    )
+    rule = RuleInstance(*RULE_SHAPES["disj-box"])
     # the one-point quantifier on the six-element fixture refutes the rule
     hit = countermodel_search(rule, [six_delta])
     assert isinstance(hit, Countermodel)

@@ -39,9 +39,10 @@ def report(argv: list[str], path: Path, seed: str) -> tuple[int, bytes]:
     [
         ["prove", "deduce", str(proofs_dir() / "boxed-modus-ponens.prf"), "--discharge", "boxed"],
         ["logic", "countermodel", "--rule", "disj-box"],
+        ["logic", "valid", "(p0 -> p1) | (p1 -> p0)"],
         ["audit"],
     ],
-    ids=["prove-deduce", "logic-countermodel", "audit"],
+    ids=["prove-deduce", "logic-countermodel", "logic-valid", "audit"],
 )
 def test_reports_are_equal_under_two_hash_seeds(argv, tmp_path):
     first = report(argv, tmp_path / "seed0.json", "0")

@@ -109,19 +109,34 @@ def test_modal_search_sweeps_every_pair(pairs, swept, text, index):
     assert [id(q) for q in swept] == [id(q) for q in reached]
 
 
-def test_logic_valid_compiles_once_and_sweeps_each_algebra_object_once(swept, monkeypatch):
-    compiled = []
+@pytest.fixture
+def compiled(monkeypatch):
+    """The formula tuples that `compile_formulas` compiles, in order."""
+    calls = []
     compile_formulas = semantics.compile_formulas
 
-    def counting(formulas):
-        compiled.append(formulas)
+    def recording(formulas):
+        calls.append(tuple(formulas))
         return compile_formulas(formulas)
 
-    monkeypatch.setattr(semantics, "compile_formulas", counting)
+    monkeypatch.setattr(semantics, "compile_formulas", recording)
+    return calls
+
+
+def test_logic_valid_compiles_once_and_sweeps_each_algebra_object_once(swept, compiled):
     assert main(["logic", "valid", "(p0 -> p1) | (p1 -> p0)"]) == 0
     # the bundled pool: 25 pairs over 13 algebra objects
     assert len(compiled) == 1
     assert len(swept) == len({id(q.algebra) for q in swept}) == 13
+
+
+def test_consequence_compiles_once_per_call(pairs, compiled):
+    p0, box_p0, goal = map(parse_formula, ("p0", "box p0", "p0 -> box p0"))
+    for q in pairs[:3]:
+        semantics.consequence(q, [p0], box_p0)
+        semantics.is_valid(q, goal)
+    # the conclusion first, then the theory
+    assert compiled == [(box_p0, p0), (goal,)] * 3
 
 
 def test_first_block_leaf_masks_are_built_once_per_algebra(pairs, monkeypatch):
