@@ -164,5 +164,7 @@ def load_algebra_file(path: str | Path) -> AlgebraDocument:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise AlgebraFileError(f"cannot read {path}: {exc}") from exc
+        # the caller names the file; an OSError's text names it again
+        reason = getattr(exc, "strerror", None) or exc
+        raise AlgebraFileError(f"cannot read: {reason}") from exc
     return parse_algebra_text(text)

@@ -20,9 +20,9 @@ from .logic.proofs import check_proof
 from .logic.schemas import EXTENSION_SCHEMAS, RULE_SHAPES, SchemaCatalog
 from .logic.semantics import (
     Countermodel,
-    RuleInstance,
     SoundnessReport,
     countermodel_search,
+    element_names,
     is_valid,
     soundness_audit,
 )
@@ -166,8 +166,7 @@ def fixture_audits(
                 },
             )
         )
-    rule = RuleInstance(*RULE_SHAPES["disj-box"])
-    hit = countermodel_search(rule, pairs)
+    hit = countermodel_search(RULE_SHAPES["disj-box"], pairs)
     details: dict = {"pool_size": len(pairs)}
     if isinstance(hit, Countermodel):
         alg = pairs[hit.pool_index].algebra
@@ -175,9 +174,7 @@ def fixture_audits(
             {
                 "found": True,
                 "algebra": hit.algebra_label,
-                "valuation": {
-                    f"p{var}": alg.name_of(val) for var, val in hit.valuation
-                },
+                "valuation": element_names(alg, hit.valuation),
                 "conclusion_value": alg.name_of(hit.value),
             }
         )

@@ -27,12 +27,12 @@ from .core import (
 from .corpus import CorpusEntry, corpus_dir
 from .logic.formulas import FormulaSyntaxError, parse_formula, print_formula
 from .logic.proofs import ProofFileError, check_proof, parse_proof_text, print_proof
-from .logic.schemas import RULE_SHAPES, SchemaCatalog
+from .logic.schemas import RULE_SHAPES, RuleInstance, SchemaCatalog
 from .logic.semantics import (
     Countermodel,
-    RuleInstance,
     VariableBudgetError,
     countermodel_search,
+    element_names,
     pool_validity,
 )
 from .logic.transform import deduction_transform
@@ -379,7 +379,9 @@ def cmd_prove(run: Run, args) -> int:
         text = Path(args.proof_path).read_text(encoding="utf-8")
         proof = parse_proof_text(text)
     except (OSError, UnicodeDecodeError, ProofFileError, FormulaSyntaxError) as exc:
-        raise CommandError(f"{args.proof_path}: {exc}") from exc
+        # an OSError's text names the path again
+        reason = getattr(exc, "strerror", None) or exc
+        raise CommandError(f"{args.proof_path}: {reason}") from exc
     run.inputs.append(args.proof_path)
     catalog = SchemaCatalog.mmtl(extensions=tuple(args.extensions))
     if args.mode == "check":
@@ -426,24 +428,18 @@ def cmd_prove(run: Run, args) -> int:
     return OK if recheck.ok else PROPERTY_FAILS
 
 
-def _element_names(alg, valuation) -> dict[str, str]:
-    """Each variable p<k> of `valuation`, given as (index, element) pairs,
-    with the name of its element, in index order."""
-    return {f"p{k}": alg.name_of(v) for k, v in sorted(valuation)}
-
-
 def cmd_logic(run: Run, args) -> int:
     try:
         goal = parse_formula(args.formula) if args.formula else None
     except FormulaSyntaxError as exc:
         raise CommandError(str(exc)) from exc
     if args.rule:
-        shape = RULE_SHAPES.get(args.rule)
-        if shape is None:
+        rule = RULE_SHAPES.get(args.rule)
+        if rule is None:
             raise CommandError(f"unknown rule {args.rule!r}")
         if goal is not None:
             raise CommandError("pass either a formula or --rule, not both")
-        goal = RuleInstance(*shape)
+        goal = rule
     if goal is None:
         raise CommandError("no formula or rule given")
     entries = _load_corpus(run, Path(args.pool) if args.pool else corpus_dir())
@@ -466,7 +462,7 @@ def cmd_logic(run: Run, args) -> int:
         failures = [
             {
                 "algebra": q.label(),
-                "valuation": _element_names(q.algebra, v.countervaluation.items()),
+                "valuation": element_names(q.algebra, v.countervaluation.items()),
             }
             for q, v in zip(pool, verdicts)
             if not v.valid
@@ -493,7 +489,7 @@ def cmd_logic(run: Run, args) -> int:
     subject = args.rule if isinstance(goal, RuleInstance) else print_formula(goal)
     if isinstance(hit, Countermodel):
         alg = pool[hit.pool_index].algebra
-        valuation = _element_names(alg, hit.valuation)
+        valuation = element_names(alg, hit.valuation)
         run.check(
             "countermodel",
             subject,

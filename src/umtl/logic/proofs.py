@@ -215,7 +215,10 @@ def _parse_binding(text: str, lineno: int) -> tuple[tuple[str, Formula], ...]:
         if ":=" not in part:
             raise ProofFileError(f"bad substitution {part!r}", lineno)
         name, value = part.split(":=", 1)
-        binding.append((name.strip(), parse_formula(value.strip())))
+        try:
+            binding.append((name.strip(), parse_formula(value.strip())))
+        except ValueError as exc:
+            raise ProofFileError(str(exc), lineno) from exc
     return tuple(binding)
 
 

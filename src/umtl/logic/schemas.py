@@ -62,9 +62,23 @@ EXTENSION_SCHEMAS: dict[str, Formula] = {
     "EM": lor(A, neg(A)),
 }
 
-# named rule shapes for countermodel search over rule instances, over p0, p1
-RULE_SHAPES: dict[str, tuple[tuple[Formula, ...], Formula]] = {
-    "disj-box": ((lor(Var(0), Var(1)),), lor(Var(0), Box(Var(1)))),
+
+class RuleInstance(NamedTuple):
+    """A goal: every valuation that sends each premise to top sends the
+    conclusion to top.  A formula, or an axiom schema, is a goal with no
+    premises."""
+
+    premises: tuple[Formula, ...]
+    conclusion: Formula
+
+
+# the two rules of the calculus, over metavariables
+MP = RuleInstance((A, Impl(A, B)), B)
+NEC = RuleInstance((A,), Box(A))
+
+# named rules for countermodel search, over p0, p1
+RULE_SHAPES: dict[str, RuleInstance] = {
+    "disj-box": RuleInstance((lor(Var(0), Var(1)),), lor(Var(0), Box(Var(1)))),
 }
 
 

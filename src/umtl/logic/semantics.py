@@ -12,31 +12,36 @@ to a search is an error: only variables are swept.
 Validity, consequence, countermodel search and schema soundness all ask
 one question of `_first_refutations`: for each goal, which is the least
 valuation sending every premise to top and the conclusion below it?
-Valuations are ranked in mixed-radix order over the leaves, last leaf
-fastest (the order of itertools.product), and evaluated BLOCK at a time,
-one bit each, as value masks (see `Program`).  A goal's hit set is the
-complement of its conclusion's mask of top, ANDed with each premise's mask
-of top.  Its least rank is the lowest set bit, and the goal closes at the
-first block with a hit; the sweep stops once every goal is closed, so first
-witnesses are deterministic: a countermodel search returns the hit with the
-least (pool index, valuation rank).  `is_valid`, `consequence`,
-`pool_validity` and `countermodel_search` take one path, `_sweep`: it
-compiles the goal (the conclusion, then the premises), raises a
-metavariable or budget error before any pair is swept, and passes one
-goal per pair; the soundness audit passes every schema of a group that
-shares one program.
+Every goal is a `schemas.RuleInstance`; a formula or an axiom schema is
+one with no premises.  Valuations are ranked in mixed-radix order over
+the leaves, last leaf fastest (the order of itertools.product), and
+evaluated BLOCK at a time, one bit each, as value masks (see `Program`).
+A goal's hit set is the complement of its conclusion's mask of top, ANDed
+with each premise's mask of top.  Its least rank is the lowest set bit,
+and the goal closes at the first block with a hit; the sweep stops once
+every goal is closed, so first witnesses are deterministic: a
+countermodel search returns the hit with the least (pool index,
+valuation rank).
+
+Two helpers do the work for every caller.  `_compile_rules` compiles a
+sequence of goals into one program, each conclusion and then its
+premises, and `_pool_refutations` sweeps that program over a pool, pair
+by pair.  `is_valid`, `consequence`, `pool_validity` and
+`countermodel_search` pass one goal through `_sweep`, which raises a
+metavariable or budget error before any pair is swept; the soundness
+audit passes every check of a group in one program.
 
 A program with no `forall` step computes the same masks for every
-quantifier on an algebra, so `_shared_refutations` sweeps it once per
-algebra object, on its first pair, and reads that verdict back on the
-later pairs on that object; `_sweep` and the soundness audit both sweep
-through it.  The first hit keeps its (pool index, valuation rank), and
-`SearchExhausted.valuations_checked` is n^k summed over the whole pool,
-skipped pairs too: the pool's size in valuations, not the number
-evaluated.  Every sweep over k leaves starts with the same block of leaf
-masks, so that first block is kept in the algebra's cache under
-("first-block", k, block size) and shared by every search, validity sweep
-and soundness group on the algebra; later blocks are built per sweep.
+quantifier on an algebra, so `_pool_refutations` sweeps it once per
+algebra object, on its first pair, and reads that result back on the
+later pairs on that object.  The first hit keeps its (pool index,
+valuation rank), and `SearchExhausted.valuations_checked` is n^k summed
+over the whole pool, skipped pairs too: the pool's size in valuations,
+not the number evaluated.  Every sweep over k leaves starts with the same
+block of leaf masks, so that first block is kept in the algebra's cache
+under ("first-block", k, block size) and shared by every search, validity
+sweep and soundness group on the algebra; later blocks are built per
+sweep.
 
 This module evaluates formulas only.  The algebra-side condition for the
 disjunction form of the box rule (a join b = top implies a join forall b =
@@ -45,12 +50,12 @@ top) is the join-implication condition of `analysis.is_representable`.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from ..quantifier import UMTLAlgebra
 from ..core import classify
 from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var
-from .schemas import A, B, SchemaCatalog
+from .schemas import MP, NEC, RuleInstance, SchemaCatalog
 
 BLOCK = 1296  # valuations evaluated together, one bit each
 
@@ -272,35 +277,43 @@ def _first_refutations(q: UMTLAlgebra, program: Program, leaves, goals) -> list:
     return first
 
 
-def _shared_refutations(
-    q: UMTLAlgebra, program: Program, leaves, goals, verdicts: dict
-) -> list:
-    """`_first_refutations` of `program` on `q`.  A program with no
-    `forall` step reads only the algebra's tables, so its result is kept in
-    `verdicts`, which the caller holds for this program alone, by algebra
-    object and read back on every later pair on that object."""
-    if program.reads_forall:
-        return _first_refutations(q, program, leaves, goals)
-    key = id(q.algebra)  # the caller's pool keeps every algebra alive
-    if key not in verdicts:
-        verdicts[key] = _first_refutations(q, program, leaves, goals)
-    return verdicts[key]
+def _compile_rules(rules) -> tuple[Program, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """One program for `rules`, each conclusion compiled before its
+    premises, and the goal of each rule for `_first_refutations`."""
+    formulas: list[Formula] = []
+    goals = []
+    for rule in rules:
+        k = len(formulas)
+        formulas += [rule.conclusion, *rule.premises]
+        goals.append((k, tuple(range(k + 1, len(formulas)))))
+    return compile_formulas(formulas), tuple(goals)
 
 
-class RuleInstance(NamedTuple):
-    premises: tuple[Formula, ...]
-    conclusion: Formula
+def _pool_refutations(program: Program, leaves, goals, pool):
+    """`_first_refutations` of `goals` on each pair of `pool`, in order.  A
+    program with no `forall` step reads only the algebra's tables, so it is
+    swept once per algebra object, on its first pair there, and that
+    result is given again for the later pairs on that object."""
+    shared: dict[int, list] = {}  # the pool keeps every algebra alive
+    for q in pool:
+        if program.reads_forall:
+            yield _first_refutations(q, program, leaves, goals)
+            continue
+        key = id(q.algebra)
+        if key not in shared:
+            shared[key] = _first_refutations(q, program, leaves, goals)
+        yield shared[key]
 
 
 def _sweep(goal: Formula | RuleInstance, pool, max_vars: int):
     """The sorted variables of `goal`, and an iterator over the pairs of
     `pool` giving each one's least refutation of it (a valuation dict and
-    the conclusion's value), or None.  A formula is a goal with no
-    premises.  A schema metavariable, which no valuation of variables
-    assigns, or more variables than `max_vars` is an error raised here,
-    before any pair is swept, even on an empty pool."""
-    premises, conclusion = goal if isinstance(goal, RuleInstance) else ((), goal)
-    program = compile_formulas((conclusion, *premises))
+    the conclusion's value), or None.  A schema metavariable, which no
+    valuation of variables assigns, or more variables than `max_vars` is
+    an error raised here, before any pair is swept, even on an empty
+    pool."""
+    rule = goal if isinstance(goal, RuleInstance) else RuleInstance((), goal)
+    program, goals = _compile_rules((rule,))
     variables = program.variables
     if len(variables) < len(program.leaves):
         label = next(k for k in program.leaves if not isinstance(k, int))
@@ -309,10 +322,8 @@ def _sweep(goal: Formula | RuleInstance, pool, max_vars: int):
         raise VariableBudgetError(
             f"{len(variables)} variables exceed the budget of {max_vars}"
         )
-    goals = ((0, tuple(range(1, len(program.roots)))),)
-    verdicts: dict = {}
     return variables, (
-        _shared_refutations(q, program, variables, goals, verdicts)[0] for q in pool
+        hits[0] for hits in _pool_refutations(program, variables, goals, pool)
     )
 
 
@@ -347,6 +358,12 @@ class Countermodel(NamedTuple):
 
     def valuation_dict(self) -> dict[int, int]:
         return dict(self.valuation)
+
+
+def element_names(alg, valuation) -> dict[str, str]:
+    """Each variable p<k> of a countervaluation, given as (index, element)
+    pairs, with the name of its element, in index order."""
+    return {f"p{k}": alg.name_of(v) for k, v in sorted(valuation)}
 
 
 class SearchExhausted(NamedTuple):
@@ -407,45 +424,6 @@ _EXTENSION_GUARDS = {
 }
 
 
-# the two rules of the calculus over metavariables: conclusion, premises
-_MP = (B, A, Impl(A, B))
-_NEC = (Box(A), A)
-
-
-class _Group(NamedTuple):
-    """Checks that share one program: each goal is a pair (conclusion,
-    premises) of positions in its roots; `guard` is the extension guard of
-    every member, or None."""
-
-    guard: Callable | None
-    program: Program
-    goals: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def _compile_groups(checks) -> tuple[list[_Group], list[tuple[int, int]]]:
-    """One program for each group of `checks`, each a tuple (guard,
-    conclusion, *premises), with equal guards and, in each check's own
-    program, equal `reads_forall` and equal leaves in the same order; and
-    the (group, goal) of each check."""
-    keyed: dict[tuple, list[int]] = {}
-    for i, (guard, *formulas) in enumerate(checks):
-        alone = compile_formulas(formulas)
-        keyed.setdefault((guard, alone.reads_forall, alone.leaves), []).append(i)
-    groups: list[_Group] = []
-    at: list[tuple[int, int]] = [(0, 0)] * len(checks)
-    for (guard, _, _), members in keyed.items():
-        formulas: list[Formula] = []
-        goals = []
-        for i in members:
-            at[i] = (len(groups), len(goals))
-            conclusion, *premises = checks[i][1:]
-            k = len(formulas)
-            formulas += [conclusion, *premises]
-            goals.append((k, tuple(range(k + 1, len(formulas)))))
-        groups.append(_Group(guard, compile_formulas(formulas), tuple(goals)))
-    return groups, at
-
-
 def soundness_audit(
     corpus: list[UMTLAlgebra], catalog: SchemaCatalog
 ) -> SoundnessReport:
@@ -455,14 +433,16 @@ def soundness_audit(
     scan covers every instance.  Extension schemas are audited only on
     bases in the matching subvariety.
 
-    The schemas and the two rules are grouped by extension guard, by
-    whether they read the quantifier and by their leaves in order of first
-    occurrence, and each group is compiled into one program, so a
-    subformula that several members share is computed once: M2a-M3b take
-    13 steps together and 28 apart.  One sweep answers every member.
-    The members of a group rank valuations in the same mixed-radix order,
-    so each one's least refutation is its own least witness, the same as
-    when it is swept alone.
+    Each schema is a rule with no premises; with modus ponens and
+    necessitation (`schemas.MP`, `schemas.NEC`) they are grouped by
+    extension guard and, in each check's own program, by whether it reads
+    the quantifier and by its leaves in order of first occurrence.  Each
+    group is compiled into one program, so a subformula that several
+    members share is computed once: M2a-M3b take 13 steps together and 28
+    apart.  One sweep answers every member.  The members of a group rank
+    valuations in the same mixed-radix order, so each one's least
+    refutation is its own least witness, the same as when it is swept
+    alone.
 
     A group with no `forall` step (the MTL axioms, the extensions and
     modus ponens) reads only the algebra's tables, so its verdicts and
@@ -474,36 +454,41 @@ def soundness_audit(
     make one side of an audit follow from the other.
     """
     checks = [
-        (_EXTENSION_GUARDS.get(schema_id), pattern)
+        (_EXTENSION_GUARDS.get(schema_id), RuleInstance((), pattern))
         for schema_id, pattern in catalog.schemas
     ]
-    checks += [(None, *_MP), (None, *_NEC)]
-    groups, at = _compile_groups(checks)
-    verdicts: list[dict] = [{} for _ in groups]
+    checks += [(None, MP), (None, NEC)]
+    keyed: dict[tuple, list[int]] = {}
+    for i, (guard, rule) in enumerate(checks):
+        alone, _ = _compile_rules((rule,))
+        keyed.setdefault((guard, alone.reads_forall, alone.leaves), []).append(i)
+    groups = [
+        (guard, members, *_compile_rules([checks[i][1] for i in members]))
+        for (guard, _, _), members in keyed.items()
+    ]
+
+    profiles = [classify(q.algebra) for q in corpus]
+    found: list[dict] = [{} for _ in corpus]  # per pair, each audited check's hit
+    for guard, members, program, goals in groups:
+        audited = [
+            p for p, profile in enumerate(profiles) if guard is None or guard(profile)
+        ]
+        pool = [corpus[p] for p in audited]
+        sweep = _pool_refutations(program, program.leaves, goals, pool)
+        for p, hits in zip(audited, sweep):
+            found[p].update(zip(members, hits))
 
     entries = []
-    mp_ok = True
-    nec_ok = True
-    for q in corpus:
-        profile = classify(q.algebra)
+    for q, hits in zip(corpus, found):
         label = q.label()
-        hits: list = []  # per group, the first refutation of each goal
-        for index, group in enumerate(groups):
-            if group.guard is not None and not group.guard(profile):
-                hits.append(None)
-            else:
-                program = group.program
-                hits.append(
-                    _shared_refutations(
-                        q, program, program.leaves, group.goals, verdicts[index]
-                    )
-                )
-        for (schema_id, _), (g, goal) in zip(catalog.schemas, at):
-            if hits[g] is not None:
-                hit = hits[g][goal]
+        for i, schema_id in enumerate(catalog.ids()):
+            if i in hits:
+                hit = hits[i]
                 witness = None if hit is None else tuple(sorted(hit[0].items()))
                 entries.append(SchemaSoundness(schema_id, label, hit is None, witness))
-        (mp_group, mp_goal), (nec_group, nec_goal) = at[-2:]
-        mp_ok = mp_ok and hits[mp_group][mp_goal] is None
-        nec_ok = nec_ok and hits[nec_group][nec_goal] is None
-    return SoundnessReport(tuple(entries), mp_ok, nec_ok)
+    mp, nec = len(catalog.schemas), len(catalog.schemas) + 1
+    return SoundnessReport(
+        tuple(entries),
+        all(hits[mp] is None for hits in found),
+        all(hits[nec] is None for hits in found),
+    )

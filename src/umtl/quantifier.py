@@ -135,8 +135,10 @@ def make_umtl(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
 def unchecked_pair(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
     """Pair a table with an algebra without validating U1-U3.
 
-    Only for audits that deliberately inspect invalid tables (e.g. delta
-    forced onto a non-involutive chain).
+    For tests that need a pair whose table may be no quantifier, such as
+    the constant maps that the soundness tests add to their pools.  No
+    audit uses it: `analysis.audit_delta_on_linear` pairs delta through
+    `make_umtl` and records the `InvalidQuantifierError` it raises.
     """
     return UMTLAlgebra(alg, UniversalQuantifier(tuple(table)), name)
 

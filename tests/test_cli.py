@@ -217,10 +217,12 @@ def test_audit_records_a_rejected_file_table(tmp_path, capsys):
 
 
 def test_audit_of_a_missing_path_is_an_input_error(tmp_path, capsys):
-    missing = tmp_path / "missing.alg"
-    assert run_cli("audit", str(missing)) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+    for argv in (("audit", "missing.alg"), ("prove", "check", "missing.prf")):
+        missing = tmp_path / argv[-1]
+        assert run_cli(*argv[:-1], str(missing)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].count(str(missing)) == 1
 
 
 @pytest.mark.parametrize(
@@ -301,6 +303,10 @@ def test_prove_rejects_bad_step(tmp_path, capsys):
     [
         ("step 1: p0 -> p0 ;\n", "empty justification"),
         ("step 1: p0 -> p0 ; mp a b\n", "step indices must be integers"),
+        (
+            "step 1: p0 -> (p1 -> p0) ; axiom A2 [alpha:=p0, beta:=p1 &]\n",
+            "unexpected end of formula (at position 4) (line 1)",
+        ),
     ],
 )
 def test_prove_malformed_justification_is_input_error(tmp_path, capsys, step, message):

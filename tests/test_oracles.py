@@ -125,7 +125,7 @@ from umtl.logic.formulas import (
     top,
     variables_of,
 )
-from umtl.logic.schemas import A, B, C, SchemaCatalog
+from umtl.logic.schemas import MP, NEC, A, B, C, SchemaCatalog
 from umtl.logic.semantics import (
     Countermodel,
     RuleInstance,
@@ -939,6 +939,19 @@ def test_soundness_audit_matches_reference_on_corpus(corpus_entries):
     assert_soundness_matches_reference(pool, FAILING_CATALOG)
 
 
+def test_soundness_entries_follow_the_pool_order(corpus_entries):
+    # the audit sweeps one group at a time; its entries still go pair by
+    # pair, in the order the pool gives, and catalog order within a pair
+    pool = with_constant_maps(corpus_pairs(corpus_entries))[::-1]
+    report = assert_soundness_matches_reference(pool, FAILING_CATALOG)
+    assert report.entries[0].algebra_label == pool[0].label()
+    assert report.entries[-1].algebra_label == pool[-1].label()
+
+
+def test_soundness_audit_of_no_pairs_is_empty_and_sound():
+    assert soundness_audit([], FULL_CATALOG) == semantics.SoundnessReport((), True, True)
+
+
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_soundness_audit_matches_reference(seed):
     alg = random_algebra(seed, 8)
@@ -1163,7 +1176,7 @@ def compile_cases() -> list[tuple]:
     premises), each bundled proof's formulas alone and together, random
     goals and formulas, and flat `|` chains."""
     cases = [(pattern,) for _, pattern in FAILING_CATALOG.schemas]
-    cases += [semantics._MP, semantics._NEC]
+    cases += [(rule.conclusion, *rule.premises) for rule in (MP, NEC)]
     for path in sorted(corpus.proofs_dir().glob("*.prf")):
         proof = proofs.parse_proof_text(path.read_text(encoding="utf-8"))
         formulas = [f for _, f in proof.theory] + [step.formula for step in proof.steps]
