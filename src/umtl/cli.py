@@ -377,11 +377,14 @@ def cmd_audit(run: Run, args) -> int:
 def cmd_prove(run: Run, args) -> int:
     try:
         text = Path(args.proof_path).read_text(encoding="utf-8")
-        proof = parse_proof_text(text)
-    except (OSError, UnicodeDecodeError, ProofFileError, FormulaSyntaxError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         # an OSError's text names the path again
         reason = getattr(exc, "strerror", None) or exc
-        raise CommandError(f"{args.proof_path}: {reason}") from exc
+        raise CommandError(f"{args.proof_path}: cannot read: {reason}") from exc
+    try:
+        proof = parse_proof_text(text)
+    except (ProofFileError, FormulaSyntaxError) as exc:
+        raise CommandError(f"{args.proof_path}: {exc}") from exc
     run.inputs.append(args.proof_path)
     catalog = SchemaCatalog.mmtl(extensions=tuple(args.extensions))
     if args.mode == "check":

@@ -15,13 +15,24 @@ valuation sending every premise to top and the conclusion below it?
 Every goal is a `schemas.RuleInstance`; a formula or an axiom schema is
 one with no premises.  Valuations are ranked in mixed-radix order over
 the leaves, last leaf fastest (the order of itertools.product), and
-evaluated BLOCK at a time, one bit each, as value masks (see `Program`).
-A goal's hit set is the complement of its conclusion's mask of top, ANDed
-with each premise's mask of top.  Its least rank is the lowest set bit,
-and the goal closes at the first block with a hit; the sweep stops once
-every goal is closed, so first witnesses are deterministic: a
-countermodel search returns the hit with the least (pool index,
-valuation rank).
+evaluated a block at a time, one bit each, as value masks (see
+`Program`).  A goal's hit set is the complement of its conclusion's mask
+of top, ANDed with each premise's mask of top.  Its least rank is the
+lowest set bit, and the goal closes at the first block with a hit; the
+sweep stops once every goal is closed, so first witnesses are
+deterministic: a countermodel search returns the hit with the least
+(pool index, valuation rank).
+
+`block_size` sizes the blocks to the carrier: a sweep of k leaves over n
+elements runs blocks of the largest n^m, m <= k, of at most MAX_BLOCK =
+2^14 valuations.  So a space of at most 2^14 valuations is one block,
+and otherwise every block starts on a multiple of n^m, with the slow
+leaves constant inside it.  Where that power is below both BLOCK = 1296
+and n^k (carriers of about 129 to 1295 elements), blocks hold 1296.
+Within the default budget of six variables, only a sweep of six
+variables over six elements takes more than one block on the bundled
+corpus; a soundness sweep, over at most three metavariables, does so
+from 26 elements on.
 
 Two helpers do the work for every caller.  `_compile_rules` compiles a
 sequence of goals into one program, each conclusion and then its
@@ -57,7 +68,23 @@ from ..core import classify
 from .formulas import And, Bot, Box, Formula, Impl, MetaVar, Min, Var
 from .schemas import MP, NEC, RuleInstance, SchemaCatalog
 
-BLOCK = 1296  # valuations evaluated together, one bit each
+BLOCK = 1296  # valuations evaluated together, one bit each, if no power fits
+MAX_BLOCK = 1 << 14  # the most valuations in one block of a power of n
+
+
+def block_size(n: int, k: int) -> int:
+    """The valuations evaluated together in a sweep of k leaves over n
+    elements: the largest n^m with m <= k and n^m <= MAX_BLOCK, so every
+    block starts on a multiple of n^m and the first k - m leaves are
+    constant inside it; BLOCK where that power is below both BLOCK and
+    n^k (carriers of about 129 to 1295 elements)."""
+    size = n**k
+    if size <= MAX_BLOCK:
+        return size
+    size = 1
+    while size * n <= MAX_BLOCK:
+        size *= n
+    return max(size, BLOCK)
 
 
 class VariableBudgetError(ValueError):
@@ -238,17 +265,18 @@ def _first_refutations(q: UMTLAlgebra, program: Program, leaves, goals) -> list:
     top, with the conclusion's value; None where no valuation does.
 
     A goal is a pair (conclusion, premises) of positions in the program's
-    roots.  The sweep runs block by block until every goal has its hit or
-    the valuations run out.
+    roots.  The sweep runs block by block, `block_size` valuations each,
+    until every goal has its hit or the valuations run out.
     """
     alg = q.algebra
     n, top = alg.size, alg.top
     weights = [n**e for e in reversed(range(len(leaves)))]
     total = n ** len(leaves)
+    block = block_size(n, len(leaves))
     first: list = [None] * len(goals)
     pending = range(len(goals))
-    for start in range(0, total, BLOCK):
-        size = min(BLOCK, total - start)
+    for start in range(0, total, block):
+        size = min(block, total - start)
         full = (1 << size) - 1
         if start:
             columns = [_leaf_masks(n, w, start, size) for w in weights]

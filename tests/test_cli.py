@@ -226,6 +226,28 @@ def test_audit_of_a_missing_path_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "mode", [["check"], ["deduce", "--discharge", "h"]], ids=["check", "deduce"]
+)
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        ("missing.prf", None, "No such file or directory"),
+        ("bad.prf", b"\xff\xfe\x00", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ],
+    ids=["missing", "undecodable"],
+)
+def test_unreadable_proof_file_says_cannot_read(tmp_path, capsys, mode, name, content, reason):
+    # the same shape as an unreadable algebra file
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    assert run_cli("prove", mode[0], str(path), *mode[1:]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}: cannot read: {reason}")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("validate", "{dir}/bad.alg"),

@@ -47,8 +47,22 @@ DISCHARGES = (
     ("congruence-rule", "equiv"),
     ("guarded-necessitation", "guarded"),
 )
-VALIDITY_GOALS = ("box p0 -> p0", "p0 -> box p0", "box (p0 -> p1) -> box p0 -> box p1")
-COUNTERMODEL_GOALS = (["p0 -> box p0"], ["box p0 -> p0"], ["--rule", "disj-box"])
+# The goals over five and six variables sweep 6^5 and 6^6 valuations on each
+# six-element pair, so their verdicts and witnesses cross block boundaries.
+VALIDITY_GOALS = (
+    "box p0 -> p0",
+    "p0 -> box p0",
+    "box (p0 -> p1) -> box p0 -> box p1",
+    "p0 & p1 & p2 & p3 & p4 -> p4",
+    "(p0 -> box p0) | (neg p1 & p1 & p2 & p3 & p4 & p5)",
+)
+COUNTERMODEL_GOALS = (
+    ["p0 -> box p0"],
+    ["box p0 -> p0"],
+    ["--rule", "disj-box"],
+    ["(p0 -> box p0) | (neg p1 & p1 & p2 & p3 & p4)"],
+    ["box (p0 & p1 & p2 & p3 & p4 & p5) -> box p5"],
+)
 
 
 def cases() -> dict[str, list[str]]:

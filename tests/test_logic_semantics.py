@@ -328,3 +328,29 @@ def test_soundness_audit_flags_a_table_that_breaks_necessitation(goedel3):
     report = soundness_audit([unchecked_pair(goedel3, (0, 0, 0))], CATALOG)
     assert report.mp_preserves and not report.nec_preserves
 
+
+
+@pytest.mark.parametrize(
+    "n, k, size",
+    [
+        # the largest n^m (m <= k) of at most 2^14 valuations
+        (6, 5, 7776),
+        (8, 4, 4096),
+        (64, 3, 4096),
+        (125, 3, 15625),
+        (128, 2, 16384),
+        (2, 15, 16384),
+        # no power of n between 1296 and 2^14: the fixed 1296
+        (256, 2, 1296),
+        (30, 3, 1296),
+        (129, 2, 1296),
+        # a space of at most 2^14 valuations is one block, below 1296 too
+        (11, 3, 1331),
+        (6, 3, 216),
+        (35, 2, 1225),
+        (2, 10, 1024),
+        (3, 0, 1),
+    ],
+)
+def test_block_size_at_measured_points(n, k, size):
+    assert semantics.block_size(n, k) == size

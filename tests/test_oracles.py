@@ -62,11 +62,13 @@ one bit per valuation (`logic.semantics`); the recursive tree walk
 `oracles.eval_formula_tree` and the hand-ranked
 `oracles.first_refutation_tree_walk` check the values and every search's
 first refutation, on the corpus pairs and on products and ordinal sums of
-8 to 16 elements, also with small blocks, across the boundary of a real
-block, and on sugared `|` chains, whose shared subtrees the tree walk
-expands.  The one-pass compile must give the program of the two-visit
-walk `oracles.compile_formulas_reference`, field for field, on the
-catalog checks, the bundled proofs, random goals and `|` chains.
+8 to 16 elements, also with small blocks of both kinds the block rule
+gives (powers of the carrier size, and the fixed fallback), across the
+boundaries of the module's own blocks, and on sugared `|` chains, whose
+shared subtrees the tree walk expands.  The one-pass compile must give
+the program of the two-visit walk `oracles.compile_formulas_reference`,
+field for field, on the catalog checks, the bundled proofs, random goals
+and `|` chains.
 Formula nodes are interned, so equality is identity;
 `oracles.same_tree_reference`, which walks both trees and compares their
 leaves by fields, must agree with it on random pairs, `|` chains and
@@ -967,20 +969,59 @@ def test_soundness_audit_matches_reference(seed):
         assert len(witnesses) == 2
 
 
-@pytest.mark.parametrize("block", [1, 5, 7, 36])
+def patched_blocks(monkeypatch, cap: int, block: int) -> list[tuple[int, int, int]]:
+    """Patch the block rule's cap (`MAX_BLOCK`) and fallback (`BLOCK`), and
+    record the carrier size, leaf count and size of every block a sweep
+    evaluates from then on."""
+    monkeypatch.setattr(semantics, "MAX_BLOCK", cap)
+    monkeypatch.setattr(semantics, "BLOCK", block)
+    used = []
+    masks = semantics.Program.masks
+
+    def recording(program, q, leaf_masks, full):
+        used.append((q.algebra.size, len(leaf_masks), full.bit_length()))
+        return masks(program, q, leaf_masks, full)
+
+    monkeypatch.setattr(semantics.Program, "masks", recording)
+    return used
+
+
+def assert_blocks_follow_the_rule(used, cap: int, block: int):
+    """Every block holds at most the valuations the rule gives n and k,
+    the largest n^m (m <= k) up to the cap or else the fallback, and some
+    sweep of more valuations than that ran blocks of exactly that size."""
+
+    def rule(n, k):
+        power = max(n**m for m in range(k + 1) if n**m <= cap)
+        return power if power >= min(block, n**k) else block
+
+    assert all(size <= rule(n, k) for n, k, size in used)
+    assert any(size == rule(n, k) < n**k for n, k, size in used)
+
+
+# (cap, fallback): a cap of one runs every sweep in blocks of the fallback,
+# smaller than, coprime to or a power of the carrier sizes; a fallback of
+# one runs blocks of the largest power of n up to the cap
+SMALL_BLOCKS = [(1, 1), (1, 5), (1, 7), (1, 36), (8, 1), (36, 1)]
+SMALL_BLOCK_IDS = [str(b) if cap == 1 else f"powers-to-{cap}" for cap, b in SMALL_BLOCKS]
+
+
+@pytest.mark.parametrize("cap, block", SMALL_BLOCKS, ids=SMALL_BLOCK_IDS)
 def test_soundness_audit_matches_reference_with_small_blocks(
-    corpus_entries, monkeypatch, block
+    corpus_entries, monkeypatch, cap, block
 ):
     # goals of one program close in different blocks, and a failing goal
     # stays closed while the sweep goes on for the valid ones
-    monkeypatch.setattr(semantics, "BLOCK", block)
+    used = patched_blocks(monkeypatch, cap, block)
     pool = with_constant_maps(corpus_pairs(corpus_entries))[::4]
     assert_soundness_matches_reference(pool, FAILING_CATALOG)
+    assert_blocks_follow_the_rule(used, cap, block)
 
 
-def test_soundness_goals_close_in_different_blocks():
-    # 11**3 valuations span two blocks of 1296: F-meet fails in the first,
-    # F-late in the second, and the valid schemas are swept through both
+def assert_goals_close_in_different_blocks(used, size: int):
+    """F-meet fails in the first block of L11 over three metavariables,
+    F-late in a later one, and the valid schemas are swept through all of
+    them, in blocks of `size` valuations."""
     alg = chain("L11")
     pool = [UMTLAlgebra(alg, uq) for uq in enumerate_quantifiers(alg)][:2]
     report = assert_soundness_matches_reference(pool, FAILING_CATALOG)
@@ -991,8 +1032,20 @@ def test_soundness_goals_close_in_different_blocks():
     }
     assert witnesses["F-meet"] == (("alpha", 0), ("beta", 0), ("gamma", 0))
     assert witnesses["F-late"] == (("alpha", 10), ("beta", 8), ("gamma", 0))
-    assert 10 * 11**2 + 8 * 11 >= semantics.BLOCK
+    assert 10 * 11**2 + 8 * 11 >= size
+    assert max(s for n, k, s in used if (n, k) == (11, 3)) == size
     assert witnesses["A1"] is None
+
+
+def test_soundness_goals_close_in_different_blocks(monkeypatch):
+    # under a cap of 11**2 the 11**3 valuations run in two blocks of the
+    # fallback 1296
+    assert_goals_close_in_different_blocks(patched_blocks(monkeypatch, 11**2, 1296), 1296)
+
+
+def test_soundness_goals_close_in_different_aligned_blocks(monkeypatch):
+    # with no fallback they run in 11 blocks of 11**2
+    assert_goals_close_in_different_blocks(patched_blocks(monkeypatch, 11**2, 1), 11**2)
 
 
 def random_formula(rnd: random.Random, depth: int, k: int):
@@ -1119,42 +1172,51 @@ def test_searches_match_tree_walk(formula_pool, larger_pool, seed):
         assert 0 < hits < 12
 
 
-@pytest.mark.parametrize("block", [1, 5, 7, 36])
+@pytest.mark.parametrize("cap, block", SMALL_BLOCKS, ids=SMALL_BLOCK_IDS)
 def test_searches_match_tree_walk_with_small_blocks(
-    formula_pool, larger_pool, monkeypatch, block
+    formula_pool, larger_pool, monkeypatch, cap, block
 ):
-    # a block smaller than, coprime to or a power of the carrier sizes puts
-    # first refutations in later blocks and at every offset inside one; at
-    # most 3 variables on the larger carriers keep the sweeps of one-bit
-    # blocks short
-    monkeypatch.setattr(semantics, "BLOCK", block)
-    rnd = random.Random(f"blocks/{block}")
+    # small blocks put first refutations in later blocks and at every
+    # offset inside one; at most 3 variables on the larger carriers keep
+    # the sweeps of one-bit blocks short
+    used = patched_blocks(monkeypatch, cap, block)
+    rnd = random.Random(f"blocks/{cap}/{block}")
     for pool, most in ((formula_pool, 4), (larger_pool, 3)):
         for _ in range(10):
             premises, conclusion = random_goal(rnd, rnd.randint(1, most))
             assert_searches_match_tree_walk(pool, premises, conclusion)
+    assert_blocks_follow_the_rule(used, cap, block)
 
 
 # On the Goedel chain G6 (values 0 < ... < 5, neg x = 5 if x = 0 else 0,
-# p & neg p = 0) each goal's first refutation over p0..p4 has a known rank
-# next to the first or second boundary of 1296-valuation blocks.
+# p & neg p = 0) each goal's first refutation has a known rank next to the
+# first or second block boundary: over p0..p5 the module's own rule runs
+# blocks of 6^5 valuations, and over p0..p4 a cap of 6^4 runs blocks of
+# 6^4.
 AROUND_BLOCKS = [
     ((1, 2, 3, 4), "p0", (0, 5, 5, 5, 5)),  # rank 1295
     ((), "neg p0 | (neg p1 & p1 & p2 & p3 & p4)", (1, 0, 0, 0, 0)),  # 1296
     ((), "neg p0 | neg p4 | (neg p1 & p1 & p2 & p3)", (1, 0, 0, 0, 1)),  # 1297
     ((1, 2, 3, 4), "neg p0", (1, 5, 5, 5, 5)),  # 2591
+    ((1, 2, 3, 4, 5), "p0", (0, 5, 5, 5, 5, 5)),  # 7775
+    ((), "neg p0 | (neg p1 & p1 & p2 & p3 & p4 & p5)", (1, 0, 0, 0, 0, 0)),  # 7776
+    ((), "neg p0 | neg p5 | (neg p1 & p1 & p2 & p3 & p4)", (1, 0, 0, 0, 0, 1)),  # 7777
+    ((1, 2, 3, 4, 5), "neg p0", (1, 5, 5, 5, 5, 5)),  # 15551
 ]
 
 
 @pytest.mark.parametrize("premises, text, digits", AROUND_BLOCKS)
-def test_first_refutation_around_block_boundaries(premises, text, digits):
-    assert semantics.BLOCK == 6**4
+def test_first_refutation_around_block_boundaries(monkeypatch, premises, text, digits):
+    k = len(digits)
+    cap = 6**4 if k == 5 else semantics.MAX_BLOCK
+    used = patched_blocks(monkeypatch, cap, semantics.BLOCK)
     q = make_umtl(chain("G6"), tuple(range(6)), name="goedel-6+012345")
     theory = tuple(Var(v) for v in premises)
     expected = assert_searches_match_tree_walk([q], theory, parse_formula(text))
     assert expected is not None
     _index, valuation, _value = expected
-    assert tuple(valuation[v] for v in range(5)) == digits
+    assert tuple(valuation[v] for v in range(k)) == digits
+    assert {size for _, _, size in used} == {6 ** (k - 1)}
 
 
 @pytest.mark.parametrize("links", range(1, 9))
