@@ -11,7 +11,6 @@ from .core import (
     SubvarietyProfile,
     Violation,
     chain_algebra,
-    boolean_2,
     check_mtl_tables,
     classify,
     validate,
@@ -29,7 +28,6 @@ from .quantifier import (
     properties_suite,
     quantifier_violations,
     relativization_table,
-    unchecked_pair,
     validate_quantifier,
 )
 from .corpus import bundled_corpus, corpus_dir, example_3_2, proofs_dir

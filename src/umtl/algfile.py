@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 from pathlib import Path
 
-from .core import FiniteMTLAlgebra, default_names
+from .core import default_names
 
 
 class AlgebraFileError(ValueError):
@@ -154,10 +154,6 @@ def write_algebra_text(
     if forall is not None:
         out.append("forall " + " ".join(str(v) for v in forall))
     return "\n".join(out) + "\n"
-
-
-def document_for_algebra(name: str, alg: FiniteMTLAlgebra, forall=None) -> str:
-    return write_algebra_text(name, alg.size, alg.names, alg.odot, alg.arrow, forall)
 
 
 def load_algebra_file(path: str | Path) -> AlgebraDocument:

@@ -13,7 +13,7 @@ Filters and U-filters are the up-sets of idempotents that
 image-simplicity condition instead decides the filters of the fixpoint
 subalgebra by closures of `filters.filter_table` restricted to that
 carrier, so the two simplicity conditions that read filters are computed
-two ways.  The scans in `umtl.oracles` check these independently.
+two ways.  The scans in `tests/oracles.py` check these independently.
 """
 
 from __future__ import annotations

@@ -388,8 +388,8 @@ def check_mtl_tables(size: int, odot, arrow, top: int) -> list[Violation]:
     """Scan every MTL axiom, returning all failures with least witnesses.
 
     The scan is complete for the listed axioms: it accepts exactly the
-    operation tables of finite MTL-algebras.  `oracles.check_mtl_tables_reference`
-    is the cell-by-cell O(n^3) scan it must agree with.
+    operation tables of finite MTL-algebras.  The cell-by-cell O(n^3) scan
+    `check_mtl_tables_reference` in `tests/oracles.py` must agree with it.
     """
     return _scan(size, odot, arrow, top)[0]
 
@@ -554,8 +554,3 @@ def chain_algebra(kind: str, n: int) -> FiniteMTLAlgebra:
     else:
         raise ValueError(f"unknown chain kind: {kind!r}")
     return validate(n, odot, arrow, top)
-
-
-def boolean_2() -> FiniteMTLAlgebra:
-    """The 2-element Boolean algebra (odot = meet, arrow = neg-or)."""
-    return chain_algebra("lukasiewicz", 2)

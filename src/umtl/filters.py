@@ -14,7 +14,7 @@ read off the idempotents with no search: O(n) per idempotent.
 A generated filter is `core.closure` of its seed under the table
 `filter_table`, which also gives the filters of a subalgebra.  The 2^n
 subset scans here and the close-by-one search over `filter_table` in
-`umtl.oracles` stay as oracles, so tests can pin their agreement.
+`tests/oracles.py` stay as oracles, so tests can pin their agreement.
 Families that one call path asks for repeatedly are kept in the
 algebra's `cache`.
 
@@ -80,11 +80,6 @@ def is_filter_by_implication(alg: FiniteMTLAlgebra, members) -> bool:
         for y in alg.elements
         if alg.arrow[x][y] in s
     )
-
-
-def is_prime_filter(alg: FiniteMTLAlgebra, members) -> bool:
-    s = set(members)
-    return is_filter_by_implication(alg, s) and _is_prime(alg, s)
 
 
 def _is_prime(alg: FiniteMTLAlgebra, s) -> bool:
@@ -159,7 +154,8 @@ def enumerate_filters(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
 
 
 def enumerate_filters_subset_oracle(alg: FiniteMTLAlgebra) -> tuple[FilterSet, ...]:
-    """2^n oracle for enumerate_filters."""
+    """2^n oracle for enumerate_filters, in the package only because
+    `perfbench/tests` imports it, until ROADMAP item 6."""
     out = []
     for mask in range(1 << alg.size):
         members = members_of(mask, alg.size)
@@ -185,6 +181,8 @@ def enumerate_ufilters(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
 
 
 def enumerate_ufilters_subset_oracle(q: UMTLAlgebra) -> tuple[FilterSet, ...]:
+    """2^n oracle for enumerate_ufilters, in the package only because
+    `perfbench/tests` imports it, until ROADMAP item 6."""
     alg, f = q.algebra, q.forall
     out = []
     for mask in range(1 << alg.size):

@@ -33,7 +33,7 @@ at the index of the token it names (the end of the text for a formula cut
 short); a character that no token starts with is reported first, at its
 own index.  The earlier parser, which tokenized first and derived each
 depth by a walk over the new node's children, is kept as the test oracle
-`umtl.oracles.parse_formula_reference`.
+`parse_formula_reference` in `tests/oracles.py`.
 """
 
 from __future__ import annotations

@@ -132,17 +132,6 @@ def make_umtl(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
     return UMTLAlgebra(alg, validate_quantifier(alg, table), name)
 
 
-def unchecked_pair(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
-    """Pair a table with an algebra without validating U1-U3.
-
-    For tests that need a pair whose table may be no quantifier, such as
-    the constant maps that the soundness tests add to their pools.  No
-    audit uses it: `analysis.audit_delta_on_linear` pairs delta through
-    `make_umtl` and records the `InvalidQuantifierError` it raises.
-    """
-    return UMTLAlgebra(alg, UniversalQuantifier(tuple(table)), name)
-
-
 def delta_table(alg: FiniteMTLAlgebra) -> tuple[int, ...]:
     """top -> top, everything else -> bottom.  Not a quantifier on every
     algebra; callers validate."""
@@ -314,8 +303,9 @@ def enumerate_quantifiers(
     search (`_image_tables`) tests U2 alone and cuts whole subtrees of the
     subalgebra search at U2 failures that persist in them.  Every table it
     returns still passes the full U1-U3 scan of `validate_quantifier`.
-    method="brute" scans all n^n unary maps and is intended as an oracle
-    for small n.
+    method="brute" scans all n^n unary maps: an oracle for small n that
+    stays in the package only because `perfbench/tests` calls it, until
+    ROADMAP item 6.
     """
     check_u2_parse(u2_parse)
     if method == "fixpoint":

@@ -1,7 +1,8 @@
 """Exhaustive scans and explicit descriptions kept as test oracles.
 
-Nothing in the package calls these.  The scans are exponential in the
-carrier size and meant for small algebras.  Apart from
+This module lives in `tests/` and ships with no package: the tests
+import it as `oracles`, and nothing in `umtl` imports it.  The scans are
+exponential in the carrier size and meant for small algebras.  Apart from
 `relativization_table`, `quantifier_violations` and
 `quantifier.subalgebra_table`, which define what a candidate table is,
 and the primitives `core.closure` and `core.lower_covers`, they share no
@@ -64,6 +65,9 @@ filter and U-filter enumerations do not read:
 - `parse_formula_reference` is the recursive-descent parser that
   tokenizes the whole text first and derives each node's depth by a walk
   over its children, for the one-pass `logic.formulas.parse_formula`.
+
+`unchecked_pair` is no oracle: it pairs an algebra with a table that may
+be no quantifier, for the tests that need such a pair.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .core import (
+from umtl.core import (
     FiniteMTLAlgebra,
     Violation,
     classify,
@@ -80,8 +84,8 @@ from .core import (
     first_violations,
     lower_covers,
 )
-from .filters import FilterSet, filter_table, members_of
-from .logic.formulas import (
+from umtl.filters import FilterSet, filter_table, members_of
+from umtl.logic.formulas import (
     MAX_DEPTH,
     And,
     Bot,
@@ -99,14 +103,26 @@ from .logic.formulas import (
     top,
     variables_of,
 )
-from .logic.schemas import A, B, metavars_of
-from .logic.semantics import Program, SchemaSoundness, SoundnessReport
-from .quantifier import (
+from umtl.logic.schemas import A, B, metavars_of
+from umtl.logic.semantics import Program, SchemaSoundness, SoundnessReport
+from umtl.quantifier import (
     UMTLAlgebra,
+    UniversalQuantifier,
     quantifier_violations,
     relativization_table,
     subalgebra_table,
 )
+
+
+def unchecked_pair(alg: FiniteMTLAlgebra, table, name: str = "") -> UMTLAlgebra:
+    """Pair a table with an algebra without validating U1-U3.
+
+    For tests that need a pair whose table may be no quantifier, such as
+    the constant maps that the soundness tests add to their pools.  No
+    audit uses it: `analysis.audit_delta_on_linear` pairs delta through
+    `make_umtl` and records the `InvalidQuantifierError` it raises.
+    """
+    return UMTLAlgebra(alg, UniversalQuantifier(tuple(table)), name)
 
 
 def _subsets_with_bounds(alg: FiniteMTLAlgebra):

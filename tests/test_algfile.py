@@ -4,7 +4,6 @@ import pytest
 
 from umtl.algfile import (
     AlgebraFileError,
-    document_for_algebra,
     load_algebra_file,
     parse_algebra_text,
     write_algebra_text,
@@ -86,8 +85,8 @@ def test_default_names():
     assert doc.top == 1
 
 
-def test_document_for_algebra_round_trip(six):
-    text = document_for_algebra("fixture", six, None)
+def test_written_algebra_round_trip(six):
+    text = write_algebra_text("fixture", six.size, six.names, six.odot, six.arrow)
     doc = parse_algebra_text(text)
     alg = validate(doc.size, doc.odot, doc.arrow, doc.top, doc.names)
     assert alg.table_key() == six.table_key()

@@ -3,8 +3,9 @@ from __future__ import annotations
 from umtl import analysis as ana
 from umtl import chain_algebra, classify, enumerate_quantifiers, make_umtl
 from umtl import filters as flt
-from umtl.core import boolean_2
-from umtl.quantifier import delta_table, identity_table, unchecked_pair
+from umtl.quantifier import delta_table, identity_table
+
+from oracles import unchecked_pair
 
 
 def _pairs(corpus_entries):
@@ -197,7 +198,7 @@ def test_subdirect_max_ufilters_blocked_by_radical(goedel3):
 
 
 def test_subdirect_two_element():
-    alg = boolean_2()
+    alg = chain_algebra("lukasiewicz", 2)
     q = make_umtl(alg, identity_table(alg))
     res = ana.subdirect_decompose(q, "max-ufilters")
     assert res.ok and len(res.embedding.factors) == 1

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umtl import analysis as ana
-from umtl import chain_algebra, core, example_3_2, make_umtl, oracles, quantifier
+from umtl import chain_algebra, core, example_3_2, make_umtl, quantifier
 from umtl import filters as flt
 from umtl.algfile import load_algebra_file
 from umtl.cli import main
@@ -21,6 +21,8 @@ from umtl.corpus import SIX_BLOCKY, corpus_dir, proofs_dir
 from umtl.logic.formulas import MAX_DEPTH, Var, lor, parse_formula
 from umtl.logic.semantics import ValidityResult, compile_formulas, is_valid
 from umtl.quantifier import delta_table
+
+import oracles
 
 CORPUS = corpus_dir()
 SIX = str(CORPUS / "example-3-2.alg")

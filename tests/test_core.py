@@ -13,8 +13,9 @@ from umtl import (
     classify,
     validate,
 )
-from umtl.core import FiniteMTLAlgebra, boolean_2, default_names
-from umtl.oracles import derive_odot_from_arrow
+from umtl.core import FiniteMTLAlgebra, default_names
+
+from oracles import derive_odot_from_arrow
 
 
 def test_example_fixture_validates(six):
@@ -36,7 +37,7 @@ def test_fixture_order_matches_presentation(six):
 
 
 def test_two_element_boolean_validates():
-    alg = boolean_2()
+    alg = chain_algebra("lukasiewicz", 2)
     assert alg.odot == ((0, 0), (0, 1))
     assert alg.arrow == ((1, 1), (0, 1))
     assert classify(alg).boolean
@@ -108,7 +109,6 @@ def test_chain_kinds():
     assert g3.odot[1][1] == 1 and g3.neg(1) == 0
     nm3 = chain_algebra("nilpotent-minimum", 3)
     assert nm3.odot[1][1] == 0 and nm3.neg(1) == 1
-    assert chain_algebra("lukasiewicz", 2).table_key() == boolean_2().table_key()
     with pytest.raises(ValueError):
         chain_algebra("product", 3)
 
@@ -187,7 +187,7 @@ def test_classify_deterministic(six):
     assert classify(six) == classify(six)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.randoms(use_true_random=False))
 def test_random_mutations_never_validate_silently(n, rnd):
     # mutating a random cell of a valid chain either keeps the tables valid

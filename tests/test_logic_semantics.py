@@ -296,7 +296,7 @@ def test_every_search_finds_the_first_refutation(corpus_entries):
     import random
 
     from umtl.logic.formulas import Box, Impl, lor, neg
-    from umtl.oracles import first_refutation_tree_walk
+    from oracles import first_refutation_tree_walk
 
     pool = _pool(corpus_entries)
     rnd = random.Random(20261018)
@@ -322,7 +322,7 @@ def test_every_search_finds_the_first_refutation(corpus_entries):
 
 
 def test_soundness_audit_flags_a_table_that_breaks_necessitation(goedel3):
-    from umtl.quantifier import unchecked_pair
+    from oracles import unchecked_pair
 
     assert soundness_audit([make_umtl(goedel3, (0, 1, 2))], CATALOG).nec_preserves
     report = soundness_audit([unchecked_pair(goedel3, (0, 0, 0))], CATALOG)

@@ -1,5 +1,5 @@
 """Differential tests of the closure-based fast paths against the
-exhaustive scans in `umtl.oracles`, on random products and ordinal sums
+exhaustive scans in `tests/oracles.py`, on random products and ordinal sums
 of chains, on the larger constructions of the benchmark ladder and on the
 bundled corpus.
 
@@ -46,7 +46,7 @@ also on unary maps that are not quantifiers, and the close-by-one search
 `oracles.filters_close_by_one` over `filters.filter_table` checks them on
 the ladder and at 64 elements.  Generated filters and U-filters are
 `core.closure` of the seed over that table; the explicit descriptions in
-`umtl.oracles` check them, and `core.closure` itself must give the least
+`oracles` check them, and `core.closure` itself must give the least
 closed set of the search that holds the seed, on the filter, U-filter and
 subalgebra tables.
 
@@ -94,10 +94,10 @@ from pathlib import Path
 
 import pytest
 
+import umtl
 from umtl import analysis as ana
 from umtl import core, corpus
 from umtl import filters as flt
-from umtl import oracles
 from umtl.audit import corpus_pairs
 from umtl.core import (
     FiniteMTLAlgebra,
@@ -143,9 +143,10 @@ from umtl.quantifier import (
     enumerate_quantifiers,
     make_umtl,
     subalgebra_table,
-    unchecked_pair,
     validate_quantifier,
 )
+
+import oracles
 
 KINDS = {"L": "lukasiewicz", "G": "goedel", "N": "nilpotent-minimum"}
 
@@ -651,7 +652,7 @@ def test_ucongruences_match_all_pairs_oracle_on_ladder(name):
 def test_ucongruences_match_partition_oracle_on_every_unary_map(tag):
     alg = chain(tag)
     for table in itertools.product(alg.elements, repeat=alg.size):
-        assert_ucongruences_match_oracle(unchecked_pair(alg, table))
+        assert_ucongruences_match_oracle(oracles.unchecked_pair(alg, table))
 
 
 def boolean_16():
@@ -710,7 +711,7 @@ def test_filters_match_subset_oracle_on_ladder(name):
 def test_ufilters_match_subset_oracle_on_every_unary_map(tag):
     alg = chain(tag)
     for table in itertools.product(alg.elements, repeat=alg.size):
-        assert_ufilters_match_oracle(unchecked_pair(alg, table))
+        assert_ufilters_match_oracle(oracles.unchecked_pair(alg, table))
 
 
 def assert_filters_match_close_by_one(alg):
@@ -875,7 +876,7 @@ def with_constant_maps(pairs) -> list[UMTLAlgebra]:
     """`pairs`, then the constant bottom and top maps on each algebra."""
     pool = list(pairs)
     for alg in {id(q.algebra): q.algebra for q in pairs}.values():
-        pool += [unchecked_pair(alg, (x,) * alg.size) for x in (alg.bottom, alg.top)]
+        pool += [oracles.unchecked_pair(alg, (x,) * alg.size) for x in (alg.bottom, alg.top)]
     return pool
 
 
@@ -1479,10 +1480,17 @@ def _imported_modules(path: Path, package: str) -> set[str]:
     return out
 
 
+def _test_only(module: str) -> bool:
+    return any(part == "oracles" or part.startswith("test_") for part in module.split("."))
+
+
 def test_package_modules_do_not_import_the_oracles():
     # the oracles are test-only, and the fast paths must stay independent
-    # of them; the formula evaluator does not depend on the analysis either
-    root = Path(oracles.__file__).parent
+    # of them; the formula evaluator does not depend on the analysis either.
+    # The tests put tests/ on sys.path, so a package module that imported
+    # the oracles or a test module would pass here and fail once installed
+    root = Path(umtl.__file__).parent
+    assert not list(root.rglob("oracles.py"))
     imports = {}
     for path in root.rglob("*.py"):
         name = ".".join(path.relative_to(root.parent).with_suffix("").parts)
@@ -1491,7 +1499,41 @@ def test_package_modules_do_not_import_the_oracles():
         imports[name] = _imported_modules(path, package)
     assert "umtl.quantifier" in imports["umtl.analysis"]  # relative imports resolve
     assert "umtl.analysis" in imports["umtl.cli"]  # so do `from . import m` ones
-    users = sorted(m for m, found in imports.items() if "umtl.oracles" in found)
+    users = sorted(m for m, found in imports.items() if any(map(_test_only, found)))
     assert users == []
     semantics_imports = imports["umtl.logic.semantics"]
     assert not any(m.startswith("umtl.analysis") for m in semantics_imports)
+
+
+def test_oracles_import_only_primitives_and_definitions_from_the_package():
+    # an oracle that imported a fast path, such as filters.enumerate_filters,
+    # would make its cross-check tautological; what the oracles may share is
+    # the primitives, the formula and soundness records, and the definitions
+    # of a candidate quantifier table
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("umtl") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0
+            if node.module.startswith("umtl"):
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    allowed = {
+        "umtl.core": (
+            "FiniteMTLAlgebra Violation classify closed_masks closure"
+            " first_violations lower_covers"
+        ),
+        "umtl.filters": "FilterSet filter_table members_of",
+        "umtl.logic.formulas": (
+            "MAX_DEPTH And Bot Box Formula FormulaSyntaxError Impl MetaVar Min"
+            " Var children iff lor neg top variables_of"
+        ),
+        "umtl.logic.schemas": "A B metavars_of",
+        "umtl.logic.semantics": "Program SchemaSoundness SoundnessReport",
+        "umtl.quantifier": (
+            "UMTLAlgebra UniversalQuantifier quantifier_violations"
+            " relativization_table subalgebra_table"
+        ),
+    }
+    assert imported == {f"{m}.{name}" for m, names in allowed.items() for name in names.split()}

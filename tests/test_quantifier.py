@@ -18,13 +18,14 @@ from umtl import (
     properties_suite,
     quantifier_violations,
     relativization_table,
-    unchecked_pair,
     validate_quantifier,
 )
 from umtl.audit import corpus_pairs, corpus_pairs_with_rejects, fixture_audits
-from umtl.core import CHAIN_KINDS, boolean_2
+from umtl.core import CHAIN_KINDS
 from umtl.corpus import SIX_BLOCKY, SIX_DELTA
 from umtl.logic.schemas import SchemaCatalog
+
+from oracles import unchecked_pair
 
 
 def small_algebras(six):
@@ -52,7 +53,7 @@ def test_block_table_is_valid(six):
 
 
 def test_wrong_shape_reports():
-    alg = boolean_2()
+    alg = chain_algebra("lukasiewicz", 2)
     assert quantifier_violations(alg, (0,))[0].axiom == "forall-wrong-length"
     assert quantifier_violations(alg, (0, 7))[0].axiom == "forall-entry-out-of-range"
     with pytest.raises(InvalidQuantifierError):
@@ -122,7 +123,7 @@ def test_kept_u2_parse_parameters_accept_only_standard(six, corpus_entries):
 
 def test_delta_table_shapes(six):
     assert delta_table(six) == SIX_DELTA
-    alg = boolean_2()
+    alg = chain_algebra("lukasiewicz", 2)
     assert delta_table(alg) == identity_table(alg) == (0, 1)
 
 
@@ -163,7 +164,7 @@ def test_enumeration_on_fixture(six):
 
 
 def test_enumeration_on_two_element():
-    alg = boolean_2()
+    alg = chain_algebra("lukasiewicz", 2)
     assert [q.table for q in enumerate_quantifiers(alg)] == [(0, 1)]
 
 
@@ -271,7 +272,7 @@ def test_umv_precondition_reported_not_fatal(goedel3):
 
 
 def test_mba_axioms():
-    alg = boolean_2()
+    alg = chain_algebra("lukasiewicz", 2)
     q = make_umtl(alg, identity_table(alg))
     assert classify(alg).boolean
     assert all(v.passed for v in check_mba_axioms(q))
