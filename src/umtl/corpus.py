@@ -10,7 +10,6 @@ monoid table contradict commutativity/residuation and are corrected in
 from __future__ import annotations
 
 from typing import NamedTuple
-from importlib import resources
 from pathlib import Path
 
 from .algfile import load_algebra_file
@@ -47,9 +46,9 @@ def bundled_corpus() -> list[CorpusEntry]:
 
 def corpus_dir() -> Path:
     """Directory holding the shipped .alg files."""
-    return Path(str(resources.files("umtl") / "data" / "corpus"))
+    return Path(__file__).parent / "data" / "corpus"
 
 
 def proofs_dir() -> Path:
     """Directory holding the shipped proof files."""
-    return Path(str(resources.files("umtl") / "data" / "proofs"))
+    return Path(__file__).parent / "data" / "proofs"

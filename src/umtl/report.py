@@ -3,14 +3,23 @@
 The deterministic region (everything except "timings") is serialized
 canonically and digest-stamped; repeated runs of the same command on the
 same inputs produce byte-identical files.  Timings are emitted only on
-request and live outside the digested region.
+request and live outside the digested region.  Digests use the
+interpreter's built-in SHA-256, so importing this module loads no OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
+
+# hashlib loads OpenSSL (3.6 MB of RSS); the built-in SHA-256 gives the same digests
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SCHEMA_VERSION = "umtl-report/1"
 TOOL_VERSION = "0.1.0"
@@ -21,7 +30,7 @@ def canonical_json(data) -> str:
 
 
 def input_digest(paths) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for p in sorted(str(p) for p in paths):
         h.update(Path(p).name.encode())
         h.update(b"\0")
@@ -52,7 +61,7 @@ def build_report(
     }
     report = {
         "report": body,
-        "report_digest": hashlib.sha256(canonical_json(body).encode()).hexdigest(),
+        "report_digest": sha256(canonical_json(body).encode()).hexdigest(),
     }
     if timings is not None:
         report["timings"] = timings
