@@ -9,31 +9,39 @@ function: it dispatches once on each node's class and recognises `top`,
 children from `children`.
 
 Nodes are hash-consed (Filliatre and Conchon, "Type-safe modular
-hash-consing", ML Workshop 2006): each class's constructor looks its
-fields up in one table keyed by `(class, *fields)` and returns the node
-already there, so there is one object per distinct formula, and `==` and
-`hash` are `object`'s identity, O(1) however large the formula.  The
-children in a key are interned already, so the key hashes by identity
-too.  The table holds weak references, each with a callback that removes
-its entry once the node is gone.
+hash-consing", ML Workshop 2006).  Every node, from a class constructor, a
+sugar helper, the parser or `schemas.instantiate`, comes from one lookup,
+`interned((class, *fields))`, in one table that returns the node already
+there: there is one object per distinct formula, and `==` and `hash` are
+`object`'s identity, O(1) however large the formula.  The children in a
+key are interned already, so the key hashes by identity too.  The table
+holds weak references, each with a callback that removes its entry once
+the node is gone.  A miss sets the new node's fields by name and stores
+its entry with `setdefault`, replacing a dead entry it finds there, so
+two threads that build one formula both get the node stored first.
 
 Precedence, tightest first: box/neg, &, then ^ and | (left-associative),
-then -> and <-> (right-associative).
+then -> and <-> (right-associative).  Parsing rejects a formula whose tree
+is more than MAX_DEPTH nodes deep, or whose text nests parentheses,
+prefixes and implications more than MAX_DEPTH levels deep, so the
+recursive evaluator, printer and proof checker stay within Python's
+default recursion limit.
 
-Parsing rejects a formula whose tree is more than MAX_DEPTH nodes deep, or
-whose text nests parentheses, prefixes and implications more than
-MAX_DEPTH levels deep, so the recursive evaluator, printer and proof
-checker stay within Python's default recursion limit.
-
-The parse is one pass: one regex scan yields the tokens, a list index
-walks them, and each tier returns its node with its tree depth, computed
-from its children's depths as it is built.  Token positions are recovered
-by a second scan only when a syntax error is raised.  An error is located
-at the index of the token it names (the end of the text for a formula cut
-short); a character that no token starts with is reported first, at its
-own index.  The earlier parser, which tokenized first and derived each
-depth by a walk over the new node's children, is kept as the test oracle
-`parse_formula_reference` in `tests/oracles.py`.
+The parse is one loop, with no recursion, over the tokens of one regex
+scan.  It keeps two stacks: the left operands, each with its tree depth,
+and the operators not yet applied (`(`, `box`, `neg` and the binary
+ones).  Before a binary operator is pushed, the stacked operators that
+bind tighter, or as tight and group to the left, are applied; `)`, the end
+and any other token apply all down to the nearest `(`.  An application
+computes its node's depth from its operands' (the sugar adds levels: `neg`
+1, `<->` 2, `|` 3, and `top` is 2 deep) and checks it at the token that
+triggers it; pushing `(`, a prefix, `->` or `<->` checks the nesting at
+the token after it.  So each error is raised at the token where the
+recursive-descent `parse_formula_reference` in `tests/oracles.py` raises
+it.  Token positions are recovered by a second scan only then: an error
+is located at the index of the token it names (the end of the text for a
+formula cut short); a character that no token starts with is reported
+first, at its own index.
 """
 
 from __future__ import annotations
@@ -52,8 +60,7 @@ class _Entry(weakref.ref):
     __slots__ = ("key",)
 
 
-# (class, *fields) -> the entry of the one live node with those fields; a
-# node is always true, so `(entry and entry()) or _store(key)` is the node
+# (class, *fields) -> the entry of the one live node with those fields
 _nodes: dict[tuple, _Entry] = {}
 
 
@@ -63,15 +70,26 @@ def _forget(entry: _Entry) -> None:
     _remove_dead_weakref(_nodes, entry.key)
 
 
+def interned(key: tuple) -> Formula:
+    """The one live node for `key`, (class, *fields), built on a miss.
+
+    A node is always true, so a dead or missing entry falls to `_store`."""
+    entry = _nodes.get(key)
+    return (entry and entry()) or _store(key)
+
+
 def _store(key: tuple) -> Formula:
-    """The node for `key`, (class, *fields), that a lookup missed.
+    """The node for `key` that a lookup missed.
 
     It is built and stored with `setdefault`, so when two threads build
     the same formula, both get the node stored first."""
-    cls, *fields = key
+    cls = key[0]
     node = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, fields):
-        _set(node, name, value)
+    if len(key) == 3:
+        _set(node, "left", key[1])
+        _set(node, "right", key[2])
+    elif len(key) == 2:
+        _set(node, cls.__match_args__[0], key[1])
     entry = _Entry(node, _forget)
     entry.key = key
     while (held := _nodes.setdefault(key, entry)) is not entry:
@@ -111,17 +129,14 @@ class Var(Formula):
     __slots__ = __match_args__ = ("index",)
 
     def __new__(cls, index: int):
-        key = (cls, index)
-        entry = _nodes.get(key)
-        return (entry and entry()) or _store(key)
+        return interned((cls, index))
 
 
 class Bot(Formula):
     __slots__ = __match_args__ = ()
 
     def __new__(cls):
-        entry = _nodes.get((cls,))
-        return (entry and entry()) or _store((cls,))
+        return interned((cls,))
 
 
 class MetaVar(Formula):
@@ -130,9 +145,7 @@ class MetaVar(Formula):
     __slots__ = __match_args__ = ("label",)
 
     def __new__(cls, label: str):
-        key = (cls, label)
-        entry = _nodes.get(key)
-        return (entry and entry()) or _store(key)
+        return interned((cls, label))
 
     def __repr__(self):
         return f"<{self.label}>"
@@ -142,9 +155,7 @@ class _Binary(Formula):
     __slots__ = __match_args__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        key = (cls, left, right)
-        entry = _nodes.get(key)
-        return (entry and entry()) or _store(key)
+        return interned((cls, left, right))
 
 
 class Impl(_Binary):
@@ -163,25 +174,25 @@ class Box(Formula):
     __slots__ = __match_args__ = ("arg",)
 
     def __new__(cls, arg: Formula):
-        key = (cls, arg)
-        entry = _nodes.get(key)
-        return (entry and entry()) or _store(key)
+        return interned((cls, arg))
 
 
 def top() -> Formula:
-    return Impl(Bot(), Bot())
+    bot = interned((Bot,))
+    return interned((Impl, bot, bot))
 
 
 def neg(a: Formula) -> Formula:
-    return Impl(a, Bot())
+    return interned((Impl, a, interned((Bot,))))
 
 
 def lor(a: Formula, b: Formula) -> Formula:
-    return Min(Impl(Impl(a, b), b), Impl(Impl(b, a), a))
+    left = interned((Impl, interned((Impl, a, b)), b))
+    return interned((Min, left, interned((Impl, interned((Impl, b, a)), a))))
 
 
 def iff(a: Formula, b: Formula) -> Formula:
-    return And(Impl(a, b), Impl(b, a))
+    return interned((And, interned((Impl, a, b)), interned((Impl, b, a))))
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -232,12 +243,11 @@ MAX_DEPTH = 100
 _TOO_DEEP = f"formula nested more than {MAX_DEPTH} levels deep"
 
 _TOKEN = r"->|<->|[&^|()]|[A-Za-z][A-Za-z0-9]*"
-# the tokens, and any other non-space character alone, which no tier accepts
+# the tokens, and any other non-space character alone, which the parse rejects
 _TOKEN_RE = re.compile(_TOKEN + r"|\S")
 # the longest prefix of tokens and whitespace, which ends at the first
 # character that starts no token
 _READABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
-_VAR_RE = re.compile(r"p(\d+)")
 
 
 class _Stop(Exception):
@@ -245,97 +255,86 @@ class _Stop(Exception):
 
 
 def _parse(tokens: list[str]) -> Formula:
-    """The formula that `tokens`, ended by the sentinel "", spell.
-
-    Each tier returns its node with its tree depth, from the children's
-    depths: the sugar adds levels (`neg` 1, `<->` 2, `|` 3, `top` is 2
-    deep).  `nesting` counts the open parentheses, prefixes and
-    implications."""
+    """The formula that `tokens`, ended by the sentinel "", spell; `nesting`
+    counts the top level and the open parentheses, prefixes and implications."""
+    operands = []  # (node, tree depth) of each left operand of `ops`
+    ops = []  # "(", "box", "neg" and binary operators, innermost last
+    nesting = 1
     i = 0
-    nesting = 0
-
-    def formula():  # -> and <->, right-associative
-        nonlocal i, nesting
-        nesting += 1
-        if nesting > MAX_DEPTH:
-            raise _Stop(_TOO_DEEP, i)
-        left, d = lattice()
-        tok = tokens[i]
-        if tok == "->" or tok == "<->":
-            i += 1
-            right, e = formula()
-            if tok == "->":
-                left, d = Impl(left, right), (d if d > e else e) + 1
-            else:
-                left, d = iff(left, right), (d if d > e else e) + 2
-            if d > MAX_DEPTH:
-                raise _Stop(_TOO_DEEP, i)
-        nesting -= 1
-        return left, d
-
-    def lattice():  # ^ and |, left-associative
-        nonlocal i
-        acc, d = conjunction()
-        tok = tokens[i]
-        while tok == "^" or tok == "|":
-            i += 1
-            rhs, e = conjunction()
-            if tok == "^":
-                acc, d = Min(acc, rhs), (d if d > e else e) + 1
-            else:
-                acc, d = lor(acc, rhs), (d if d > e else e) + 3
-            if d > MAX_DEPTH:
-                raise _Stop(_TOO_DEEP, i)
-            tok = tokens[i]
-        return acc, d
-
-    def conjunction():  # &, left-associative
-        nonlocal i
-        acc, d = unary()
-        while tokens[i] == "&":
-            i += 1
-            rhs, e = unary()
-            acc, d = And(acc, rhs), (d if d > e else e) + 1
-            if d > MAX_DEPTH:
-                raise _Stop(_TOO_DEEP, i)
-        return acc, d
-
-    def unary():  # box and neg prefixes, then an atom
-        nonlocal i, nesting
-        tok = tokens[i]
+    while True:
+        tok = tokens[i]  # an operand starts here
         i += 1
-        if tok == "box" or tok == "neg":
+        if tok == "(" or tok == "box" or tok == "neg":
             nesting += 1
             if nesting > MAX_DEPTH:
                 raise _Stop(_TOO_DEEP, i)
-            arg, d = unary()
-            nesting -= 1
-            if d + 1 > MAX_DEPTH:
-                raise _Stop(_TOO_DEEP, i)
-            return (Box(arg) if tok == "box" else neg(arg)), d + 1
-        m = _VAR_RE.fullmatch(tok)
-        if m:
-            return Var(int(m[1])), 1
-        if tok == "(":
-            inner = formula()
-            if tokens[i] != ")":
-                raise _Stop("expected ')'", i)
-            i += 1
-            return inner
-        if tok == "bot":
-            return Bot(), 1
-        if tok == "top":
-            return top(), 2
-        if not tok:
+            ops.append(tok)
+            continue
+        if tok[1:].isdigit() and tok[0] == "p":
+            f, d = interned((Var, int(tok[1:]))), 1
+        elif tok == "bot":
+            f, d = interned((Bot,)), 1
+        elif tok == "top":
+            f, d = top(), 2
+        elif not tok:
             raise _Stop("unexpected end of formula", i - 1)
-        if tok[0].isalpha():
+        elif tok[0].isalpha():
             raise _Stop(f"unknown identifier {tok!r}", i - 1)
-        raise _Stop(f"unexpected token {tok!r}", i - 1)
-
-    f, _ = formula()
-    if tokens[i]:
-        raise _Stop(f"unexpected token {tokens[i]!r}", i)
-    return f
+        else:
+            raise _Stop(f"unexpected token {tok!r}", i - 1)
+        while True:  # f, d levels deep, is followed by tokens[i]
+            tok = tokens[i]
+            # the stacked operators that bind at least `floor` tight take f
+            # first (prefixes 4, & 3, ^ and | 2, -> and <-> 1); -> and <->
+            # group to the right, so their floor is 2, as for ^ and |
+            if tok == "&":
+                floor = 3
+            elif tok in ("^", "|", "->", "<->"):
+                floor = 2
+            else:
+                floor = 1
+            while ops:
+                op = ops[-1]
+                if op == "box" or op == "neg":
+                    f, d = (interned((Box, f)) if op == "box" else neg(f)), d + 1
+                    nesting -= 1
+                elif op == "(" or (floor == 3 and op != "&") or (floor == 2 and op[-1] == ">"):
+                    break
+                else:
+                    left, e = operands.pop()
+                    if e > d:
+                        d = e
+                    if op == "&":
+                        f, d = interned((And, left, f)), d + 1
+                    elif op == "^":
+                        f, d = interned((Min, left, f)), d + 1
+                    elif op == "|":
+                        f, d = lor(left, f), d + 3
+                    elif op == "->":
+                        f, d, nesting = interned((Impl, left, f)), d + 1, nesting - 1
+                    else:
+                        f, d, nesting = iff(left, f), d + 2, nesting - 1
+                ops.pop()
+                if d > MAX_DEPTH:
+                    raise _Stop(_TOO_DEEP, i)
+            i += 1
+            if floor > 1:  # a binary operator: its right operand comes next
+                operands.append((f, d))
+                ops.append(tok)
+                if tok[-1] == ">":
+                    nesting += 1
+                    if nesting > MAX_DEPTH:
+                        raise _Stop(_TOO_DEEP, i)
+                break
+            if ops and tok == ")":
+                ops.pop()
+                nesting -= 1
+                continue
+            if ops:
+                raise _Stop("expected ')'", i - 1)
+            if tok:
+                raise _Stop(f"unexpected token {tok!r}", i - 1)
+            return f
 
 
 def parse_formula(text: str) -> Formula:

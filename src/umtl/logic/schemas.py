@@ -21,6 +21,7 @@ from .formulas import (
     Min,
     Var,
     children,
+    interned,
     leaves_of,
     lor,
     neg,
@@ -138,6 +139,6 @@ def instantiate(pattern: Formula, binding: dict[str, Formula]) -> Formula:
             except KeyError as exc:
                 raise KeyError(f"no binding for metavariable {p.label}") from exc
         kids = children(p)
-        return type(p)(*map(walk, kids)) if kids else p
+        return interned((type(p), *map(walk, kids))) if kids else p
 
     return walk(pattern)

@@ -1,9 +1,25 @@
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import pytest
 
 from umtl import chain_algebra, example_3_2, make_umtl
 from umtl.corpus import SIX_BLOCKY, SIX_DELTA, bundled_corpus
+
+
+def pytest_configure(config):
+    # Hypothesis keeps the constants it collects from the test sources in
+    # its storage directory even with no example database, so the session
+    # gives it a temporary one instead of `.hypothesis/` in the checkout
+    config.hypothesis_storage = tempfile.mkdtemp(prefix="umtl-hypothesis-")
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = config.hypothesis_storage
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_storage, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

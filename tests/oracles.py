@@ -64,7 +64,8 @@ filter and U-filter enumerations do not read:
   the grouped programs of `logic.semantics.soundness_audit`;
 - `parse_formula_reference` is the recursive-descent parser that
   tokenizes the whole text first and derives each node's depth by a walk
-  over its children, for the one-pass `logic.formulas.parse_formula`.
+  over its children, for the operator-precedence loop of
+  `logic.formulas.parse_formula`.
 
 `unchecked_pair` is no oracle: it pairs an algebra with a table that may
 be no quantifier, for the tests that need such a pair.

@@ -30,6 +30,7 @@ from umtl.logic.formulas import (
     top,
     variables_of,
 )
+from umtl.logic.schemas import instantiate
 
 
 def test_box_m1_shape():
@@ -87,6 +88,53 @@ def test_dropped_formulas_leave_the_table():
     del kept
     gc.collect()
     assert len(interning._nodes) == before
+    # and so do the nodes the parser built
+    texts = [f"p{2 * 10**6 + i} -> box p{2 * 10**6 + i + 1}" for i in range(10_000)]
+    kept = [parse_formula(text) for text in texts]
+    assert len(interning._nodes) == before + 3 * 10_000 + 1
+    del kept
+    gc.collect()
+    assert len(interning._nodes) == before
+
+
+def test_every_path_interns_through_one_lookup():
+    # the lookup, the class constructors, the sugar helpers, the parser and
+    # schema instantiation return one object for equal fields
+    a, b = Var(0), Box(Var(1))
+    bot = interning.interned((Bot,))
+    assert bot is Bot() is parse_formula("bot")
+    for key in [(Var, 0), (MetaVar, "alpha"), (Box, a), (Impl, a, b), (And, a, b), (Min, a, b)]:
+        assert interning.interned(key) is key[0](*key[1:])
+    assert parse_formula("p0 & box p1 ^ p0") is Min(And(a, b), a)
+    assert top() is interning.interned((Impl, bot, bot)) is parse_formula("top")
+    assert neg(a) is interning.interned((Impl, a, bot)) is parse_formula("neg p0")
+    assert lor(a, b) is Min(Impl(Impl(a, b), b), Impl(Impl(b, a), a)) is parse_formula("p0 | box p1")
+    assert iff(a, b) is And(Impl(a, b), Impl(b, a)) is parse_formula("p0 <-> box p1")
+    pattern = Impl(MetaVar("alpha"), Box(MetaVar("beta")))
+    built = instantiate(pattern, {"alpha": a, "beta": b})
+    assert built is Impl(a, Box(b)) is parse_formula("p0 -> box box p1")
+
+
+def test_the_parser_replaces_a_dead_entry_instead_of_returning_it():
+    # the ghost-key case of the test above, driven through parse_formula,
+    # for a leaf, a prefix and a binary connective
+    a, b = Var(10**7 + 3), Var(10**7 + 4)
+    cases = [
+        ("p10000002", (Var, 10**7 + 2)),
+        ("box p10000003", (Box, a)),
+        ("p10000003 -> p10000004", (Impl, a, b)),
+    ]
+    for text, key in cases:
+        ghost = object.__new__(key[0])
+        dead = interning._Entry(ghost)
+        dead.key = key
+        interning._nodes[key] = dead
+        del ghost
+        assert interning._nodes[key]() is None
+        live = parse_formula(text)
+        assert (type(live), *(getattr(live, k) for k in live.__match_args__)) == key
+        assert interning._nodes[key] is not dead and interning._nodes[key]() is live
+        assert parse_formula(text) is live
 
 
 def test_a_dead_entry_never_removes_a_live_replacement():

@@ -74,12 +74,14 @@ Formula nodes are interned, so equality is identity;
 leaves by fields, must agree with it on random pairs, `|` chains and
 nodes rebuilt from their children.
 
-Formulas are parsed in one pass, each node's depth carried up from its
-children's; `oracles.parse_formula_reference`, which tokenizes first and
-derives depths by a walk, must give the same tree with the same shared
-node objects, or the same message at the same position, on random token
-strings, on each nesting shape around the depth bound, on the bundled
-proofs and on printed random formulas.
+Formulas are parsed by one operator-precedence loop, each node's depth
+carried up from its operands'; `oracles.parse_formula_reference`, which
+tokenizes first, recurses and derives depths by a walk, must give the
+same tree with the same shared node objects, or the same message at the
+same position, on random token strings, on each nesting shape around the
+depth bound (also under a recursion limit far below it, which only the
+loop can meet), on the bundled proofs, on fully parenthesised random
+formulas and on printed random formulas.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -1426,6 +1429,35 @@ def test_parser_matches_reference_around_the_depth_bound(shape):
             assert outcome[0].startswith(f"formula nested more than {MAX_DEPTH} levels")
 
 
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_parser_needs_no_recursion():
+    # the reference recurses at least once per level, so it gives its
+    # outcomes under the default limit; the parser must give them under a
+    # limit that leaves far fewer than MAX_DEPTH frames above this one
+    for shape in sorted(DEPTH_SHAPES):
+        texts = [depth_shape_text(shape, levels) for levels in (MAX_DEPTH, MAX_DEPTH + 1)]
+        expected = [parse_outcome(oracles.parse_formula_reference, text) for text in texts]
+        error = None
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frame_depth() + MAX_DEPTH // 4)
+        try:
+            parsed = parse_formula(texts[0])
+            try:
+                parse_formula(texts[1])
+            except FormulaSyntaxError as exc:
+                error = str(exc), exc.position
+        finally:
+            sys.setrecursionlimit(limit)
+        assert dag_shape(parsed) == expected[0], shape
+        assert error == expected[1], shape
+
+
 def test_parser_matches_reference_on_bundled_proofs(monkeypatch):
     texts = []
     parse = proofs.parse_formula
@@ -1440,6 +1472,31 @@ def test_parser_matches_reference_on_bundled_proofs(monkeypatch):
     assert len(texts) > 100
     for text in texts:
         assert isinstance(assert_parsers_agree(text)[0], tuple)
+
+
+def random_parenthesised_text(rnd: random.Random, connectives: int) -> str:
+    """A sugared formula with that many connectives, each binary one
+    written `(a op b)`, as the benchmark writes its formulas."""
+    if connectives == 0:
+        return rnd.choice(["p0", "p1", "p2", "p3", "p4", "p5", "top", "bot"])
+    op = rnd.choice(["&", "->", "^", "|", "<->", "neg", "box"])
+    if op in ("neg", "box"):
+        return f"{op} {random_parenthesised_text(rnd, connectives - 1)}"
+    left = rnd.randrange(connectives)
+    a = random_parenthesised_text(rnd, left)
+    b = random_parenthesised_text(rnd, connectives - 1 - left)
+    return f"({a} {op} {b})"
+
+
+def test_parser_matches_reference_on_parenthesised_formulas():
+    rnd = random.Random(1973)
+    texts = [random_parenthesised_text(rnd, rnd.randint(1, 12)) for _ in range(2000)]
+    for op in ("(", "&", "->", "^", "|", "<->", "neg", "box", "top", "bot"):
+        assert sum(op in text for text in texts) > 500, op
+    for text in texts:
+        assert isinstance(assert_parsers_agree(text)[0], tuple), text
+        f = parse_formula(text)
+        assert parse_formula(print_formula(f)) is f, text
 
 
 def test_parser_matches_reference_on_printed_formulas():
