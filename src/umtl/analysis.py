@@ -5,8 +5,10 @@ of independently computed booleans; the audit never aborts on a
 disagreement, it records a witness.  Verdicts are pure functions of the
 input pair.  Every equational condition (representability by equation
 and by join-implication, the minimal-prime form, strongness, finite
-order) is a named check whose least witness `core.first_witnesses`
-finds; each report keeps the witnesses and derives its booleans from them.
+order, a map's preservation of the operations and the quantifier) is a
+named check whose least witness `core.first_witnesses` finds; each
+report keeps the witnesses and derives its booleans from them.  The
+subdirect decomposition names its blocker from its own embedding alone.
 
 Filters and U-filters are the up-sets of idempotents that
 `filters.enumerate_filters` and `filters.enumerate_ufilters` list; the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import FiniteMTLAlgebra, classify, closure, first_witnesses
+from .core import FiniteMTLAlgebra, classify, closure, first_violations, first_witnesses
 from .quantifier import (
     InvalidQuantifierError,
     UMTLAlgebra,
@@ -244,9 +246,8 @@ def is_u_homomorphism(mapping, q1: UMTLAlgebra, q2: UMTLAlgebra):
     the quantifier are well defined on the classes.
     """
     m = tuple(mapping)
-    witness = _mtl_homomorphism_witness(m, q1.algebra, q2.algebra)
-    if witness is None:
-        witness = _forall_witness(m, q1, q2)
+    a1, a2 = q1.algebra, q2.algebra
+    witness = _mtl_homomorphism_witness(m, a1, a2) or _forall_witness(m, q1, q2)
     return witness is None, witness
 
 
@@ -255,52 +256,47 @@ def _mtl_homomorphism_witness(
 ) -> tuple | None:
     """The first failure of `m` to map the carrier of `a1` into that of
     `a2` preserving bottom, top, odot, arrow, meet and join, or None."""
-    if len(m) != a1.size or any(not (0 <= v < a2.size) for v in m):
-        return ("domain",)
-    if m[a1.bottom] != a2.bottom:
-        return ("bottom", a1.bottom)
-    if m[a1.top] != a2.top:
-        return ("top", a1.top)
-    pairs = [
-        ("odot", a1.odot, a2.odot),
-        ("arrow", a1.arrow, a2.arrow),
-        ("meet", a1.meet, a2.meet),
-        ("join", a1.join, a2.join),
-    ]
-    for name, t1, t2 in pairs:
-        for x in a1.elements:
-            for y in a1.elements:
-                if m[t1[x][y]] != t2[m[x]][m[y]]:
-                    return (name, x, y)
-    return None
+    rng = range(a1.size)
+
+    def breaks(t1, t2):
+        return ((x, y) for x in rng for y in rng if m[t1[x][y]] != t2[m[x]][m[y]])
+
+    in_range = len(m) == a1.size and all(0 <= v < a2.size for v in m)
+    checks = (
+        ("domain", () if in_range else ((),)),
+        ("bottom", ((b,) for b in (a1.bottom,) if m[b] != a2.bottom)),
+        ("top", ((t,) for t in (a1.top,) if m[t] != a2.top)),
+        ("odot", breaks(a1.odot, a2.odot)),
+        ("arrow", breaks(a1.arrow, a2.arrow)),
+        ("meet", breaks(a1.meet, a2.meet)),
+        ("join", breaks(a1.join, a2.join)),
+    )
+    return _first_failure(checks)
 
 
-def _forall_witness(
-    m: tuple[int, ...], q1: UMTLAlgebra, q2: UMTLAlgebra
-) -> tuple | None:
+def _forall_witness(m: tuple, q1: UMTLAlgebra, q2: UMTLAlgebra) -> tuple | None:
     """The first x whose quantifier image `m` does not preserve, or None."""
     f1, f2 = q1.forall, q2.forall
-    for x in q1.algebra.elements:
-        if m[f1[x]] != f2[m[x]]:
-            return ("forall", x)
-    return None
+    bad = ((x,) for x in q1.algebra.elements if m[f1[x]] != f2[m[x]])
+    return _first_failure([("forall", bad)])
+
+
+def _first_failure(checks) -> tuple | None:
+    """The first failing check's name and witness as one tuple, or None."""
+    v = next(first_violations(checks), None)
+    return v and (v.axiom, *v.witness)
 
 
 class SubdirectEmbedding(NamedTuple):
     factors: tuple[UMTLAlgebra, ...]
     embedding: tuple[tuple[int, ...], ...]
     injective: bool
-    coordinates_surjective: tuple[bool, ...]
     coordinates_u_homomorphic: tuple[bool, ...]
     factors_simple: tuple[bool, ...]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.injective
-            and all(self.coordinates_surjective)
-            and all(self.coordinates_u_homomorphic)
-        )
+        return self.injective and all(self.coordinates_u_homomorphic)
 
 
 class DecompositionResult(NamedTuple):
@@ -314,13 +310,18 @@ class DecompositionResult(NamedTuple):
 
 
 def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
-    """Subdirect decomposition through the selected filter family.
+    """Subdirect decomposition through the selected filter family, whose
+    bitmask order the factors keep.
 
-    mode="min-primes" requires every minimal prime to be a U-filter and
-    reports the offending prime otherwise; mode="max-ufilters" succeeds
-    exactly on semisimple inputs, with factors verified simple.  Both
-    families keep the bitmask order of the filter enumerations, and so do
-    the factors.
+    mode="min-primes" reports a minimal prime that is no U-filter, with
+    no embedding; mode="max-ufilters" succeeds exactly on semisimple
+    inputs, with factors verified simple.  Every other outcome carries
+    the whole embedding, which names its own blocker: x has top's class
+    in the quotient by a filter exactly when x is in it, so the elements
+    with top's coordinates are the family's intersection (for the
+    maximal U-filters, the radical, not read here), and the least of
+    them below top is the failure's witness.  Each coordinate is onto by
+    construction.
     """
     alg = q.algebra
     if mode == "min-primes":
@@ -330,27 +331,15 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
             return DecompositionResult(None, "minimal prime is not a U-filter", bad)
     elif mode == "max-ufilters":
         family = flt.maximal_ufilters(q)
-        rad = flt.radical(q)
-        if rad.members != {alg.top}:
-            blocker = next(x for x in rad.sorted_members() if x != alg.top)
-            return DecompositionResult(
-                None, "radical element below top blocks injectivity", (blocker,)
-            )
     else:
         raise ValueError(f"unknown decomposition mode: {mode!r}")
     quotients = [flt.quotient(q, fs.members) for fs in family]
     embedding = tuple(
         tuple(res.class_map[x] for res in quotients) for x in alg.elements
     )
-    injective = len(set(embedding)) == alg.size
-    surjective = tuple(
-        len({res.class_map[x] for x in alg.elements}) == res.quotient.algebra.size
-        for res in quotients
-    )
-    # each check is also the quotient's well-definedness check; its MTL half
-    # reads only the algebra and the filter (the class map and the quotient
-    # algebra are shared per filter), so it runs once per filter; the
-    # quantifier half runs for every pair
+    # also the quotient's well-definedness check; the MTL half reads only the
+    # algebra and the filter (whose class map and quotient algebra are shared),
+    # so it runs once per filter, the quantifier half for every pair
     u_homomorphic = tuple(
         alg.cached(
             ("class-map-homomorphism", fs.members),
@@ -364,11 +353,9 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
     emb = SubdirectEmbedding(
         factors=factors,
         embedding=embedding,
-        injective=injective,
-        coordinates_surjective=surjective,
+        injective=len(set(embedding)) == alg.size,
         coordinates_u_homomorphic=u_homomorphic,
-        # `SimplicityReport.simple`, decided as `audit_quotient_simplicity`
-        # decides it
+        # `SimplicityReport.simple`, decided as `audit_quotient_simplicity` does
         factors_simple=tuple(
             _subalgebra_filters_trivial(
                 f.algebra, frozenset(f.algebra.elements), f.forall
@@ -376,7 +363,11 @@ def subdirect_decompose(q: UMTLAlgebra, mode: str) -> DecompositionResult:
             for f in factors
         ),
     )
-    return DecompositionResult(emb, None, None)
+    top = embedding[alg.top]
+    blockers = ((x,) for x in alg.elements if x != alg.top and embedding[x] == top)
+    (blocker,) = first_witnesses([("blocker", blockers)])
+    failure = blocker.witness and "radical element below top blocks injectivity"
+    return DecompositionResult(emb, failure, blocker.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -467,18 +458,15 @@ def audit_term_equivalences(q: UMTLAlgebra) -> list[AuditEntry]:
 
 
 def audit_congruence_correspondence(q: UMTLAlgebra) -> AuditEntry:
-    """Filters -> congruences -> filters is the identity, the reverse
-    composition too, and both directions preserve inclusion."""
+    """Filters -> congruences -> filters is the identity, the map is a
+    bijection (so the reverse composition is the identity too), and both
+    directions preserve inclusion."""
     ufilters = flt.enumerate_ufilters(q)
     congruences = flt.enumerate_ucongruences(q)
     of_filter = {u.members: flt.congruence_of_filter(q, u.members) for u in ufilters}
     round_trip = all(
         flt.filter_of_congruence(q, of_filter[u.members]) == u.members
         for u in ufilters
-    )
-    back = all(
-        flt.congruence_of_filter(q, flt.filter_of_congruence(q, c)) == c
-        for c in congruences
     )
     images = set(of_filter.values())
     bijective = images == set(congruences) and len(ufilters) == len(congruences)
@@ -488,7 +476,7 @@ def audit_congruence_correspondence(q: UMTLAlgebra) -> AuditEntry:
         for u1 in ufilters
         for u2 in ufilters
     )
-    agrees = round_trip and bijective and back and order_iso
+    agrees = round_trip and bijective and order_iso
     return AuditEntry(
         "ufilter-congruence-correspondence",
         q.label(),

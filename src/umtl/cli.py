@@ -247,26 +247,30 @@ def cmd_quantifiers(run: Run, args) -> int:
     return OK
 
 
+# the filter families of `filters --kind` and `export --what`, each with
+# whether it reads the pair (resolved only then) or the algebra alone
+FILTER_FAMILIES = {
+    "filters": (False, flt.enumerate_filters),
+    "ufilters": (True, flt.enumerate_ufilters),
+    "primes": (False, flt.prime_filters),
+    "minimal-primes": (False, lambda alg: flt.minimal_primes(alg).by_inclusion),
+    "maximal": (False, flt.maximal_filters),
+    "maximal-ufilters": (True, flt.maximal_ufilters),
+}
+
+
+def _family(run: Run, alg, doc, kind: str, forall_spec: str | None):
+    of_pair, family = FILTER_FAMILIES[kind]
+    return family(_pair(run, alg, doc, forall_spec) if of_pair else alg)
+
+
 def cmd_filters(run: Run, args) -> int:
     alg, doc = _validated_algebra(run, args.path)
     kind = args.kind
-    if kind in ("ufilters", "maximal-ufilters"):
-        q = _pair(run, alg, doc, args.forall)
-        family = (
-            flt.enumerate_ufilters(q)
-            if kind == "ufilters"
-            else flt.maximal_ufilters(q)
-        )
-    elif kind == "filters":
-        family = flt.enumerate_filters(alg)
-    elif kind == "primes":
-        family = flt.prime_filters(alg)
-    elif kind == "minimal-primes":
-        res = flt.minimal_primes(alg)
-        family = res.by_inclusion
-        run.check("minimal-prime-characterizations", doc.name, res.agree)
-    else:  # "maximal"; argparse rejects every other kind
-        family = flt.maximal_filters(alg)
+    family = _family(run, alg, doc, kind, args.forall)
+    if kind == "minimal-primes":
+        agree = flt.minimal_primes(alg).agree
+        run.check("minimal-prime-characterizations", doc.name, agree)
     run.check(
         f"{kind}-listing",
         doc.name,
@@ -527,15 +531,9 @@ def cmd_export(run: Run, args) -> int:
     alg, doc = _validated_algebra(run, args.path)
     if args.what == "order":
         text = hasse.order_dot(alg, doc.name)
-    elif args.what == "ufilters":
-        q = _pair(run, alg, doc, args.forall)
-        text = hasse.filter_lattice_dot(
-            list(flt.enumerate_ufilters(q)), doc.name + "-ufilters"
-        )
-    else:  # "filters"; argparse rejects every other target
-        text = hasse.filter_lattice_dot(
-            list(flt.enumerate_filters(alg)), doc.name + "-filters"
-        )
+    else:  # a filter family; argparse rejects every other target
+        family = _family(run, alg, doc, args.what, args.forall)
+        text = hasse.filter_lattice_dot(list(family), f"{doc.name}-{args.what}")
     if args.out:
         _write_text(args.out, text)
         run.say(f"wrote {args.out}")
@@ -588,14 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         default="filters",
-        choices=(
-            "filters",
-            "ufilters",
-            "primes",
-            "minimal-primes",
-            "maximal",
-            "maximal-ufilters",
-        ),
+        choices=tuple(FILTER_FAMILIES),
     )
     p.add_argument("--forall", help="file|delta|identity|<ints>")
     p.set_defaults(func=cmd_filters)

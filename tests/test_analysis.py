@@ -1,7 +1,15 @@
 from __future__ import annotations
 
+import pytest
+
 from umtl import analysis as ana
-from umtl import chain_algebra, classify, enumerate_quantifiers, make_umtl
+from umtl import (
+    FiniteMTLAlgebra,
+    chain_algebra,
+    classify,
+    enumerate_quantifiers,
+    make_umtl,
+)
 from umtl import filters as flt
 from umtl.quantifier import delta_table, identity_table
 
@@ -113,6 +121,49 @@ def test_u_homomorphism(six_delta, six_block):
     assert ana.is_u_homomorphism(identity, six_delta, six_block) == (False, ("forall", 2))
 
 
+def _with_cell(alg, table, x, y, value):
+    """A copy of `alg` whose `table` differs in the cell (x, y) only."""
+    rows = [list(row) for row in getattr(alg, table)]
+    rows[x][y] = value
+    fields = {name: getattr(alg, name) for name in alg.__match_args__}
+    return FiniteMTLAlgebra(**{**fields, table: tuple(map(tuple, rows))})
+
+
+L2 = chain_algebra("lukasiewicz", 2)
+L3 = chain_algebra("lukasiewicz", 3)
+G3 = chain_algebra("goedel", 3)
+
+
+@pytest.mark.parametrize(
+    "source, target, mapping, witness",
+    [
+        (L3, G3, (0, 1, 2), ("odot", 1, 1)),
+        (L3, L2, (0, 0, 1), ("arrow", 1, 0)),
+        (L3, L2, (1, 1, 1), ("bottom", 0)),
+        (L3, L2, (0, 0, 0), ("top", 2)),
+        (L3, L2, (0, 1), ("domain",)),
+        (L3, L2, (0, 2, 1), ("domain",)),
+        (G3, _with_cell(G3, "meet", 2, 1, 2), (0, 1, 2), ("meet", 2, 1)),
+        (G3, _with_cell(G3, "join", 1, 0, 0), (0, 1, 2), ("join", 1, 0)),
+    ],
+    ids=["odot", "arrow", "bottom", "top", "short", "out-of-range", "meet", "join"],
+)
+def test_homomorphism_witness_names_the_broken_operation(
+    source, target, mapping, witness
+):
+    # each operation is checked against its own tables, in the order
+    # domain, bottom, top, odot, arrow, meet, join
+    q1 = make_umtl(source, identity_table(source))
+    q2 = unchecked_pair(target, identity_table(target))
+    assert ana.is_u_homomorphism(mapping, q1, q2) == (False, witness)
+
+
+def test_homomorphism_witness_names_the_unpreserved_quantifier(luk3):
+    q1 = make_umtl(luk3, identity_table(luk3))
+    q2 = make_umtl(luk3, delta_table(luk3))
+    assert ana.is_u_homomorphism((0, 1, 2), q1, q2) == (False, ("forall", 1))
+
+
 def test_maximality_audit_records_each_disagreement(six_block, monkeypatch):
     # flip the definition side, so every proper U-filter disagrees
     verdict_of = flt.is_maximal_ufilter
@@ -173,7 +224,9 @@ def test_subdirect_min_primes_on_block(six_block):
     assert res.ok
     assert [classify(f.algebra).linear for f in res.embedding.factors] == [True, True]
     assert res.embedding.injective
-    assert all(res.embedding.coordinates_surjective)
+    # each coordinate is a quotient's class map, onto by construction
+    for i, factor in enumerate(res.embedding.factors):
+        assert {row[i] for row in res.embedding.embedding} == set(factor.algebra.elements)
     assert all(res.embedding.coordinates_u_homomorphic)
 
 
@@ -195,6 +248,23 @@ def test_subdirect_max_ufilters_blocked_by_radical(goedel3):
     assert not res.ok
     assert res.failure == "radical element below top blocks injectivity"
     assert res.witness == (1,)
+
+
+def test_semisimplicity_audit_reads_the_radical_on_one_side_only(
+    corpus_entries, monkeypatch
+):
+    # a radical that wrongly gains its least non-member makes is_semisimple
+    # refuse semisimple pairs; the decomposition must not follow it
+    radical = flt.radical
+
+    def grown(q):
+        members = radical(q).members
+        extra = min(x for x in q.algebra.elements if x not in members)
+        return flt.FilterSet(q.algebra, members | {extra})
+
+    monkeypatch.setattr(flt, "radical", grown)
+    entries = [ana.audit_semisimplicity(q) for q in _pairs(corpus_entries)]
+    assert any(not e.agrees for e in entries)
 
 
 def test_subdirect_two_element():

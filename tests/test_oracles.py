@@ -865,6 +865,30 @@ def test_quotient_simplicity_matches_is_simple(seed):
         assert_quotient_simplicity_matches_is_simple(UMTLAlgebra(alg, uq))
 
 
+def assert_decomposition_fails_on_the_radical(q):
+    """The maximal-U-filter decomposition, which reads no radical, fails
+    exactly on the pairs that `is_semisimple` refuses from the radical,
+    and then names the radical's least element below top."""
+    semi = ana.is_semisimple(q)
+    dec = ana.subdirect_decompose(q, "max-ufilters")
+    assert dec.ok == (dec.failure is None) == semi.semisimple, q.label()
+    if not semi.semisimple:
+        blocker = min(x for x in semi.radical_members if x != q.algebra.top)
+        assert dec.witness == (blocker,), q.label()
+
+
+def test_decomposition_fails_on_the_radical_on_corpus(corpus_entries):
+    for q in corpus_pairs(corpus_entries):
+        assert_decomposition_fails_on_the_radical(q)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_decomposition_fails_on_the_radical(seed):
+    alg = random_algebra(seed, 10)
+    for uq in enumerate_quantifiers(alg):
+        assert_decomposition_fails_on_the_radical(UMTLAlgebra(alg, uq))
+
+
 def on_own_copy(q: UMTLAlgebra) -> UMTLAlgebra:
     """`q` on a copy of its algebra that starts with an empty cache."""
     a = q.algebra
